@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
+.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables
 
 # check is the CI gate: vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
 # engine, core and monitor packages are concurrent by construction, so
 # -race is not optional), the dynamic declared-reads oracle, and finally
 # the small-N load-harness smoke replays in both sweep and push modes
-# plus the tracing-overhead gate. fleet-race is part of race via ./...,
-# listed separately for a focused re-run.
-check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke-scenario
+# plus the tracing-overhead gate, then the fleet-evaluation benchmark's
+# own tests. fleet-race is part of race via ./..., listed separately for
+# a focused re-run.
+check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke
 
 vet:
 	$(GO) vet ./...
@@ -78,7 +79,8 @@ bench-steal:
 
 # bench runs the experiment benchmarks once each (correctness smoke, not a
 # timing run), then the fleet + catalogue timing benchmarks with -benchmem
-# and regenerates the BENCH_fleet.json perf record.
+# (BenchmarkFleetCachedSweep among them: the all-cached fallback sweep
+# with no probe delay) and regenerates the BENCH_fleet.json perf record.
 bench: bench-fleet
 	$(GO) test -run=^$$ -bench=. -benchtime=1x .
 
@@ -131,6 +133,13 @@ smoke-scenario:
 # bench-trace / bench-telemetry write the real records.
 smoke-trace:
 	$(GO) run ./cmd/fleetaudit -bench-telemetry -assert-overhead 25 -o /dev/null
+
+# perf-smoke runs the tests of cmd/vdo-perf, a module of its own that the
+# root ./... patterns do not reach: a 200-host smoke run of every
+# workload through the verdict oracle, the oracle's stale-verdict
+# self-test, and the -compare regression rules. About 10 s.
+perf-smoke:
+	cd cmd/vdo-perf && $(GO) test ./...
 
 # tables regenerates every EXPERIMENTS.md table on stdout.
 tables:

@@ -17,6 +17,10 @@ type Catalog struct {
 	// sweeps (IDs, All, RunEngine) don't re-sort an unchanged catalogue.
 	// nil means stale; Register invalidates, IDs rebuilds on demand.
 	sorted []string
+	// decl caches KeyDeclarations' declared/undeclared split, valid while
+	// declOK; Register invalidates it the same way it invalidates sorted.
+	decl   [2]int
+	declOK bool
 }
 
 // NewCatalog returns an empty catalogue.
@@ -39,6 +43,7 @@ func (c *Catalog) Register(r CheckableEnforceableRequirement) error {
 	}
 	c.byID[id] = r
 	c.sorted = nil
+	c.declOK = false
 	return nil
 }
 
@@ -120,6 +125,39 @@ func (c *Catalog) allLocked(ids []string) []CheckableEnforceableRequirement {
 		out = append(out, c.byID[id])
 	}
 	return out
+}
+
+// KeyDeclarations reports how many registered requirements declare their
+// read set (CheckKeys ok) and how many do not. Declarations are static
+// (see KeyReader), so the split is computed once per catalogue state and
+// cached until the next Register: repeated sweeps over an unchanged
+// catalogue pay two loads, not one CheckKeys call per requirement.
+func (c *Catalog) KeyDeclarations() (declared, undeclared int) {
+	c.mu.RLock()
+	if c.declOK {
+		declared, undeclared = c.decl[0], c.decl[1]
+		c.mu.RUnlock()
+		return declared, undeclared
+	}
+	c.mu.RUnlock()
+	// Declarations run outside the lock: they are caller code and may
+	// call back into the catalogue. Register only ever adds entries, so
+	// an unchanged length means nothing registered in the meantime and
+	// the counts describe the current state.
+	reqs := c.All()
+	for _, r := range reqs {
+		if _, ok := CheckKeys(r); ok {
+			declared++
+		} else {
+			undeclared++
+		}
+	}
+	c.mu.Lock()
+	if len(c.byID) == len(reqs) {
+		c.decl, c.declOK = [2]int{declared, undeclared}, true
+	}
+	c.mu.Unlock()
+	return declared, undeclared
 }
 
 // Fingerprints returns the dedup fingerprint (CheckFingerprint) of every

@@ -17,7 +17,10 @@ package core
 // does not declare, a change to that slot will not re-trigger the check
 // under push evaluation. Requirements that cannot enumerate their reads
 // simply don't implement the interface and fall back to full re-audits
-// (and the daemon's periodic fallback sweep).
+// (and the daemon's periodic fallback sweep). Because declarations are
+// static, consumers read them once per catalogue state: DepIndex when it
+// is built, and Catalog.KeyDeclarations until the next Register. A
+// declaration that changed afterwards would go unseen by both.
 type KeyReader interface {
 	// CheckStateKeys returns the canonical state keys the Check reads.
 	CheckStateKeys() []string

@@ -93,3 +93,45 @@ func TestRunEngineOnlySubset(t *testing.T) {
 		t.Errorf("nil Only ran %d requirements, want 3", len(rep.Results))
 	}
 }
+
+// countingKeyReader declares one key, counts its declaration calls, and
+// reads the catalogue it is registered in from inside the declaration.
+type countingKeyReader struct {
+	Finding
+	CheckFunc
+	EnforceFunc
+	cat   *Catalog
+	calls *atomic.Int64
+}
+
+func (r *countingKeyReader) CheckStateKeys() []string {
+	r.calls.Add(1)
+	r.cat.Len() // must not deadlock: declarations run outside the lock
+	return []string{"pkg:" + r.ID}
+}
+
+func TestCatalogKeyDeclarationsRecomputedAfterRegister(t *testing.T) {
+	c := NewCatalog()
+	want := func(declared, undeclared int) {
+		t.Helper()
+		if d, u := c.KeyDeclarations(); d != declared || u != undeclared {
+			t.Fatalf("KeyDeclarations = %d/%d, want %d/%d", d, u, declared, undeclared)
+		}
+	}
+	want(0, 0)
+	var calls atomic.Int64
+	c.MustRegister(&countingKeyReader{Finding: Finding{ID: "V-1"}, cat: c, calls: &calls})
+	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-2"}}) // empty declaration
+	want(1, 1)
+	want(1, 1)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("declaration read %d times over two calls, want once per catalogue state", n)
+	}
+	c.MustRegister(&panicKeyReader{Finding: Finding{ID: "V-3"}})
+	want(1, 2)
+	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-4"}, keys: []string{"cfg:x"}})
+	want(2, 2)
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("declaration read %d times over three catalogue states, want 3", n)
+	}
+}

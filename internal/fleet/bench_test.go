@@ -134,3 +134,23 @@ func BenchmarkFleetIncrementalSweep(b *testing.B) {
 		coord.Sweep(targets, opts)
 	}
 }
+
+// BenchmarkFleetCachedSweep measures the push daemon's fallback sweep:
+// an incremental sweep in which every host replays from the cache, with
+// no probe delay, so the figure is the sweep's own serial and per-host
+// cost (sorting, scheduling, cache lookups, localization counts, the
+// roll-up). Run with -benchmem; TestCachedSweepAllocsPerHost gates its
+// allocations.
+func BenchmarkFleetCachedSweep(b *testing.B) {
+	targets, _ := LinuxFleet(1000)
+	coord := NewCoordinator()
+	opts := Options{Shards: 2, Workers: 1, Incremental: true, Dedup: true}
+	coord.Sweep(targets, opts) // prime
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, st := coord.Sweep(targets, opts); st.CachedHosts != len(targets) {
+			b.Fatalf("cached %d of %d hosts", st.CachedHosts, len(targets))
+		}
+	}
+}

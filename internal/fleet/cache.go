@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"veridevops/internal/core"
@@ -38,7 +39,10 @@ type cacheFileHost struct {
 }
 
 // SaveCache writes the coordinator's incremental cache and cost table to
-// path, overwriting any previous file.
+// path, replacing any previous file atomically: the data goes to a
+// temporary file in the same directory, is fsynced, and is renamed over
+// path. A crash or error mid-save leaves the previous file intact and
+// loadable; the temporary file is removed on error.
 func (c *Coordinator) SaveCache(path string) error {
 	c.mu.Lock()
 	f := cacheFile{Schema: cacheSchema, Hosts: make(map[string]cacheFileHost, len(c.cache))}
@@ -60,7 +64,42 @@ func (c *Coordinator) SaveCache(path string) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encode cache: %w", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeFileAtomic(path, append(data, '\n'), 0o644)
+}
+
+// syncFile is the fsync step of writeFileAtomic. Tests replace it to
+// fail a save after the data has been written but before the rename.
+var syncFile = (*os.File).Sync
+
+// writeFileAtomic writes data to a temporary file next to path, fsyncs
+// it and renames it over path, so readers see either the old contents or
+// the new ones, never a torn file.
+func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = f.Chmod(perm)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		// Best effort: the save has already failed, and a leftover temp
+		// file never shadows path.
+		_ = os.Remove(tmp)
+		return fmt.Errorf("fleet: save cache: %w", err)
+	}
+	return nil
 }
 
 // LoadCache replaces the coordinator's cache and cost table with the
@@ -89,7 +128,7 @@ func (c *Coordinator) LoadCache(path string) error {
 	defer c.mu.Unlock()
 	for name, h := range f.Hosts {
 		if len(h.Report.Results) > 0 || h.Version > 0 {
-			c.cache[name] = cacheEntry{version: h.Version, report: h.Report}
+			c.cache[name] = newCacheEntry(h.Version, h.Report)
 		}
 		if h.CostNS > 0 {
 			c.costs[name] = time.Duration(h.CostNS)

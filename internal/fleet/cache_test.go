@@ -194,3 +194,59 @@ func TestSaveCacheRoundTripsInvalidation(t *testing.T) {
 		t.Errorf("resumed sweep cached %d hosts, want 3", st.CachedHosts)
 	}
 }
+
+func TestSaveCacheFailureKeepsPreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cache.json")
+	targets, _ := LinuxFleet(4)
+	coord := NewCoordinator()
+	coord.Sweep(targets, Options{Shards: 2, Workers: 1})
+	if err := coord.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next save, of an emptied cache, dies after writing its data but
+	// before the rename: the point where a plain os.WriteFile would
+	// already have truncated the previous file.
+	coord.InvalidateAll()
+	errCrash := errors.New("simulated crash before rename")
+	syncFile = func(*os.File) error { return errCrash }
+	t.Cleanup(func() { syncFile = (*os.File).Sync })
+	if err := coord.SaveCache(path); !errors.Is(err, errCrash) {
+		t.Fatalf("SaveCache error = %v, want the injected failure", err)
+	}
+
+	restored := NewCoordinator()
+	if err := restored.LoadCache(path); err != nil {
+		t.Fatalf("previous cache file no longer loads: %v", err)
+	}
+	if restored.CachedHosts() != 4 {
+		t.Errorf("restored %d hosts, want the previous file's 4", restored.CachedHosts())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "cache.json" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("directory holds %v after a failed save, want only cache.json", names)
+	}
+
+	// With the fsync restored, the same save replaces the file.
+	syncFile = (*os.File).Sync
+	if err := coord.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.LoadCache(path); err != nil {
+		t.Fatal(err)
+	}
+	if restored.CachedHosts() != 0 {
+		t.Errorf("after a good save restored %d hosts, want the emptied cache's 0", restored.CachedHosts())
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Errorf("saved file mode = %v (%v), want 0644", info.Mode().Perm(), err)
+	}
+}

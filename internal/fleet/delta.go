@@ -67,11 +67,10 @@ func (c *Coordinator) applyDelta(t Target, only []string, shard int, opts Option
 		Only:    only,
 	})
 	c.recordCost(t.Name, time.Since(t0))
-	hr.Report = mergeReport(base.report, partial)
-	hr.Stats = st
-	hr.Degraded = degradedReport(hr.Report)
+	e := newCacheEntry(version, mergeReport(base.report, partial))
+	hr.Report, hr.Stats, hr.Degraded = e.report, st, e.degraded
 	if t.Version != nil {
-		c.store(t.Name, version, hr.Report)
+		c.store(t.Name, e)
 	}
 	return hr
 }

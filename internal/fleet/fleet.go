@@ -38,7 +38,8 @@ package fleet
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -176,6 +177,14 @@ type cacheEntry struct {
 	// flip) advances the live version past it and forces a re-audit.
 	version uint64
 	report  core.Report
+	// degraded is degradedReport(report), judged once when the entry is
+	// built so replays and re-stamps don't rescan the verdicts.
+	degraded bool
+}
+
+// newCacheEntry builds the cache entry for a report observed at version.
+func newCacheEntry(version uint64, rep core.Report) cacheEntry {
+	return cacheEntry{version: version, report: rep, degraded: degradedReport(rep)}
 }
 
 // Coordinator shards fleet sweeps and carries the incremental cache
@@ -229,10 +238,10 @@ func (c *Coordinator) lookup(name string) (cacheEntry, bool) {
 	return e, ok
 }
 
-func (c *Coordinator) store(name string, version uint64, rep core.Report) {
+func (c *Coordinator) store(name string, e cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cache[name] = cacheEntry{version: version, report: rep}
+	c.cache[name] = e
 }
 
 // snapshotCosts returns the observed audit cost of each target, indexed
@@ -290,7 +299,7 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 
 	ts := make([]Target, len(targets))
 	copy(ts, targets)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
+	slices.SortFunc(ts, func(a, b Target) int { return strings.Compare(a.Name, b.Name) })
 
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {
@@ -398,11 +407,11 @@ func (c *Coordinator) auditOne(t Target, shard int, opts Options, memo *core.Che
 			if e, ok := c.lookup(t.Name); ok && e.version == version {
 				hr.FromCache = true
 				hr.Report = e.report
-				// Stats are zero on a replay, so Degraded must be
-				// recomputed from the cached verdicts: a host that was
-				// unreachable when the cache was primed is still reported
-				// degraded by the sweeps that replay it.
-				hr.Degraded = degradedReport(e.report)
+				// Stats are zero on a replay, so Degraded comes from the
+				// cached verdicts: a host that was unreachable when the
+				// cache was primed is still reported degraded by the
+				// sweeps that replay it.
+				hr.Degraded = e.degraded
 				return hr
 			}
 		}
@@ -424,15 +433,16 @@ func (c *Coordinator) auditOne(t Target, shard int, opts Options, memo *core.Che
 	if versioned {
 		// Prime the cache on every versioned run — full sweeps included —
 		// so the first incremental sweep after a full one already hits.
-		c.store(t.Name, version, rep)
+		c.store(t.Name, newCacheEntry(version, rep))
 	}
 	return hr
 }
 
-// degradedReport reports whether a replayed report has the degraded
-// shape: at least one verdict and every final status ERROR — the same
-// judgement auditOne makes from live RunStats, recomputed from the
-// verdicts because a cache replay carries zero stats.
+// degradedReport reports whether a report has the degraded shape: at
+// least one verdict and every final status ERROR — the same judgement
+// auditOne makes from live RunStats, made from the verdicts because a
+// cache replay carries zero stats. newCacheEntry records it once per
+// entry.
 func degradedReport(rep core.Report) bool {
 	if len(rep.Results) == 0 {
 		return false

@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -88,13 +89,14 @@ func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []ti
 		s.queues[home] = append(s.queues[home], schedItem{idx: i, cost: cost})
 		s.remaining[home] += cost
 	}
-	for home := range s.queues {
-		q := s.queues[home]
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].cost != q[b].cost {
-				return q[a].cost > q[b].cost
+	// (cost desc, idx asc) is a total order — idx is unique — so an
+	// unstable sort yields the same queues a stable one would.
+	for _, q := range s.queues {
+		slices.SortFunc(q, func(a, b schedItem) int {
+			if c := cmp.Compare(b.cost, a.cost); c != 0 {
+				return c
 			}
-			return q[a].idx < q[b].idx
+			return cmp.Compare(a.idx, b.idx)
 		})
 	}
 	return s

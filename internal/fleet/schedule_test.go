@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -198,5 +201,65 @@ func TestLoadImbalanceBounds(t *testing.T) {
 	_, st := Sweep(targets, Options{Shards: 4, Workers: 1})
 	if st.LoadImbalance != 0 && st.LoadImbalance < 1 {
 		t.Errorf("LoadImbalance = %v, must be 0 (unmeasured) or >= 1", st.LoadImbalance)
+	}
+}
+
+// TestSchedulerQueuesMatchStableReference is the placement-equivalence
+// property: for seeded random fleets with heavily tied costs, the seeded
+// per-shard queues equal a reference built with the stable sort and the
+// (cost desc, idx asc) comparator the scheduler has always used, so
+// dispatch order, placement and Canonical() stats cannot drift.
+func TestSchedulerQueuesMatchStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		shards := 1 + rng.Intn(8)
+		// Few distinct costs, so most comparisons tie on cost; some zero
+		// (unknown) costs, which the scheduler maps to the known mean.
+		costs := make([]time.Duration, n)
+		for i := range costs {
+			if rng.Intn(5) > 0 {
+				costs[i] = time.Duration(rng.Intn(4)) * time.Millisecond
+			}
+		}
+		affinity := make([]int, n)
+		for i := range affinity {
+			affinity[i] = rng.Intn(shards)
+		}
+		s := newStealScheduler(n, shards, func(i int) int { return affinity[i] }, costs, false)
+
+		// The reference applies the scheduler's cost rule independently
+		// and feeds each queue to the stable sort in reverse index order,
+		// so the comparator alone has to produce the order.
+		var known time.Duration
+		knownN := 0
+		for _, c := range costs {
+			if c > 0 {
+				known, knownN = known+c, knownN+1
+			}
+		}
+		mean := time.Duration(1)
+		if knownN > 0 {
+			mean = known / time.Duration(knownN)
+		}
+		ref := make([][]schedItem, shards)
+		for i := n - 1; i >= 0; i-- {
+			c := costs[i]
+			if c == 0 {
+				c = mean
+			}
+			ref[affinity[i]] = append(ref[affinity[i]], schedItem{idx: i, cost: c})
+		}
+		for _, r := range ref {
+			sort.SliceStable(r, func(a, b int) bool {
+				if r[a].cost != r[b].cost {
+					return r[a].cost > r[b].cost
+				}
+				return r[a].idx < r[b].idx
+			})
+		}
+		if !reflect.DeepEqual(s.queues, ref) {
+			t.Fatalf("trial %d (n=%d shards=%d): queues %v, stable reference %v", trial, n, shards, s.queues, ref)
+		}
 	}
 }

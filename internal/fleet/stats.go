@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"veridevops/internal/core"
 	"veridevops/internal/engine"
 	"veridevops/internal/report"
 )
@@ -220,28 +219,18 @@ func (s FleetStats) Canonical() FleetStats {
 
 // countLocalization fills the read-localization counters: per target,
 // how many catalogue entries declare their read set (core.KeyReader)
-// versus not. A catalogue shared by several targets is measured once
-// but counted per host, matching the per-host fan-out cost an
-// unindexed check imposes on push evaluation.
+// versus not. Each catalogue memoises its own split
+// (Catalog.KeyDeclarations), so a catalogue shared by several targets is
+// measured once but counted per host, matching the per-host fan-out cost
+// an unindexed check imposes on push evaluation.
 func countLocalization(st *FleetStats, ts []Target) {
-	memo := map[*core.Catalog][2]int{}
 	for _, t := range ts {
 		if t.Catalog == nil {
 			continue
 		}
-		cnt, ok := memo[t.Catalog]
-		if !ok {
-			for _, req := range t.Catalog.All() {
-				if _, declared := core.CheckKeys(req); declared {
-					cnt[0]++
-				} else {
-					cnt[1]++
-				}
-			}
-			memo[t.Catalog] = cnt
-		}
-		st.IndexedChecks += cnt[0]
-		st.UnindexedChecks += cnt[1]
+		declared, undeclared := t.Catalog.KeyDeclarations()
+		st.IndexedChecks += declared
+		st.UnindexedChecks += undeclared
 	}
 }
 

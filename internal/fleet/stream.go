@@ -438,8 +438,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 			// replay instead of re-auditing.
 			s.coord.Refresh(p.sh.target)
 			if e, ok := s.coord.lookup(p.sh.target.Name); ok {
-				hr = HostResult{Target: p.sh.target.Name, FromCache: true, Report: e.report}
-				hr.Degraded = degradedReport(e.report)
+				hr = HostResult{Target: p.sh.target.Name, FromCache: true, Report: e.report, Degraded: e.degraded}
 			} else {
 				hr = HostResult{Target: p.sh.target.Name}
 			}
