@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables
+.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
 
 # check is the CI gate: vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
@@ -144,3 +144,19 @@ perf-smoke:
 # tables regenerates every EXPERIMENTS.md table on stdout.
 tables:
 	$(GO) run ./cmd/vdo-bench -markdown
+
+# loc prints the non-test, non-generated Go line count (wc -l) of each
+# package in LOC_PKGS — by default the evaluation layers and every
+# command — and their total: the size measure simplicity changes report
+# (EXPERIMENTS.md E22). Not part of check. Point it at another checkout
+# with make -C DIR -f $(CURDIR)/Makefile loc.
+LOC_PKGS ?= internal/fleet internal/scenario internal/loadgen $(patsubst %/,%,$(sort $(dir $(wildcard cmd/*/*.go))))
+
+loc:
+	@total=0; for d in $(LOC_PKGS); do \
+		n=$$(for f in $$d/*.go; do \
+			case $$f in *_test.go) continue;; esac; \
+			grep -q '^// Code generated .* DO NOT EDIT\.$$' $$f || cat $$f; \
+		done | wc -l); \
+		printf '%6d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%6d  total\n' $$total

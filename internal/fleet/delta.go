@@ -8,56 +8,59 @@ import (
 	"veridevops/internal/telemetry"
 )
 
-// Delta evaluation: the subset path of push-based incremental
-// evaluation. Where Sweep re-audits whole hosts whose version moved,
-// ApplyDelta re-runs only the checks a host-state change affects
-// (per DepIndex) and merges the fresh verdicts into the host's cached
-// report, so the cache — and everything reading it, fallback sweeps
-// included — stays coherent between full audits.
+// The per-host evaluator behind every sweep and every flush (see the
+// package comment): the one place a host's checks run, sharing the
+// engine, the dedup memo, the observed-cost table and the version-keyed
+// incremental cache whichever path last touched a host.
 
-// ApplyDelta audits the named subset of a target's catalogue (only) and
-// merges the verdicts into the target's cached report, which it returns.
-// only == nil runs the whole catalogue (the path for unkeyed events,
-// connectivity flips and never-audited hosts); a subset call without a
-// cached base report also falls back to a full run, because there is
-// nothing sound to merge into. The merged report is cached at the
-// host's pre-run state version, exactly like Sweep's auditOne, so a
-// mutation racing the delta forces a re-audit rather than being lost.
-func (c *Coordinator) ApplyDelta(t Target, only []string, opts Options) HostResult {
-	opts = opts.normalized(1)
-	var memo *core.CheckMemo
-	if opts.Dedup && opts.Mode == core.CheckOnly {
-		memo = core.NewCheckMemo()
-	}
-	var span *telemetry.Span
-	if opts.Trace != nil {
-		span = opts.Trace.Root("delta").Tag("host", t.Name)
-		defer span.End()
-	}
-	return c.applyDelta(t, only, 0, opts, memo, span)
-}
-
-// applyDelta is ApplyDelta with the caller-owned memo and span threaded
-// through — the form the Streamer uses so one flush shares a single
-// dedup memo and span tree across all its dirty hosts.
-func (c *Coordinator) applyDelta(t Target, only []string, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) HostResult {
-	if only == nil {
-		return c.auditOne(t, shard, opts, memo, span)
-	}
-	base, ok := c.lookup(t.Name)
-	if !ok {
-		return c.auditOne(t, shard, opts, memo, span)
-	}
-	hr := HostResult{Target: t.Name, Shard: shard}
-	if t.Catalog == nil {
-		return hr
-	}
+// evaluate audits one target and returns its result together with the
+// subset it actually ran. only selects the work:
+//
+//   - nil: the whole catalogue. With opts.Incremental set, a cached
+//     report observed at the host's current version is replayed instead.
+//   - empty (non-nil): no check is affected. The cached report is
+//     re-stamped at the current version and replayed (FromCache reports
+//     whether an entry existed); nothing executes. Without the re-stamp
+//     the next fallback sweep would re-audit a host whose verdicts
+//     provably cannot have moved.
+//   - non-empty: only those checks run, and their verdicts merge into the
+//     cached report. Without a cached base there is nothing sound to
+//     merge into, so the whole catalogue runs and ran comes back nil.
+//
+// Executed runs of versioned targets are cached at the version read
+// before the run (see cacheEntry). span, when non-nil, parents the
+// catalogue runner's check spans; memo is the dispatch's shared dedup
+// memo, if any.
+func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) (hr HostResult, ran []string) {
+	hr = HostResult{Target: t.Name, Shard: shard}
 	var version uint64
 	if t.Version != nil {
 		version = t.Version()
 	}
+	var base cacheEntry
+	switch {
+	case only == nil:
+		if t.Version != nil && opts.Incremental {
+			if e, ok := c.lookup(t.Name); ok && e.version == version {
+				return replayed(hr, e), nil
+			}
+		}
+	case len(only) == 0:
+		if e, ok := c.restamp(t, version); ok {
+			return replayed(hr, e), only
+		}
+		return hr, only
+	default:
+		var ok bool
+		if base, ok = c.lookup(t.Name); !ok {
+			only = nil
+		}
+	}
+	if t.Catalog == nil {
+		return hr, only
+	}
 	t0 := time.Now()
-	partial, st := t.Catalog.RunEngine(core.RunOptions{
+	rep, st := t.Catalog.RunEngine(core.RunOptions{
 		Mode:    opts.Mode,
 		Workers: opts.Workers,
 		Checks:  opts.Checks,
@@ -66,36 +69,53 @@ func (c *Coordinator) applyDelta(t Target, only []string, shard int, opts Option
 		Metrics: opts.Metrics,
 		Only:    only,
 	})
-	c.recordCost(t.Name, time.Since(t0))
-	e := newCacheEntry(version, mergeReport(base.report, partial))
-	hr.Report, hr.Stats, hr.Degraded = e.report, st, e.degraded
+	wall := time.Since(t0)
+	c.recordCost(t.Name, wall)
+	opts.Metrics.Observe("fleet.host_wall", wall)
+	if only != nil {
+		rep = mergeReport(base.report, rep)
+	}
+	e := newCacheEntry(version, rep)
+	hr.Report, hr.Stats, hr.Degraded = rep, st, e.degraded
 	if t.Version != nil {
+		// Prime the cache on every versioned run — full sweeps included —
+		// so the first incremental sweep after a full one already hits.
 		c.store(t.Name, e)
 	}
+	return hr, only
+}
+
+// replayed fills a result from a cache entry. Stats stay zero because
+// nothing executed, so Degraded comes from the cached verdicts: a host
+// that was unreachable when the cache was primed is still reported
+// degraded by the evaluations that replay it.
+func replayed(hr HostResult, e cacheEntry) HostResult {
+	hr.FromCache = true
+	hr.Report = e.report
+	hr.Degraded = e.degraded
 	return hr
 }
 
-// Refresh re-stamps a target's cached report at the host's current state
-// version, reporting whether a cached report existed. It is the
-// zero-check delta path: when every event in a host's delta maps to no
-// checks at all (a config key nothing reads), the verdicts cannot have
-// changed, but the version-keyed cache entry has gone stale — without
-// the re-stamp the next fallback sweep would needlessly re-audit the
-// whole host.
-func (c *Coordinator) Refresh(t Target) bool {
-	if t.Version == nil {
-		return false
+// evaluated is how many catalogue entries an evaluation resolved: the
+// whole report for a full run or replay, the subset otherwise.
+func evaluated(hr HostResult, ran []string) int {
+	if ran == nil {
+		return len(hr.Report.Results)
 	}
-	version := t.Version()
+	return len(ran)
+}
+
+// restamp moves a versioned target's cached entry to version, reporting
+// the entry and whether one existed.
+func (c *Coordinator) restamp(t Target, version uint64) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.cache[t.Name]
-	if !ok {
-		return false
+	if ok && t.Version != nil {
+		e.version = version
+		c.cache[t.Name] = e
 	}
-	e.version = version
-	c.cache[t.Name] = e
-	return true
+	return e, ok
 }
 
 // mergeReport overlays the verdicts of a subset run onto a full base

@@ -7,7 +7,13 @@ import (
 	"veridevops/internal/core"
 )
 
-func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
+// evalOne runs the per-host evaluator outside a dispatch: no shared
+// memo, no span.
+func evalOne(c *Coordinator, t Target, only []string, opts Options) (HostResult, []string) {
+	return c.evaluate(t, only, 0, opts.normalized(1), nil, nil)
+}
+
+func TestEvaluateSubsetMergesIntoCache(t *testing.T) {
 	targets, hosts := LinuxFleet(1)
 	coord := NewCoordinator()
 	opts := Options{Incremental: true}
@@ -20,7 +26,10 @@ func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
 
 	// Drift one package, then delta exactly its check.
 	hosts[0].Remove("aide")
-	hr := coord.ApplyDelta(targets[0], []string{"V-219343"}, opts)
+	hr, ran := evalOne(coord, targets[0], []string{"V-219343"}, opts)
+	if !reflect.DeepEqual(ran, []string{"V-219343"}) {
+		t.Errorf("evaluator ran %v, want the subset", ran)
+	}
 	if hr.Stats.Requirements != 1 {
 		t.Errorf("delta evaluated %d checks, want 1", hr.Stats.Requirements)
 	}
@@ -48,28 +57,31 @@ func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
 	}
 }
 
-func TestApplyDeltaWithoutBaseRunsFully(t *testing.T) {
+func TestEvaluateSubsetWithoutBaseRunsFully(t *testing.T) {
 	targets, _ := LinuxFleet(1)
 	coord := NewCoordinator()
-	hr := coord.ApplyDelta(targets[0], []string{"V-219343"}, Options{Incremental: true})
+	hr, ran := evalOne(coord, targets[0], []string{"V-219343"}, Options{Incremental: true})
 	if hr.Stats.Requirements != 8 {
 		t.Errorf("cold delta evaluated %d checks, want full 8 (nothing to merge into)", hr.Stats.Requirements)
+	}
+	if ran != nil {
+		t.Errorf("cold delta reports it ran %v, want nil (the whole catalogue)", ran)
 	}
 	if hr.FromCache {
 		t.Error("cold delta must execute, not replay")
 	}
 }
 
-func TestApplyDeltaNilOnlyIsFullAudit(t *testing.T) {
+func TestEvaluateNilOnlyIsFullAudit(t *testing.T) {
 	targets, _ := LinuxFleet(1)
 	coord := NewCoordinator()
-	hr := coord.ApplyDelta(targets[0], nil, Options{})
-	if hr.Stats.Requirements != 8 {
-		t.Errorf("nil-only delta evaluated %d checks, want 8", hr.Stats.Requirements)
+	hr, ran := evalOne(coord, targets[0], nil, Options{})
+	if hr.Stats.Requirements != 8 || ran != nil {
+		t.Errorf("nil-only delta evaluated %d checks (ran %v), want 8 (nil)", hr.Stats.Requirements, ran)
 	}
 }
 
-func TestRefreshRestampsStaleVersion(t *testing.T) {
+func TestEvaluateEmptyOnlyRestampsStaleVersion(t *testing.T) {
 	targets, hosts := LinuxFleet(1)
 	coord := NewCoordinator()
 	opts := Options{Incremental: true}
@@ -83,18 +95,23 @@ func TestRefreshRestampsStaleVersion(t *testing.T) {
 	}
 
 	hosts[0].SetConfig("/etc/motd", "banner", "bye")
-	if !coord.Refresh(targets[0]) {
-		t.Fatal("Refresh found no cache entry")
+	hr, ran := evalOne(coord, targets[0], []string{}, opts)
+	if !hr.FromCache {
+		t.Fatal("re-stamp found no cache entry")
+	}
+	if ran == nil || len(ran) != 0 || hr.Stats.Requirements != 0 || len(hr.Report.Results) != 8 {
+		t.Errorf("re-stamp ran %v (%d checks, %d verdicts), want nothing run and the cached 8 replayed",
+			ran, hr.Stats.Requirements, len(hr.Report.Results))
 	}
 	_, st = coord.Sweep(targets, opts)
 	if st.CachedHosts != 1 {
-		t.Errorf("post-Refresh sweep re-audited; want a cache replay")
+		t.Errorf("post-re-stamp sweep re-audited; want a cache replay")
 	}
 
-	// Refresh without a cache entry reports false.
+	// A re-stamp without a cache entry reports no replay.
 	coord.Invalidate(targets[0].Name)
-	if coord.Refresh(targets[0]) {
-		t.Error("Refresh on missing entry = true")
+	if hr, _ := evalOne(coord, targets[0], []string{}, opts); hr.FromCache {
+		t.Error("re-stamp on missing entry replayed")
 	}
 }
 

@@ -3,6 +3,15 @@
 // a two-level worker pool — shard goroutines pulling hosts from a dynamic
 // scheduler, and engine.Map workers inside each host's catalogue run.
 //
+// There is one evaluation path. A batch Sweep and a Streamer flush are
+// the same dispatch of per-host jobs through the same scheduler, per-host
+// evaluator, engine, dedup memo and incremental cache; they differ only
+// in which checks each job asks for. A sweep asks for every check of
+// every target — the dependency index off. A flush asks, for each host
+// its event log dirtied, for the checks the host's DepIndex maps the
+// dirtied state keys to — the index on. Both fold into the same View of
+// verdicts and violation episodes.
+//
 // Scheduling is work-stealing with affinity as the tiebreak. Each shard's
 // queue is seeded with its affinity hosts (a stable FNV-1a hash of the
 // host name) ordered most-expensive-first, using the per-host audit costs
@@ -93,9 +102,10 @@ type Options struct {
 	Trace *telemetry.Tracer
 	// Metrics, when non-nil, accumulates sweep counters (fleet.hosts,
 	// fleet.cache.replays, fleet.steals, ...), gauges (fleet.utilization,
-	// fleet.load_imbalance) and duration histograms (fleet.host_wall,
-	// fleet.shard_wall, fleet.queue_wait, fleet.sweep_wall), alongside
-	// the catalogue runner's engine.* metrics.
+	// fleet.load_imbalance) and duration histograms (fleet.shard_wall,
+	// fleet.queue_wait, fleet.sweep_wall, and fleet.host_wall, which
+	// observes every executed host evaluation, a Streamer's subset runs
+	// included), alongside the catalogue runner's engine.* metrics.
 	Metrics *telemetry.Metrics
 }
 
@@ -187,10 +197,13 @@ func newCacheEntry(version uint64, rep core.Report) cacheEntry {
 	return cacheEntry{version: version, report: rep, degraded: degradedReport(rep)}
 }
 
-// Coordinator shards fleet sweeps and carries the incremental cache
+// Coordinator shards fleet evaluations and carries the incremental cache
 // between them. The zero value is not usable; call NewCoordinator. A
 // Coordinator is safe for concurrent use by its own shard workers, but
-// Sweep calls themselves must not overlap.
+// its evaluations must not overlap: no Sweep call may run concurrently
+// with another Sweep or with the Flush of a Streamer over the same
+// coordinator, and one Streamer's Flush calls must not overlap each
+// other.
 type Coordinator struct {
 	mu    sync.Mutex
 	cache map[string]cacheEntry
@@ -244,14 +257,14 @@ func (c *Coordinator) store(name string, e cacheEntry) {
 	c.cache[name] = e
 }
 
-// snapshotCosts returns the observed audit cost of each target, indexed
-// like ts; 0 for hosts never executed.
-func (c *Coordinator) snapshotCosts(ts []Target) []time.Duration {
+// snapshotCosts returns the observed audit cost of each job's host,
+// indexed like jobs; 0 for hosts never executed.
+func (c *Coordinator) snapshotCosts(jobs []job) []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]time.Duration, len(ts))
-	for i, t := range ts {
-		out[i] = c.costs[t.Name]
+	out := make([]time.Duration, len(jobs))
+	for i, j := range jobs {
+		out[i] = c.costs[j.Name]
 	}
 	return out
 }
@@ -285,11 +298,12 @@ func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 }
 
 // Sweep audits every target and returns the merged report and telemetry.
-// Shard goroutines pull hosts from the work-stealing scheduler (see the
+// It is a dispatch in which every target asks for its whole catalogue:
+// shard goroutines pull hosts from the work-stealing scheduler (see the
 // package comment; ScheduleStatic restores pure affinity buckets), and
-// within a shard each host's catalogue runs on its own engine.Map pool of
-// opts.Workers. The report lists hosts in name order regardless of shard
-// interleaving; verdicts never depend on placement, only placement
+// within a shard each host's catalogue runs on its own engine.Map pool
+// of opts.Workers. The report lists hosts in name order regardless of
+// shard interleaving; verdicts never depend on placement, only placement
 // telemetry does.
 func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 	opts = opts.normalized(len(targets))
@@ -297,34 +311,128 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		return FleetReport{}, FleetStats{Shards: 0, Workers: opts.Workers}
 	}
 
-	ts := make([]Target, len(targets))
-	copy(ts, targets)
-	slices.SortFunc(ts, func(a, b Target) int { return strings.Compare(a.Name, b.Name) })
+	jobs := sweepJobs(targets)
+	d := c.dispatch(jobs, opts, true)
 
+	rep := FleetReport{Hosts: d.results}
+	st := aggregate(d.results, d.walls, d.pool, opts)
+	countLocalization(&st, jobs)
+	d.sched.apply(&st)
+	d.root.TagInt("steals", st.Steals).TagInt("cached_hosts", st.CachedHosts).End()
+	recordSweepMetrics(opts.Metrics, st)
+	return rep, st
+}
+
+// job is one host's work in a dispatch: the target and the check subset
+// the evaluator runs (nil: the whole catalogue; see evaluate). dispatch
+// overwrites only with the subset the evaluator actually ran.
+type job struct {
+	Target
+	only []string
+}
+
+// sweepJobs turns targets into the name-sorted, whole-catalogue jobs of
+// a sweep.
+func sweepJobs(targets []Target) []job {
+	jobs := make([]job, len(targets))
+	for i, t := range targets {
+		jobs[i].Target = t
+	}
+	slices.SortFunc(jobs, func(a, b job) int { return strings.Compare(a.Name, b.Name) })
+	return jobs
+}
+
+// dispatched is the outcome of one dispatch: per-job results indexed
+// like the jobs, the shard goroutines' walls, pool telemetry, the
+// scheduler for placement accounting, and the root span (nil when
+// tracing is off), which the caller ends.
+type dispatched struct {
+	results []HostResult
+	walls   []time.Duration
+	pool    engine.PoolStats
+	sched   *stealScheduler
+	root    *telemetry.Span
+}
+
+// dispatch is the one evaluation path behind Sweep and Streamer.Flush:
+// it runs every job (in name order) through evaluate on opts.Shards
+// shard goroutines fed by the work-stealing scheduler, sharing one dedup
+// memo across the call. With opts.Trace set it opens the root span once
+// the scheduler is seeded and records one trace per host: a sweep
+// (sweep=true) roots at "sweep" and nests "host" spans (tagged host,
+// stolen, cached, degraded) below a "shard" span per active shard
+// goroutine; a flush roots at "flush" and hangs "delta" spans (tagged
+// host, full, checks) straight off it. Telemetry off allocates no span
+// bookkeeping.
+func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched {
+	opts = opts.normalized(len(jobs))
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {
 		memo = core.NewCheckMemo()
 	}
-	sched := newStealScheduler(len(ts), opts.Shards,
-		func(i int) int { return Affinity(ts[i].Name, opts.Shards) },
-		c.snapshotCosts(ts), opts.Scheduling == ScheduleStatic)
+	d := dispatched{results: make([]HostResult, len(jobs))}
+	d.sched = newStealScheduler(len(jobs), opts.Shards,
+		func(i int) int { return Affinity(jobs[i].Name, opts.Shards) },
+		c.snapshotCosts(jobs), opts.Scheduling == ScheduleStatic)
 
-	// Span bookkeeping is allocated only when tracing is on, so the
-	// disabled path stays allocation-identical to an untraced sweep.
 	var root *telemetry.Span
 	var shardSpans []*telemetry.Span
-	if opts.Trace != nil {
+	switch {
+	case opts.Trace == nil:
+	case sweep:
 		root = opts.Trace.Root("sweep").
-			TagInt("hosts", len(ts)).TagInt("shards", opts.Shards).TagInt("workers", opts.Workers)
+			TagInt("hosts", len(jobs)).TagInt("shards", opts.Shards).TagInt("workers", opts.Workers)
 		shardSpans = make([]*telemetry.Span, opts.Shards)
+	default:
+		root = opts.Trace.Root("flush").TagInt("hosts", len(jobs))
+	}
+	d.root = root
+	run := func(shard, i int, stolen bool) {
+		j := &jobs[i]
+		var hs *telemetry.Span
+		if root != nil {
+			// ChildTrace: each host's evaluation roots its own trace (tree
+			// link to its parent preserved), so the trace store can sample
+			// and rank per host, not per whole sweep or flush.
+			if sweep {
+				hs = shardSpans[shard].ChildTrace("host").Tag("host", j.Name).TagBool("stolen", stolen)
+			} else {
+				hs = root.ChildTrace("delta").Tag("host", j.Name)
+			}
+		}
+		hr, ran := c.evaluate(j.Target, j.only, shard, opts, memo, hs)
+		hr.Stolen = stolen
+		j.only = ran
+		if hs != nil {
+			if sweep {
+				hs.TagBool("cached", hr.FromCache)
+				if hr.Degraded {
+					hs.TagBool("degraded", true)
+				}
+			} else {
+				hs.TagBool("full", ran == nil).TagInt("checks", evaluated(hr, ran))
+			}
+			hs.End()
+		}
+		d.results[i] = hr
 	}
 
-	// results is written at distinct indices: the scheduler hands each
-	// host index out exactly once. shardSpans[shard] is touched only by
-	// shard's own goroutine (engine.Pull calls next and the task on it).
-	results := make([]HostResult, len(ts))
-	shardWalls, ps := engine.Pull(opts.Shards, func(shard int) (func(), bool) {
-		i, stolen, ok := sched.next(shard)
+	// One reusable task per shard: the scheduler's pick is parked in
+	// picks[shard], which only that shard's goroutine reads and writes
+	// (engine.Pull calls next and the task on it), so handing out a host
+	// allocates nothing. results is written at distinct indices: the
+	// scheduler hands each job out exactly once.
+	type pick struct {
+		i      int
+		stolen bool
+	}
+	picks := make([]pick, opts.Shards)
+	tasks := make([]func(), opts.Shards)
+	for shard := range tasks {
+		tasks[shard] = func() { run(shard, picks[shard].i, picks[shard].stolen) }
+	}
+	d.walls, d.pool = engine.Pull(opts.Shards, func(shard int) (func(), bool) {
+		i, stolen, ok := d.sched.next(shard)
 		if !ok {
 			if shardSpans != nil {
 				shardSpans[shard].End()
@@ -334,35 +442,10 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		if shardSpans != nil && shardSpans[shard] == nil {
 			shardSpans[shard] = root.Child("shard").TagInt("shard", shard)
 		}
-		return func() {
-			var hs *telemetry.Span
-			if shardSpans != nil {
-				// ChildTrace: each host audit roots its own trace (tree
-				// link to the shard preserved), so the trace store can
-				// sample and rank per host, not per whole sweep.
-				hs = shardSpans[shard].ChildTrace("host").
-					Tag("host", ts[i].Name).TagBool("stolen", stolen)
-			}
-			hr := c.auditOne(ts[i], shard, opts, memo, hs)
-			hr.Stolen = stolen
-			if hs != nil {
-				hs.TagBool("cached", hr.FromCache)
-				if hr.Degraded {
-					hs.TagBool("degraded", true)
-				}
-				hs.End()
-			}
-			results[i] = hr
-		}, true
+		picks[shard] = pick{i, stolen}
+		return tasks[shard], true
 	})
-
-	rep := FleetReport{Hosts: results}
-	st := aggregate(results, shardWalls, ps, opts)
-	countLocalization(&st, ts)
-	sched.apply(&st)
-	root.TagInt("steals", st.Steals).TagInt("cached_hosts", st.CachedHosts).End()
-	recordSweepMetrics(opts.Metrics, st)
-	return rep, st
+	return d
 }
 
 // recordSweepMetrics folds one sweep's roll-up into the shared metrics
@@ -387,70 +470,4 @@ func recordSweepMetrics(m *telemetry.Metrics, st FleetStats) {
 		m.Observe("fleet.shard_wall", sh.Wall)
 		m.Observe("fleet.queue_wait", sh.QueueWait)
 	}
-}
-
-// auditOne audits a single target, consulting and priming the incremental
-// cache when the target exposes a version probe, and routing checks
-// through the sweep's shared dedup memo when one is wired. span, when
-// non-nil, is the host's span; the catalogue run parents its check spans
-// there.
-func (c *Coordinator) auditOne(t Target, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) HostResult {
-	hr := HostResult{Target: t.Name, Shard: shard}
-	if t.Catalog == nil {
-		return hr
-	}
-	versioned := t.Version != nil
-	var version uint64
-	if versioned {
-		version = t.Version()
-		if opts.Incremental {
-			if e, ok := c.lookup(t.Name); ok && e.version == version {
-				hr.FromCache = true
-				hr.Report = e.report
-				// Stats are zero on a replay, so Degraded comes from the
-				// cached verdicts: a host that was unreachable when the
-				// cache was primed is still reported degraded by the
-				// sweeps that replay it.
-				hr.Degraded = e.degraded
-				return hr
-			}
-		}
-	}
-	t0 := time.Now()
-	rep, st := t.Catalog.RunEngine(core.RunOptions{
-		Mode:    opts.Mode,
-		Workers: opts.Workers,
-		Checks:  opts.Checks,
-		Memo:    memo,
-		Span:    span,
-		Metrics: opts.Metrics,
-	})
-	wall := time.Since(t0)
-	c.recordCost(t.Name, wall)
-	opts.Metrics.Observe("fleet.host_wall", wall)
-	hr.Report, hr.Stats = rep, st
-	hr.Degraded = st.Requirements > 0 && st.Errors == st.Requirements
-	if versioned {
-		// Prime the cache on every versioned run — full sweeps included —
-		// so the first incremental sweep after a full one already hits.
-		c.store(t.Name, newCacheEntry(version, rep))
-	}
-	return hr
-}
-
-// degradedReport reports whether a report has the degraded shape: at
-// least one verdict and every final status ERROR — the same judgement
-// auditOne makes from live RunStats, made from the verdicts because a
-// cache replay carries zero stats. newCacheEntry records it once per
-// entry.
-func degradedReport(rep core.Report) bool {
-	if len(rep.Results) == 0 {
-		return false
-	}
-	for _, r := range rep.Results {
-		if r.After != core.CheckError {
-			return false
-		}
-	}
-	return true
 }

@@ -223,8 +223,8 @@ func (s FleetStats) Canonical() FleetStats {
 // (Catalog.KeyDeclarations), so a catalogue shared by several targets is
 // measured once but counted per host, matching the per-host fan-out cost
 // an unindexed check imposes on push evaluation.
-func countLocalization(st *FleetStats, ts []Target) {
-	for _, t := range ts {
+func countLocalization(st *FleetStats, jobs []job) {
+	for _, t := range jobs {
 		if t.Catalog == nil {
 			continue
 		}

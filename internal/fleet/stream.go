@@ -14,19 +14,19 @@ import (
 // Streamer is the push-based incremental evaluator: it subscribes to
 // per-host EventLog tails, coalesces the state keys dirtied since the
 // last flush, maps them through each host's DepIndex to the affected
-// checks, and re-runs only those — routing the work through the same
-// shard pool, engine retry/fault tolerance, dedup memo and incremental
-// cache the batch sweeps use. Between flushes it maintains a live
-// fleet-compliance view (per-host, per-finding verdicts) and raises one
-// alarm per violation episode, the monitor package's dedup discipline.
+// checks, and hands the dirty hosts with those subsets to the
+// coordinator's dispatch — the same scheduler, evaluator, engine, dedup
+// memo and incremental cache a sweep runs through, with the index on
+// instead of off. Flushed reports fold into a View: the live
+// fleet-compliance view that raises one alarm per violation episode.
 //
 // The coalescing window is the caller's flush cadence: event
 // notifications only mark hosts dirty (cheap, lock-one-map cheap), and
 // the actual evaluation happens when the owner calls Flush — the
 // vdo-serve daemon ticks Flush on a real clock, the loadgen driver on
 // the virtual one, tests whenever they like. Watch, Unwatch and the
-// read accessors are safe for concurrent use; Flush calls must not
-// overlap each other (same contract as Coordinator.Sweep).
+// read accessors are safe for concurrent use; Flush is an evaluation
+// on the coordinator and follows its no-overlap contract.
 type Streamer struct {
 	coord *Coordinator
 	opts  StreamOptions
@@ -35,9 +35,7 @@ type Streamer struct {
 	hosts map[string]*streamHost
 	dirty map[string]bool
 	stats StreamStats
-	// pass/fail/incomplete are the live fleet-wide verdict counts,
-	// updated incrementally as deltas fold in.
-	pass, fail, incomplete int
+	view  *View
 }
 
 // StreamOptions configures a Streamer's evaluations.
@@ -80,13 +78,13 @@ func (o StreamOptions) evalOptions() Options {
 		Workers: o.Workers,
 		Checks:  o.Checks,
 		Dedup:   o.Dedup,
+		Trace:   o.Trace,
 		Metrics: o.Metrics,
 	}
 }
 
 // streamHost is the streamer's per-host state: the audit target, its
-// event source, its dependency index, the tail cursor, and the live
-// verdict view.
+// event source, its dependency index and the tail cursor.
 type streamHost struct {
 	target Target
 	log    *host.EventLog
@@ -98,12 +96,6 @@ type streamHost struct {
 	// runs the full catalogue, because there is no verdict baseline to
 	// delta against.
 	primed bool
-	// status holds the host's current verdict per finding ID.
-	status map[string]core.CheckStatus
-	// inViolation dedups alarms per violation episode: an alarm is
-	// raised when a finding enters non-PASS and not again until it has
-	// passed in between (the monitor package's discipline).
-	inViolation map[string]bool
 }
 
 // StreamStats is the streamer's cumulative telemetry.
@@ -116,7 +108,8 @@ type StreamStats struct {
 	// in N flushes counts N times).
 	DeltaHosts int
 	// FullAudits counts evaluations that ran the whole catalogue
-	// (priming, unkeyed events, connectivity flips).
+	// (priming, unkeyed events, connectivity flips, and keyed deltas
+	// with no cached report to merge into).
 	FullAudits int
 	// ChecksEvaluated sums the checks each delta asked the engine to
 	// resolve; ChecksExecuted subtracts dedup replays. ChecksEvaluated /
@@ -160,7 +153,8 @@ type Alarm struct {
 type DeltaResult struct {
 	Host string
 	// Full marks a whole-catalogue run (priming, unkeyed event, net
-	// flip); otherwise only the Checks affected checks ran.
+	// flip, or a keyed delta with no cached report to merge into);
+	// otherwise only the Checks affected checks ran.
 	Full bool
 	// Events is how many tailed events this delta coalesced.
 	Events int
@@ -198,20 +192,20 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 		opts:  opts.normalized(),
 		hosts: map[string]*streamHost{},
 		dirty: map[string]bool{},
+		view:  NewView(),
 	}
 }
 
 // Watch registers a target and its event source. The host starts dirty
 // and unprimed: its first flush runs the full catalogue to establish the
 // verdict baseline, and every subsequent flush deltas from the event
-// tail. Re-watching a name replaces the previous registration.
+// tail. Re-watching a name replaces the previous registration and
+// drops the host's verdicts and open episodes from the live view.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	sh := &streamHost{
-		target:      t,
-		log:         log,
-		index:       BuildDepIndex(t.Catalog),
-		status:      map[string]core.CheckStatus{},
-		inViolation: map[string]bool{},
+		target: t,
+		log:    log,
+		index:  BuildDepIndex(t.Catalog),
 	}
 	if log != nil {
 		name := t.Name
@@ -248,27 +242,13 @@ func (s *Streamer) Unwatch(name string) {
 	}
 }
 
-// detachLocked cancels a host's subscription and removes its verdicts
-// from the live counts; callers hold s.mu.
+// detachLocked cancels a host's subscription and drops it from the
+// live view; callers hold s.mu.
 func (s *Streamer) detachLocked(sh *streamHost) {
 	if sh.cancel != nil {
 		sh.cancel()
 	}
-	for _, st := range sh.status {
-		s.countLocked(st, -1)
-	}
-}
-
-// countLocked moves one verdict in or out of the live counts.
-func (s *Streamer) countLocked(st core.CheckStatus, delta int) {
-	switch st {
-	case core.CheckPass:
-		s.pass += delta
-	case core.CheckFail:
-		s.fail += delta
-	default:
-		s.incomplete += delta
-	}
+	s.view.Drop(sh.target.Name)
 }
 
 func (s *Streamer) markDirty(name string) {
@@ -298,19 +278,16 @@ func (s *Streamer) DirtyHosts() int {
 func (s *Streamer) Counts() (pass, fail, incomplete int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pass, s.fail, s.incomplete
+	return s.view.Counts()
 }
 
 // Compliance is the live fraction of PASS verdicts across the fleet; an
 // empty (or unprimed) view is fully compliant, matching
 // FleetReport.Compliance.
 func (s *Streamer) Compliance() float64 {
-	pass, fail, inc := s.Counts()
-	total := pass + fail + inc
-	if total == 0 {
-		return 1
-	}
-	return float64(pass) / float64(total)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.view.Compliance()
 }
 
 // Stats returns the cumulative streamer telemetry, with the
@@ -326,17 +303,12 @@ func (s *Streamer) Stats() StreamStats {
 	return st
 }
 
-// deltaPlan is one dirty host's work for a flush, computed under no
-// locks from the host's event tail.
+// deltaPlan is one dirty host's tail for a flush, read under no locks;
+// the check subset it maps to travels in the matching dispatch job.
 type deltaPlan struct {
 	sh     *streamHost
 	events []host.Event
 	next   int
-	full   bool
-	// only is the affected-check subset; nil when full. A non-nil empty
-	// only means the delta touches no checks at all: the plan degrades
-	// to a cache re-stamp (Coordinator.Refresh) with no evaluation.
-	only []string
 }
 
 // Flush evaluates every host dirtied since the previous flush and folds
@@ -375,22 +347,26 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	s.mu.Unlock()
 
 	// Plan: tail each host's log and coalesce its dirty keys into the
-	// affected-check subset. Sequential and allocation-light; the
-	// expensive part is the evaluation below.
+	// affected-check subset, the job's only. Sequential and
+	// allocation-light; the expensive part is the evaluation below.
+	jobs := make([]job, len(plans))
 	for i := range plans {
 		p := &plans[i]
 		sh := p.sh
+		jobs[i].Target = sh.target
 		if sh.log != nil {
 			p.events, p.next = sh.log.Tail(sh.cursor)
 		}
-		p.full = !sh.primed
+		// Until a host is primed there is no verdict baseline to delta
+		// against: only stays nil and the whole catalogue runs.
+		full := !sh.primed
 		var keys []string
 		seen := map[string]bool{}
 		for _, ev := range p.events {
 			// Unkeyed events (bulk provisioning, legacy appends) and
 			// connectivity flips touch the whole host.
 			if ev.Key.IsZero() || ev.Key.Kind == host.KeyNet {
-				p.full = true
+				full = true
 				break
 			}
 			if k := ev.Key.String(); !seen[k] {
@@ -398,117 +374,52 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 				keys = append(keys, k)
 			}
 		}
-		if !p.full {
+		if !full {
 			sort.Strings(keys)
-			p.only = sh.index.Affected(keys)
-			if p.only == nil {
-				// Distinguish "no affected checks" (re-stamp only) from
+			jobs[i].only = sh.index.Affected(keys)
+			if jobs[i].only == nil {
+				// Distinguish "no affected checks" (a cache re-stamp) from
 				// the nil that means "run everything".
-				p.only = []string{}
+				jobs[i].only = []string{}
 			}
 		}
 	}
 
-	var memo *core.CheckMemo
-	if s.opts.Dedup && s.opts.Mode == core.CheckOnly {
-		memo = core.NewCheckMemo()
-	}
-	var root *telemetry.Span
-	if s.opts.Trace != nil {
-		root = s.opts.Trace.Root("flush").TagInt("hosts", len(plans))
-	}
-	evalOpts := s.opts.evalOptions()
-
-	// Evaluate: dirty hosts fan out over the shard pool; each host's
-	// subset (or full catalogue) runs through the coordinator's delta
-	// path, sharing this flush's memo and span tree.
-	results, _ := engine.Map(plans, s.opts.Shards, func(i int, p deltaPlan) HostResult {
-		var sp *telemetry.Span
-		if root != nil {
-			// ChildTrace: each per-host delta is one change→verdict unit,
-			// rooted as its own trace for the store's slowest-trace search.
-			sp = root.ChildTrace("delta").Tag("host", p.sh.target.Name).TagBool("full", p.full)
-		}
-		var hr HostResult
-		if p.full {
-			hr = s.coord.applyDelta(p.sh.target, nil, i%s.opts.Shards, evalOpts, memo, sp)
-		} else if len(p.only) == 0 {
-			// Zero affected checks: verdicts cannot have moved; re-stamp
-			// the cache at the current version so fallback sweeps still
-			// replay instead of re-auditing.
-			s.coord.Refresh(p.sh.target)
-			if e, ok := s.coord.lookup(p.sh.target.Name); ok {
-				hr = HostResult{Target: p.sh.target.Name, FromCache: true, Report: e.report, Degraded: e.degraded}
-			} else {
-				hr = HostResult{Target: p.sh.target.Name}
-			}
-		} else {
-			hr = s.coord.applyDelta(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
-		}
-		if sp != nil {
-			sp.TagInt("checks", len(p.only)).End()
-		}
-		return hr
-	})
-	root.End()
+	out := s.coord.dispatch(jobs, s.opts.evalOptions(), false)
+	out.root.End()
 
 	// Fold: advance cursors, refresh the live view, open/close violation
 	// episodes — in plan (name) order, so alarms and counts are
-	// deterministic.
+	// deterministic. Full and Checks report what the evaluator ran, which
+	// is the whole catalogue whenever a subset had no cached base.
 	s.mu.Lock()
-	for i, hr := range results {
+	for i, hr := range out.results {
 		p := plans[i]
 		sh := p.sh
-		if _, still := s.hosts[sh.target.Name]; !still {
-			// Unwatched mid-flush: drop the result; detachLocked already
-			// removed its verdicts.
+		if s.hosts[sh.target.Name] != sh {
+			// Unwatched or re-watched mid-flush: drop the result;
+			// detachLocked already took the host out of the view.
 			continue
 		}
 		sh.cursor = p.next
 		sh.primed = true
 
-		checks := len(p.only)
-		if p.full {
-			checks = len(hr.Report.Results)
-		}
+		ran := jobs[i].only
+		checks := evaluated(hr, ran)
 		executed := 0
 		if !hr.FromCache {
 			executed = hr.Stats.Requirements - hr.Stats.DedupHits
 		}
 		fr.Hosts = append(fr.Hosts, DeltaResult{
-			Host: sh.target.Name, Full: p.full, Events: len(p.events),
+			Host: sh.target.Name, Full: ran == nil, Events: len(p.events),
 			Checks: checks, Result: hr,
 		})
 		fr.Events += len(p.events)
 		fr.ChecksEvaluated += checks
 		fr.ChecksExecuted += executed
-
-		for _, r := range hr.Report.Results {
-			old, had := sh.status[r.FindingID]
-			if had {
-				if old == r.After {
-					continue
-				}
-				s.countLocked(old, -1)
-			}
-			sh.status[r.FindingID] = r.After
-			s.countLocked(r.After, +1)
-		}
-		// Episode bookkeeping runs over the full merged report so a
-		// subset delta can both open and close episodes it touched.
-		for _, r := range hr.Report.Results {
-			if r.After != core.CheckPass {
-				if !sh.inViolation[r.FindingID] {
-					sh.inViolation[r.FindingID] = true
-					fr.Alarms = append(fr.Alarms, Alarm{
-						At: now, Host: sh.target.Name, Finding: r.FindingID, Status: r.After,
-					})
-				}
-			} else if sh.inViolation[r.FindingID] {
-				delete(sh.inViolation, r.FindingID)
-				fr.Repairs++
-			}
-		}
+		var repairs int
+		fr.Alarms, repairs = s.view.Fold(now, sh.target.Name, hr.Report, fr.Alarms)
+		fr.Repairs += repairs
 	}
 	fr.Wall = time.Since(t0)
 
@@ -524,10 +435,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	s.stats.ChecksExecuted += fr.ChecksExecuted
 	s.stats.Alarms += len(fr.Alarms)
 	s.stats.Repairs += fr.Repairs
-	compliance := 1.0
-	if total := s.pass + s.fail + s.incomplete; total > 0 {
-		compliance = float64(s.pass) / float64(total)
-	}
+	compliance := s.view.Compliance()
 	s.mu.Unlock()
 
 	recordFlushMetrics(s.opts.Metrics, fr, compliance)

@@ -126,13 +126,16 @@ type LoadStats struct {
 	Detect telemetry.QuantileStats
 }
 
-// Run replays churn against the fleet. Sweep mode (the default) primes
-// the coordinator with one full sweep at virtual instant 0 (not counted
-// in the stats), then each SweepEvery tick admits the bucket's due
-// events, applies them, and re-sweeps incrementally. Push mode
-// (DriverOptions.Push) instead flushes a fleet.Streamer every Window —
-// admitting the identical event stream, so the two modes are directly
-// comparable on the same seed — with a fallback sweep every SweepEvery.
+// Run replays churn against the fleet in one loop for both modes. Each
+// tick admits the bucket's due events, push mode flushes a
+// fleet.Streamer, and an incremental sweep runs whenever the virtual
+// clock reaches the next SweepEvery boundary. Sweep mode (the default)
+// ticks every SweepEvery with no Streamer, so every tick sweeps. Push
+// mode (DriverOptions.Push) ticks every Window, and the sweep is the
+// fallback. Both modes admit the identical event stream, so they are
+// directly comparable on the same seed. The priming evaluation at
+// virtual instant 0 — a full sweep, or the first flush — is not counted
+// in the stats.
 func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 	if opts.Duration <= 0 {
 		return LoadStats{}, fmt.Errorf("loadgen: driver duration %v, need > 0", opts.Duration)
@@ -143,10 +146,107 @@ func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 			opts.SweepEvery = opts.Duration
 		}
 	}
+	tick := opts.SweepEvery
 	if opts.Push {
-		return runPush(f, c, opts)
+		if opts.Window <= 0 {
+			opts.Window = opts.SweepEvery / 10
+			if opts.Window <= 0 {
+				opts.Window = opts.SweepEvery
+			}
+		}
+		tick = opts.Window
 	}
-	return runSweep(f, c, opts)
+	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
+	if err != nil {
+		return LoadStats{}, err
+	}
+	sweepOpts := fleet.Options{
+		Mode:        core.CheckOnly,
+		Shards:      opts.Shards,
+		Workers:     opts.Workers,
+		Incremental: true,
+		Trace:       opts.Trace,
+	}
+
+	start := time.Now() // real clock: throughput reporting only
+	coord := fleet.NewCoordinator()
+	st := LoadStats{Mode: "sweep"}
+	var s *fleet.Streamer
+	var onJoin, onLeave func(name string)
+	if opts.Push {
+		st.Mode, st.Window = "push", opts.Window
+		s = fleet.NewStreamer(coord, fleet.StreamOptions{
+			Mode:    core.CheckOnly,
+			Shards:  opts.Shards,
+			Workers: opts.Workers,
+			Dedup:   true,
+			Metrics: opts.Metrics,
+			Trace:   opts.Trace,
+		})
+		for _, h := range f.Hosts() {
+			s.Watch(h.Target(), h.Linux.Log())
+		}
+		s.Flush(0)
+		onJoin = func(name string) {
+			if h, ok := f.Get(name); ok {
+				s.Watch(h.Target(), h.Linux.Log())
+			}
+		}
+		onLeave = func(name string) { s.Unwatch(name) }
+	} else {
+		coord.Sweep(f.Targets(), sweepOpts)
+	}
+
+	detect := telemetry.NewQuantilesCap(1 << 16)
+	// pending maps host name -> virtual admission times of its events
+	// still awaiting a verdict.
+	pending := map[string][]time.Duration{}
+
+	admitted := time.Duration(0) // last admission instant
+	vend := time.Duration(0)     // last tick actually replayed
+	nextSweep := opts.SweepEvery
+	for vnow := tick; vnow <= opts.Duration; vnow += tick {
+		vend = vnow
+		admitted = admitUpTo(c, bucket, vnow, admitted, &st, pending, onJoin, onLeave)
+
+		if s != nil {
+			fr := s.Flush(vnow)
+			if len(fr.Hosts) > 0 {
+				st.Flushes++
+				st.DeltaHosts += len(fr.Hosts)
+				st.ChecksEvaluated += fr.ChecksEvaluated
+				st.ChecksExecuted += fr.ChecksExecuted
+				st.Alarms += len(fr.Alarms)
+				st.Repairs += fr.Repairs
+				for _, d := range fr.Hosts {
+					// Every flushed host's live view is now current — a
+					// zero-check re-stamp is a verdict too (the change
+					// provably touched nothing) — so its events resolve.
+					resolvePending(pending, d.Host, vnow, detect, opts.Metrics, &st)
+				}
+			}
+		}
+
+		if vnow >= nextSweep {
+			nextSweep += opts.SweepEvery
+			rep, _ := coord.Sweep(f.Targets(), sweepOpts)
+			st.Sweeps++
+			for _, hr := range rep.Hosts {
+				if hr.FromCache {
+					st.CacheReplays++
+					continue
+				}
+				// An executed host audit delivers the verdicts for that
+				// host's pending events (in push mode: state the stream
+				// missed).
+				st.HostsReaudited++
+				resolvePending(pending, hr.Target, vnow, detect, opts.Metrics, &st)
+			}
+		}
+	}
+
+	finishStats(&st, f, opts, pending, vend, start, detect)
+	return st, nil
 }
 
 // admitUpTo drains the bucket's due events up to virtual instant vnow,
@@ -216,7 +316,8 @@ func resolvePending(pending map[string][]time.Duration, name string,
 	delete(pending, name)
 }
 
-// finishStats fills the end-of-replay roll-up shared by both modes.
+// finishStats fills the end-of-replay roll-up, push-mode counters
+// included.
 func finishStats(st *LoadStats, f *Fleet, opts DriverOptions,
 	pending map[string][]time.Duration, vend time.Duration,
 	start time.Time, detect *telemetry.Quantiles) {
@@ -248,154 +349,12 @@ func finishStats(st *LoadStats, f *Fleet, opts DriverOptions,
 	m.SetGauge("load.hosts", float64(st.Hosts))
 	m.SetGauge("load.rate.virtual", st.AchievedRate)
 	m.SetGauge("load.rate.real", st.RealEventsPerSec)
-}
-
-// runSweep is the batch path: admit, sweep, repeat. Detection latency is
-// bounded by SweepEvery — the floor push mode exists to break.
-func runSweep(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
-	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
-	if err != nil {
-		return LoadStats{}, err
+	if !opts.Push {
+		return
 	}
-	sweepOpts := fleet.Options{
-		Mode:        core.CheckOnly,
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		Incremental: true,
-		Trace:       opts.Trace,
-	}
-
-	start := time.Now() // real clock: throughput reporting only
-	coord := fleet.NewCoordinator()
-	coord.Sweep(f.Targets(), sweepOpts) // prime the cache at vnow = 0
-
-	detect := telemetry.NewQuantilesCap(1 << 16)
-	// pending maps host name -> virtual admission times of its events
-	// still awaiting a verdict.
-	pending := map[string][]time.Duration{}
-	st := LoadStats{Mode: "sweep"}
-
-	admitted := time.Duration(0) // last admission instant
-	vend := time.Duration(0)     // last sweep instant actually replayed
-	for vnow := opts.SweepEvery; vnow <= opts.Duration; vnow += opts.SweepEvery {
-		vend = vnow
-		admitted = admitUpTo(c, bucket, vnow, admitted, &st, pending, nil, nil)
-
-		// Sweep at virtual instant vnow; any executed (non-cached) host
-		// audit delivers the verdicts for that host's pending events.
-		rep, _ := coord.Sweep(f.Targets(), sweepOpts)
-		st.Sweeps++
-		for _, hr := range rep.Hosts {
-			if hr.FromCache {
-				st.CacheReplays++
-				continue
-			}
-			st.HostsReaudited++
-			resolvePending(pending, hr.Target, vnow, detect, opts.Metrics, &st)
-		}
-	}
-
-	finishStats(&st, f, opts, pending, vend, start, detect)
-	return st, nil
-}
-
-// runPush is the streaming path: every admitted event marks its host
-// dirty through the EventLog subscription, and a fleet.Streamer flush at
-// each Window tick re-runs only the affected checks, delivering verdicts
-// with latency bounded by Window instead of SweepEvery. A fallback sweep
-// still runs every SweepEvery as the safety net for state the dependency
-// index cannot localise; on a healthy index it is all cache replays,
-// because the streamer's deltas keep the incremental cache stamped.
-func runPush(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
-	if opts.Window <= 0 {
-		opts.Window = opts.SweepEvery / 10
-		if opts.Window <= 0 {
-			opts.Window = opts.SweepEvery
-		}
-	}
-	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
-	if err != nil {
-		return LoadStats{}, err
-	}
-	sweepOpts := fleet.Options{
-		Mode:        core.CheckOnly,
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		Incremental: true,
-		Trace:       opts.Trace,
-	}
-
-	start := time.Now() // real clock: throughput reporting only
-	coord := fleet.NewCoordinator()
-	s := fleet.NewStreamer(coord, fleet.StreamOptions{
-		Mode:    core.CheckOnly,
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dedup:   true,
-		Metrics: opts.Metrics,
-		Trace:   opts.Trace,
-	})
-	for _, h := range f.Hosts() {
-		s.Watch(h.Target(), h.Linux.Log())
-	}
-	s.Flush(0) // prime the verdict baseline at vnow = 0 (not counted)
-
-	detect := telemetry.NewQuantilesCap(1 << 16)
-	pending := map[string][]time.Duration{}
-	st := LoadStats{Mode: "push", Window: opts.Window}
-
-	onJoin := func(name string) {
-		if h, ok := f.Get(name); ok {
-			s.Watch(h.Target(), h.Linux.Log())
-		}
-	}
-	onLeave := func(name string) { s.Unwatch(name) }
-
-	admitted := time.Duration(0)
-	vend := time.Duration(0)
-	nextSweep := opts.SweepEvery
-	for vnow := opts.Window; vnow <= opts.Duration; vnow += opts.Window {
-		vend = vnow
-		admitted = admitUpTo(c, bucket, vnow, admitted, &st, pending, onJoin, onLeave)
-
-		fr := s.Flush(vnow)
-		if len(fr.Hosts) > 0 {
-			st.Flushes++
-			st.DeltaHosts += len(fr.Hosts)
-			st.ChecksEvaluated += fr.ChecksEvaluated
-			st.ChecksExecuted += fr.ChecksExecuted
-			st.Alarms += len(fr.Alarms)
-			st.Repairs += fr.Repairs
-			for _, d := range fr.Hosts {
-				// Every flushed host's live view is now current — a
-				// zero-check re-stamp is a verdict too (the change
-				// provably touched nothing) — so its events resolve.
-				resolvePending(pending, d.Host, vnow, detect, opts.Metrics, &st)
-			}
-		}
-
-		if vnow >= nextSweep {
-			nextSweep += opts.SweepEvery
-			rep, _ := coord.Sweep(f.Targets(), sweepOpts)
-			st.Sweeps++
-			for _, hr := range rep.Hosts {
-				if hr.FromCache {
-					st.CacheReplays++
-					continue
-				}
-				st.HostsReaudited++
-				// A fallback-executed host caught state the stream
-				// missed; resolve whatever is still waiting.
-				resolvePending(pending, hr.Target, vnow, detect, opts.Metrics, &st)
-			}
-		}
-	}
-
-	finishStats(&st, f, opts, pending, vend, start, detect)
 	if st.Events > 0 {
 		st.ChecksPerEvent = float64(st.ChecksEvaluated) / float64(st.Events)
 	}
-	m := opts.Metrics
 	m.Add("load.flushes", int64(st.Flushes))
 	m.Add("load.delta-hosts", int64(st.DeltaHosts))
 	m.Add("load.checks.evaluated", int64(st.ChecksEvaluated))
@@ -403,5 +362,4 @@ func runPush(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 	m.Add("load.alarms", int64(st.Alarms))
 	m.Add("load.repairs", int64(st.Repairs))
 	m.SetGauge("load.checks-per-event", st.ChecksPerEvent)
-	return st, nil
 }

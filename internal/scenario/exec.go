@@ -51,10 +51,11 @@ func (o Options) normalized() Options {
 // executor is the per-run state: the fleet under mutation, the evaluator
 // (coordinator or streamer), and the executor-owned compliance view.
 //
-// Verdict state and alarm/repair episodes are tracked here, from the
-// full merged per-host reports both evaluators return — not read from
-// the streamer's own episode counters — so the two modes expose one
-// comparable accounting, immune to the episode resets a re-Watch causes.
+// Verdict state and alarm/repair episodes are tracked in the executor's
+// own fleet.View, folded from the full merged per-host reports both
+// evaluators return — not read from the streamer's view — so the two
+// modes expose one comparable accounting, immune to the episode resets
+// a re-Watch causes in the streamer.
 type executor struct {
 	spec Spec
 	opts Options
@@ -65,14 +66,11 @@ type executor struct {
 	str   *fleet.Streamer
 	churn *loadgen.Churn
 
-	// status is the live verdict view: host -> finding -> final status.
-	status map[string]map[string]core.CheckStatus
-	// viol marks open violation episodes (host -> finding); degraded the
-	// hosts whose last report was all-ERROR.
-	viol     map[string]map[string]bool
-	degraded map[string]bool
-	alarms   int
-	repairs  int
+	// view holds the live verdicts, open violation episodes and degraded
+	// flags; alarms/repairs count the episodes it opened and closed.
+	view    *fleet.View
+	alarms  int
+	repairs int
 	// opened/closed count the episodes the current tick moved, for the
 	// alarm/repair pulse signals.
 	opened, closed int
@@ -99,15 +97,13 @@ func Run(sp Spec, opts Options) (*Result, error) {
 	}
 
 	ex := &executor{
-		spec:     sp,
-		opts:     opts,
-		mode:     "sweep",
-		fleet:    f,
-		coord:    fleet.NewCoordinator(),
-		status:   map[string]map[string]core.CheckStatus{},
-		viol:     map[string]map[string]bool{},
-		degraded: map[string]bool{},
-		tr:       trace.New(),
+		spec:  sp,
+		opts:  opts,
+		mode:  "sweep",
+		fleet: f,
+		coord: fleet.NewCoordinator(),
+		view:  fleet.NewView(),
+		tr:    trace.New(),
 	}
 	if opts.Push {
 		ex.mode = "push"
@@ -168,8 +164,8 @@ func Run(sp Spec, opts Options) (*Result, error) {
 
 	ex.res.Ticks = len(ex.res.Schedule) - len(ex.res.Steps)
 	ex.res.Alarms, ex.res.Repairs = ex.alarms, ex.repairs
-	ex.res.FinalCompliance = ex.compliance()
-	ex.res.FinalState = ex.finalState()
+	ex.res.FinalCompliance = ex.view.Compliance()
+	ex.res.FinalState = ex.view.Lines()
 	ex.res.Trace = ex.tr
 	sort.Slice(ex.res.Steps, func(a, b int) bool { return ex.res.Steps[a].Index < ex.res.Steps[b].Index })
 	return ex.res, nil
@@ -205,7 +201,7 @@ func (ex *executor) tick(now time.Duration) {
 	if ex.str != nil {
 		fr := ex.str.Flush(now)
 		for _, d := range fr.Hosts {
-			ex.fold(d.Host, d.Result.Report)
+			ex.fold(now, d.Host, d.Result.Report)
 		}
 	} else {
 		rep, _ := ex.coord.Sweep(ex.fleet.Targets(), fleet.Options{
@@ -217,13 +213,13 @@ func (ex *executor) tick(now time.Duration) {
 			Trace:       ex.opts.Trace,
 		})
 		for _, hr := range rep.Hosts {
-			ex.fold(hr.Target, hr.Report)
+			ex.fold(now, hr.Target, hr.Report)
 		}
 	}
 
 	t := ms(now)
-	comp := ex.compliance()
-	failing, incomplete := ex.countNonPass()
+	comp := ex.view.Compliance()
+	_, failing, incomplete := ex.view.Counts()
 	ex.tr.SetNum("compliance", t, comp)
 	ex.tr.SetNum("failing", t, float64(failing))
 	ex.tr.SetNum("incomplete", t, float64(incomplete))
@@ -235,50 +231,15 @@ func (ex *executor) tick(now time.Duration) {
 		now, comp, failing, incomplete, ex.alarms, ex.repairs)
 }
 
-// fold merges one host report into the live view and moves its violation
-// episodes: a finding entering non-PASS opens one episode (one alarm), a
-// finding returning to PASS closes it (one repair) — the monitor
-// package's dedup discipline, applied identically in both modes.
-func (ex *executor) fold(name string, rep core.Report) {
-	hs := ex.status[name]
-	if hs == nil {
-		hs = map[string]core.CheckStatus{}
-		ex.status[name] = hs
-	}
-	hv := ex.viol[name]
-	if hv == nil {
-		hv = map[string]bool{}
-		ex.viol[name] = hv
-	}
-	for _, r := range rep.Results {
-		hs[r.FindingID] = r.After
-		if r.After != core.CheckPass {
-			if !hv[r.FindingID] {
-				hv[r.FindingID] = true
-				ex.alarms++
-				ex.opened++
-			}
-		} else if hv[r.FindingID] {
-			delete(hv, r.FindingID)
-			ex.repairs++
-			ex.closed++
-		}
-	}
-	ex.degraded[name] = degradedReport(rep)
-}
-
-// degradedReport mirrors the fleet package's judgement: at least one
-// verdict and every final status ERROR.
-func degradedReport(rep core.Report) bool {
-	if len(rep.Results) == 0 {
-		return false
-	}
-	for _, r := range rep.Results {
-		if r.After != core.CheckError {
-			return false
-		}
-	}
-	return true
+// fold merges one host report into the live view and counts the
+// violation episodes it opened and closed — the monitor package's dedup
+// discipline, applied identically in both modes.
+func (ex *executor) fold(now time.Duration, name string, rep core.Report) {
+	alarms, repairs := ex.view.Fold(now, name, rep, nil)
+	ex.alarms += len(alarms)
+	ex.opened += len(alarms)
+	ex.repairs += repairs
+	ex.closed += repairs
 }
 
 // verifyReads runs the dynamic declared-reads oracle over the fleet's
@@ -306,62 +267,6 @@ func (ex *executor) verifyReads() {
 	ex.res.FatalReadViolations = fatal
 	ex.log("verify-reads: %d violation(s), %d fatal, over %d host(s)",
 		len(ex.res.ReadViolations), fatal, len(hosts))
-}
-
-// prune drops a departed host from the live view. Its open episodes are
-// orphaned: the alarms stay counted (they happened) but can no longer be
-// repaired.
-func (ex *executor) prune(name string) {
-	delete(ex.status, name)
-	delete(ex.viol, name)
-	delete(ex.degraded, name)
-}
-
-// compliance is the PASS fraction over every verdict in the live view;
-// an empty (not yet evaluated) view is fully compliant, matching
-// fleet.FleetReport.Compliance.
-func (ex *executor) compliance() float64 {
-	pass, total := 0, 0
-	for _, hs := range ex.status {
-		for _, st := range hs {
-			total++
-			if st == core.CheckPass {
-				pass++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(pass) / float64(total)
-}
-
-func (ex *executor) countNonPass() (failing, incomplete int) {
-	for _, hs := range ex.status {
-		for _, st := range hs {
-			switch st {
-			case core.CheckPass:
-			case core.CheckFail:
-				failing++
-			default:
-				incomplete++
-			}
-		}
-	}
-	return
-}
-
-// finalState renders the live view as sorted "host finding status"
-// lines — the cross-mode equivalence surface the fuzzer oracles on.
-func (ex *executor) finalState() []string {
-	var out []string
-	for name, hs := range ex.status {
-		for id, st := range hs {
-			out = append(out, fmt.Sprintf("%s %s %s", name, id, st))
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (ex *executor) record(sr StepResult) {
@@ -546,7 +451,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			if ex.str != nil {
 				ex.str.Unwatch(name)
 			}
-			ex.prune(name)
+			ex.view.Drop(name)
 			names = append(names, name)
 		}
 		sr.Skipped = len(names) == 0
@@ -590,7 +495,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 				if ex.str != nil {
 					ex.str.Unwatch(ev.Host)
 				}
-				ex.prune(ev.Host)
+				ex.view.Drop(ev.Host)
 			}
 		}
 		sr.Target = "fleet"
@@ -697,7 +602,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := parseStatus(st.Status)
 		var bad []string
 		for _, h := range sel {
-			got, ok := ex.status[h.Name][st.Finding]
+			got, ok := ex.view.Status(h.Name, st.Finding)
 			if !ok {
 				bad = append(bad, fmt.Sprintf("%s: no verdict for %s yet", h.Name, st.Finding))
 			} else if got != want {
@@ -711,7 +616,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 			sr.Detail = strings.Join(bad, "; ")
 		}
 	case "compliance":
-		got := ex.compliance()
+		got := ex.view.Compliance()
 		sr.OK = cmp(got, st.Op, st.Num)
 		sr.Detail = fmt.Sprintf("compliance %.4f %s %v", got, st.Op, st.Num)
 	case "alarms":
@@ -732,8 +637,8 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := st.Value != "false"
 		var bad []string
 		for _, h := range sel {
-			if ex.degraded[h.Name] != want {
-				bad = append(bad, fmt.Sprintf("%s: degraded=%v, want %v", h.Name, ex.degraded[h.Name], want))
+			if got := ex.view.Degraded(h.Name); got != want {
+				bad = append(bad, fmt.Sprintf("%s: degraded=%v, want %v", h.Name, got, want))
 			}
 		}
 		sr.OK = len(bad) == 0
