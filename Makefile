@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
+.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
 
 # check is the CI gate: vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
@@ -57,51 +57,18 @@ fleet-race:
 trace-race:
 	$(GO) test -race -run 'Trace|Telemetry|Span' ./internal/telemetry/ ./internal/fleet/ ./internal/engine/ ./internal/core/ ./internal/monitor/ ./cmd/fleetaudit/
 
-# bench-telemetry runs the tracing-overhead benchmarks (the disabled path
-# must hold 0 allocs/op, the enabled path 0 steady-state allocs) and
-# regenerates the BENCH_telemetry.json record.
-bench-telemetry:
-	$(GO) test -run=^$$ -bench='BenchmarkTelemetry' -benchmem ./internal/telemetry/ ./internal/fleet/
-	$(GO) run ./cmd/fleetaudit -bench-telemetry -o BENCH_telemetry.json
-
-# bench-trace runs the trace-store benchmarks (pooled ingestion, query
-# scans over a full ring) and regenerates the BENCH_trace.json record:
-# Offer/tracer ingestion throughput, query latency percentiles, and the
-# store-as-sink sweep overhead.
-bench-trace:
-	$(GO) test -run=^$$ -bench='BenchmarkStore|BenchmarkQuery' -benchmem ./internal/telemetry/store/
-	$(GO) run ./cmd/fleetaudit -bench-trace -o BENCH_trace.json
-
-# bench-steal runs the scheduler-focused pair: skewed-fleet static vs
-# work-stealing, and dedup off vs on.
-bench-steal:
-	$(GO) test -run=^$$ -bench='BenchmarkFleetSkewedSweep|BenchmarkFleetDedupSweep' -benchmem ./internal/fleet/
-
-# bench runs the experiment benchmarks once each (correctness smoke, not a
-# timing run), then the fleet + catalogue timing benchmarks with -benchmem
-# (BenchmarkFleetCachedSweep among them: the all-cached fallback sweep
-# with no probe delay) and regenerates the BENCH_fleet.json perf record.
-bench: bench-fleet
+# bench is the one benchmark command. It runs the Go micro-benchmarks
+# with -benchmem — fleet sweeps (probe-delayed, skewed, dedup,
+# incremental and the all-cached fallback sweep), catalogue dispatch,
+# tracing overhead, trace-store ingestion and queries, load-harness
+# synthesis and replay — then every root experiment benchmark once (a
+# correctness smoke, not a timing run), and finally the end-to-end
+# fleet-evaluation benchmark, cmd/vdo-perf, which writes its record
+# under .bench_build/ (see cmd/vdo-perf/README.md and BENCHMARK.json).
+bench:
+	$(GO) test -run=^$$ -bench='BenchmarkFleet|BenchmarkCatalog|BenchmarkTelemetry|BenchmarkStore|BenchmarkQuery|BenchmarkLoad' -benchmem ./internal/fleet/ ./internal/telemetry/ ./internal/telemetry/store/ ./internal/loadgen/ .
 	$(GO) test -run=^$$ -bench=. -benchtime=1x .
-
-bench-fleet:
-	$(GO) test -run=^$$ -bench='BenchmarkFleet|BenchmarkCatalog' -benchmem ./internal/fleet/ .
-	$(GO) run ./cmd/fleetaudit -bench -o BENCH_fleet.json
-
-# bench-load runs the mega-fleet load-harness benchmarks (synthesis
-# cost, end-to-end replay) and regenerates the BENCH_load.json record:
-# 10k synthesized hosts replayed at 500/2000/8000 churn events per
-# virtual second while incremental sweeps measure change->verdict
-# detection latency.
-bench-load:
-	$(GO) test -run=^$$ -bench='BenchmarkLoad' -benchmem ./internal/loadgen/
-	$(GO) run ./cmd/vdo-load -bench -o BENCH_load.json
-
-# bench-serve regenerates the BENCH_serve.json record: sweep vs push on
-# the identical seeded event stream (10k hosts, 500/2000 ev/s), the
-# change->verdict latency comparison the streaming evaluator exists for.
-bench-serve:
-	$(GO) run ./cmd/vdo-load -bench-serve -o BENCH_serve.json
+	bash cmd/vdo-perf/run.sh
 
 # smoke-load is the small-N load-harness replay CI runs: 500 hosts, 2s
 # of virtual churn on the deterministic clock. It completes in seconds
@@ -124,15 +91,12 @@ smoke-scenario:
 	$(GO) run ./cmd/vdo-scenario -run examples/scenarios -both
 	$(GO) run ./cmd/vdo-scenario -fuzz 25 -seed 1
 
-# smoke-trace is the tracing-overhead regression gate: the telemetry
-# overhead matrix (best of 5 per cell) must keep the 4-shard spans
-# overhead under 25% of the untraced sweep, or the target exits 1. The
-# sweep under test is ~8ms of mostly sleep, so single-digit percentages
-# are noise on a loaded runner; 25% still catches the 31-33% overhead
-# the per-collector sharding removed. The JSON goes to /dev/null;
-# bench-trace / bench-telemetry write the real records.
+# smoke-trace is the tracing-overhead regression gate: the best of 5
+# traced 4-shard sweeps of 16 probe-delayed hosts must stay within 25%
+# of the best of 5 untraced ones (TestTracingOverheadGate, which skips
+# itself under -race, so race does not cover it).
 smoke-trace:
-	$(GO) run ./cmd/fleetaudit -bench-telemetry -assert-overhead 25 -o /dev/null
+	$(GO) test -run '^TestTracingOverheadGate$$' -count=1 -v ./internal/fleet/
 
 # perf-smoke runs the tests of cmd/vdo-perf, a module of its own that the
 # root ./... patterns do not reach: a 200-host smoke run of every
@@ -150,7 +114,7 @@ tables:
 # command — and their total: the size measure simplicity changes report
 # (EXPERIMENTS.md E22). Not part of check. Point it at another checkout
 # with make -C DIR -f $(CURDIR)/Makefile loc.
-LOC_PKGS ?= internal/fleet internal/scenario internal/loadgen $(patsubst %/,%,$(sort $(dir $(wildcard cmd/*/*.go))))
+LOC_PKGS ?= internal/fleet internal/scenario internal/loadgen internal/report $(patsubst %/,%,$(sort $(dir $(wildcard cmd/*/*.go))))
 
 loc:
 	@total=0; for d in $(LOC_PKGS); do \

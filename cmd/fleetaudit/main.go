@@ -28,12 +28,9 @@
 //	           [-trace-query EXPR] [-vclock] [-trace-capacity N]
 //	           [-trace-keep-ok N] [-trace-head N]
 //	           [-cpuprofile PATH] [-memprofile PATH]
-//	fleetaudit -bench [-o BENCH_fleet.json] [-seed N] [-commit HASH]
-//	fleetaudit -bench-telemetry [-o BENCH_telemetry.json] [-assert-overhead PCT]
-//	fleetaudit -bench-trace [-o BENCH_trace.json] [-seed N] [-commit HASH]
 //
 // Exit status: 0 fleet fully compliant, 1 violations or errors open,
-// 2 usage error (or, with -assert-overhead, threshold exceeded).
+// 2 usage error.
 package main
 
 import (
@@ -84,12 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceCap := fs.Int("trace-capacity", 0, "trace store span capacity (default 262144)")
 	traceKeepOK := fs.Int("trace-keep-ok", 0, "tail-sample: keep 1 in N healthy traces (error traces always kept; 0/1 keeps all)")
 	traceHead := fs.Int("trace-head", 0, "head-sample: buffer only 1 in N traces at all (0/1 keeps all)")
-	benchMode := fs.Bool("bench", false, "run the sharding/stealing/dedup/caching benchmark matrix instead of one audit")
-	benchTelemetryMode := fs.Bool("bench-telemetry", false, "run the tracing-overhead benchmark matrix instead of one audit")
-	benchTraceMode := fs.Bool("bench-trace", false, "run the trace-store ingestion/query benchmark matrix instead of one audit")
-	assertOverhead := fs.Float64("assert-overhead", 0, "with -bench-telemetry: exit 1 if the 4-shard spans overhead exceeds this percentage (0 disables)")
-	out := fs.String("o", "", "output file for bench JSON (default BENCH_fleet.json / BENCH_telemetry.json / BENCH_trace.json)")
-	commit := fs.String("commit", "", "commit hash recorded in -bench provenance (default: build info)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -143,25 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchTelemetryMode {
-		if *out == "" {
-			*out = "BENCH_telemetry.json"
-		}
-		return runBenchTelemetry(stdout, stderr, *seed, *out, *commit, *assertOverhead)
-	}
-	if *benchTraceMode {
-		if *out == "" {
-			*out = "BENCH_trace.json"
-		}
-		return runBenchTrace(stdout, stderr, *seed, *out, *commit)
-	}
-	if *benchMode {
-		if *out == "" {
-			*out = "BENCH_fleet.json"
-		}
-		return runBench(stdout, stderr, *seed, *out, *commit)
 	}
 
 	// -trace streams spans to the file; -trace-query keeps them resident
@@ -253,11 +225,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	printSweep(stdout, "full sweep", rep, st, *showTelemetry)
 
 	if *incremental {
-		host.DriftLinux(machines[rng.Intn(*hosts)], 3, rng)
+		// Down hosts are machines[:down] and cannot be drifted, so the
+		// pick is drawn from the reachable ones (the draw is unchanged
+		// with -down 0).
+		title := "incremental re-sweep (1 host drifted)"
+		if reachable := *hosts - *down; reachable > 0 {
+			host.DriftLinux(machines[*down+rng.Intn(reachable)], 3, rng)
+		} else {
+			fmt.Fprintln(stdout, "every host is down: incremental re-sweep without drift")
+			title = "incremental re-sweep (no host drifted)"
+		}
 		opts.Incremental = true
 		rep, st = coord.Sweep(targets, opts)
 		fmt.Fprintln(stdout)
-		printSweep(stdout, "incremental re-sweep (1 host drifted)", rep, st, *showTelemetry)
+		printSweep(stdout, title, rep, st, *showTelemetry)
 	}
 
 	if tracer != nil {
@@ -318,283 +299,4 @@ func printSweep(w io.Writer, title string, rep fleet.FleetReport, st fleet.Fleet
 		st.ShardTable(title + ": shards").WriteText(w)
 		st.HostTable(title + ": hosts").WriteText(w)
 	}
-}
-
-// runBench produces the BENCH_fleet.json perf record (E13 + E14): the
-// sequential baseline versus the sharded sweep at 1/4/16 shards, the
-// incremental re-sweep, static versus work-stealing scheduling on a
-// skewed fleet, cross-host dedup off/on, and a restart-resume through the
-// persistent cache file. Every check pays a simulated probe round-trip,
-// the live-audit shape where all four mechanisms pay.
-func runBench(stdout, stderr io.Writer, seed int64, out, commit string) int {
-	const (
-		nHosts     = 16
-		probeDelay = 100 * time.Microsecond
-	)
-	mkFleet := func() ([]fleet.Target, []*host.Linux) {
-		targets, machines := fleet.LinuxFleet(nHosts)
-		for i := range targets {
-			targets[i] = fleet.WithProbeDelay(targets[i], probeDelay)
-		}
-		return targets, machines
-	}
-
-	t := report.New("fleet benchmark: 16 hosts x 8 requirements, 100us probe round-trip (skew rows: 160 hosts, 1ms probes, one host 10x slower)",
-		"scenario", "shards", "workers", "requirements-run", "cache-hit-rate", "wall-ms", "speedup-vs-sequential", "errors")
-	t.Meta = report.Provenance(commit)
-
-	// Sequential baseline: per-host RunEngine, one worker, one at a time.
-	targets, _ := mkFleet()
-	t0 := time.Now()
-	for _, tg := range targets {
-		tg.Catalog.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1})
-	}
-	seqWall := time.Since(t0)
-	t.AddRow("sequential per-host RunEngine", 1, 1, nHosts*8, "-", report.Millis(seqWall), 1.0, 0)
-
-	speedup := func(w time.Duration) float64 { return float64(seqWall) / float64(w) }
-	for _, shards := range []int{1, 4, 16} {
-		targets, _ := mkFleet()
-		_, st := fleet.Sweep(targets, fleet.Options{Shards: shards, Workers: 4})
-		t.AddRow("full sharded sweep", shards, 4, st.Requirements, "-",
-			report.Millis(st.Wall), speedup(st.Wall), st.Errors)
-	}
-
-	// Incremental: prime, drift 1 of 16 hosts, re-sweep.
-	targets, machines := mkFleet()
-	coord := fleet.NewCoordinator()
-	coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4})
-	host.DriftLinux(machines[3], 3, rand.New(rand.NewSource(seed)))
-	_, st := coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4, Incremental: true})
-	t.AddRow("incremental re-sweep (1/16 hosts changed)", 16, 4,
-		st.CacheMisses, report.Percent(st.CacheHitRate()),
-		report.Millis(st.Wall), speedup(st.Wall), st.Errors)
-	incrNote := fmt.Sprintf(
-		"incremental sweep re-executed %d of %d requirements (cache hit rate %s)",
-		st.CacheMisses, st.CacheHits+st.CacheMisses, report.Percent(st.CacheHitRate()))
-
-	// E14a — static versus work-stealing on the skewed fleet: 160 hosts
-	// over 16 shards with a 1ms probe round-trip, one host (from the most
-	// populated affinity bucket, so it has the most shard co-tenants) 10x
-	// slower than the rest. One worker per shard keeps the rows
-	// sleep-dominated so the comparison isolates scheduling; the fleet is
-	// sized so the slow host's own wall sits near total-work/shards, the
-	// regime where stealing's floor is the theoretical optimum. Both
-	// coordinators sweep once to learn per-host costs, then the measured
-	// sweep runs.
-	skewWall := map[fleet.Scheduling]time.Duration{}
-	skewImbalance := map[fleet.Scheduling]float64{}
-	var skewSteals int
-	for _, sched := range []fleet.Scheduling{fleet.ScheduleStatic, fleet.ScheduleWorkStealing} {
-		skTargets, _ := fleet.SkewedFleet(160, 16, time.Millisecond, 10)
-		skCoord := fleet.NewCoordinator()
-		skOpts := fleet.Options{Shards: 16, Workers: 1, Scheduling: sched}
-		skCoord.Sweep(skTargets, skOpts) // cost-learning pass
-		_, skSt := skCoord.Sweep(skTargets, skOpts)
-		skewWall[sched] = skSt.Wall
-		skewImbalance[sched] = skSt.LoadImbalance
-		name := "skewed fleet, static affinity"
-		if sched == fleet.ScheduleWorkStealing {
-			name = "skewed fleet, work-stealing"
-			skewSteals = skSt.Steals
-		}
-		t.AddRow(name, 16, 1, skSt.Requirements, "-", report.Millis(skSt.Wall), "-", skSt.Errors)
-	}
-	stealGain := 1 - float64(skewWall[fleet.ScheduleWorkStealing])/float64(skewWall[fleet.ScheduleStatic])
-
-	// E14b — cross-host dedup on the homogeneous 16-host fleet.
-	var dedupRate float64
-	for _, dedup := range []bool{false, true} {
-		ddTargets, _ := mkFleet()
-		_, ddSt := fleet.Sweep(ddTargets, fleet.Options{Shards: 4, Workers: 4, Dedup: dedup})
-		name, executed := "homogeneous fleet, dedup off", ddSt.Requirements
-		if dedup {
-			name, executed = "homogeneous fleet, dedup on", ddSt.DedupMisses
-			dedupRate = ddSt.DedupRate()
-		}
-		t.AddRow(name, 4, 4, executed, "-", report.Millis(ddSt.Wall), speedup(ddSt.Wall), ddSt.Errors)
-	}
-
-	// E14c — restart-resume: persist the primed cache, reload it in a
-	// fresh coordinator, and re-sweep incrementally with 1 host drifted.
-	cachePath, err := persistAndResume(seed, t)
-	if err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	defer os.Remove(cachePath)
-
-	t.Note = fmt.Sprintf(
-		"seed %d; sequential baseline %s ms; %s; work stealing cut the skewed-fleet wall by %.0f%% (%d hosts stolen, load imbalance %.2f -> %.2f); dedup executed 8 of 128 checks (rate %s)",
-		seed, report.Millis(seqWall), incrNote, 100*stealGain, skewSteals,
-		skewImbalance[fleet.ScheduleStatic], skewImbalance[fleet.ScheduleWorkStealing],
-		report.Percent(dedupRate))
-
-	t.WriteText(stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", out)
-	return 0
-}
-
-// lineCountWriter counts JSONL records as they stream past, so the bench
-// can report how many spans a traced sweep emitted without keeping them.
-type lineCountWriter struct{ lines int }
-
-func (c *lineCountWriter) Write(p []byte) (int, error) {
-	for _, b := range p {
-		if b == '\n' {
-			c.lines++
-		}
-	}
-	return len(p), nil
-}
-
-// runBenchTelemetry produces the BENCH_telemetry.json perf record (E15):
-// the full sweep at 1/4/16 shards with telemetry off, spans only, and
-// spans+metrics, plus a fully-cached incremental re-sweep traced end to
-// end — the case whose all-replay stats must stay finite. Each cell is
-// the best of three runs so scheduler noise doesn't masquerade as
-// tracing overhead; -assert-overhead turns the 4-shard spans cell into
-// a regression gate.
-func runBenchTelemetry(stdout, stderr io.Writer, seed int64, out, commit string, assertOverhead float64) int {
-	const (
-		nHosts     = 16
-		probeDelay = 100 * time.Microsecond
-		benchRuns  = 5
-	)
-	mkFleet := func() []fleet.Target {
-		targets, _ := fleet.LinuxFleet(nHosts)
-		for i := range targets {
-			targets[i] = fleet.WithProbeDelay(targets[i], probeDelay)
-		}
-		return targets
-	}
-
-	t := report.New("telemetry overhead: 16 hosts x 8 requirements, 100us probe round-trip",
-		"scenario", "shards", "telemetry", "spans-emitted", "wall-ms", "overhead-vs-off")
-	t.Meta = report.Provenance(commit)
-
-	var spans4Overhead float64
-	for _, shards := range []int{1, 4, 16} {
-		var offWall time.Duration
-		for _, mode := range []string{"off", "spans", "spans+metrics"} {
-			var bestWall time.Duration
-			spans := 0
-			for run := 0; run < benchRuns; run++ {
-				targets := mkFleet()
-				opts := fleet.Options{Shards: shards, Workers: 4}
-				var cw *lineCountWriter
-				if mode != "off" {
-					cw = &lineCountWriter{}
-					opts.Trace = telemetry.New(cw)
-				}
-				if mode == "spans+metrics" {
-					opts.Metrics = telemetry.NewMetrics()
-				}
-				_, st := fleet.Sweep(targets, opts)
-				if cw != nil {
-					opts.Trace.Flush()
-					spans = cw.lines
-				}
-				if run == 0 || st.Wall < bestWall {
-					bestWall = st.Wall
-				}
-			}
-			overhead := "-"
-			if mode == "off" {
-				offWall = bestWall
-			} else {
-				frac := float64(bestWall-offWall) / float64(offWall)
-				overhead = report.Percent(frac)
-				if shards == 4 && mode == "spans" {
-					spans4Overhead = 100 * frac
-				}
-			}
-			t.AddRow("full sweep", shards, mode, spans, report.Millis(bestWall), overhead)
-		}
-	}
-
-	// The fully-cached re-sweep: every host replays, no check executes,
-	// and the traced stats must render finite (the LoadImbalance guard).
-	targets := mkFleet()
-	coord := fleet.NewCoordinator()
-	coord.Sweep(targets, fleet.Options{Shards: 4, Workers: 4})
-	cw := &lineCountWriter{}
-	tr := telemetry.New(cw)
-	_, st := coord.Sweep(targets, fleet.Options{
-		Shards: 4, Workers: 4, Incremental: true, Trace: tr, Metrics: telemetry.NewMetrics(),
-	})
-	tr.Flush()
-	t.AddRow("fully-cached incremental re-sweep", 4, "spans+metrics",
-		cw.lines, report.Millis(st.Wall), "-")
-
-	t.Note = fmt.Sprintf(
-		"seed %d; overhead = (traced - untraced) / untraced wall per shard count, best of %d runs per cell; cached re-sweep hit rate %s, load imbalance %s",
-		seed, benchRuns, report.Percent(st.CacheHitRate()), report.Float(st.LoadImbalance))
-
-	t.WriteText(stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", out)
-	if assertOverhead > 0 && spans4Overhead > assertOverhead {
-		fmt.Fprintf(stderr, "fleetaudit: 4-shard spans overhead %.1f%% exceeds threshold %.1f%%\n",
-			spans4Overhead, assertOverhead)
-		return 1
-	}
-	if assertOverhead > 0 {
-		fmt.Fprintf(stdout, "4-shard spans overhead %.1f%% within threshold %.1f%%\n",
-			spans4Overhead, assertOverhead)
-	}
-	return 0
-}
-
-// persistAndResume primes a coordinator on a probe-delayed fleet, saves
-// its cache to a temp file, resumes a fresh coordinator from it and adds
-// the restart-resume row: the resumed sweep must hit exactly like the
-// uninterrupted one would.
-func persistAndResume(seed int64, t *report.Table) (string, error) {
-	const nHosts = 16
-	targets, machines := fleet.LinuxFleet(nHosts)
-	for i := range targets {
-		targets[i] = fleet.WithProbeDelay(targets[i], 100*time.Microsecond)
-	}
-	coord := fleet.NewCoordinator()
-	coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4})
-	f, err := os.CreateTemp("", "fleet-cache-*.json")
-	if err != nil {
-		return "", err
-	}
-	path := f.Name()
-	f.Close()
-	if err := coord.SaveCache(path); err != nil {
-		return path, err
-	}
-
-	host.DriftLinux(machines[5], 3, rand.New(rand.NewSource(seed+7)))
-	resumed := fleet.NewCoordinator()
-	if err := resumed.LoadCache(path); err != nil {
-		return path, err
-	}
-	_, st := resumed.Sweep(targets, fleet.Options{Shards: 16, Workers: 4, Incremental: true})
-	t.AddRow("restart-resume from cache file (1/16 hosts changed)", 16, 4,
-		st.CacheMisses, report.Percent(st.CacheHitRate()),
-		report.Millis(st.Wall), "-", st.Errors)
-	return path, nil
 }

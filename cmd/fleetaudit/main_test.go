@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"veridevops/internal/report"
 )
 
 func runCapture(t *testing.T, args ...string) (int, string, string) {
@@ -71,6 +68,28 @@ func TestIncrementalReSweepShowsCacheHits(t *testing.T) {
 	}
 }
 
+// TestIncrementalDriftSkipsDownHosts: the incremental step drifts a
+// reachable host, never one of the -down ones (drifting an unreachable
+// host panics), and with every host down it re-sweeps without drift.
+func TestIncrementalDriftSkipsDownHosts(t *testing.T) {
+	for _, seed := range []string{"2", "7", "8"} {
+		code, out, errb := runCapture(t, "-hosts", "4", "-down", "1", "-drift", "0", "-incremental", "-seed", seed)
+		if code != 1 {
+			t.Fatalf("seed %s: exit = %d\nstdout:\n%s\nstderr:\n%s", seed, code, out, errb)
+		}
+		if !strings.Contains(out, "incremental re-sweep (1 host drifted)") {
+			t.Errorf("seed %s: missing incremental section:\n%s", seed, out)
+		}
+	}
+	code, out, _ := runCapture(t, "-hosts", "2", "-down", "2", "-drift", "0", "-incremental")
+	if code != 1 {
+		t.Fatalf("all down: exit = %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "every host is down") {
+		t.Errorf("all down: missing skip line:\n%s", out)
+	}
+}
+
 func TestFaultInjectionWithRetriesStillCompletes(t *testing.T) {
 	code, out, _ := runCapture(t, "-hosts", "4", "-shards", "2", "-drift", "0", "-faults", "-retries", "6")
 	// Retries recover transients; rare residual panics may leave errors,
@@ -80,47 +99,6 @@ func TestFaultInjectionWithRetriesStillCompletes(t *testing.T) {
 	}
 	if !strings.Contains(out, "32 requirements") {
 		t.Errorf("audit did not cover the whole fleet:\n%s", out)
-	}
-}
-
-func TestBenchWritesJSON(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	code, out, _ := runCapture(t, "-bench", "-o", p, "-commit", "deadbeef")
-	if code != 0 {
-		t.Fatalf("exit = %d\n%s", code, out)
-	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tbl report.Table
-	if err := json.Unmarshal(data, &tbl); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(tbl.Rows) != 10 {
-		t.Errorf("rows = %d, want 10 scenarios", len(tbl.Rows))
-	}
-	if !strings.Contains(tbl.Rows[0][0], "sequential") {
-		t.Errorf("first row must be the sequential baseline: %v", tbl.Rows[0])
-	}
-	var scenarios []string
-	for _, row := range tbl.Rows {
-		scenarios = append(scenarios, row[0])
-	}
-	joined := strings.Join(scenarios, "\n")
-	for _, want := range []string{"work-stealing", "static affinity", "dedup on", "dedup off", "restart-resume"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("bench matrix missing the %q scenario:\n%s", want, joined)
-		}
-	}
-	// Provenance travels with the record.
-	for _, key := range []string{"goos", "goarch", "cpus", "commit"} {
-		if tbl.Meta[key] == "" {
-			t.Errorf("bench meta missing %q: %v", key, tbl.Meta)
-		}
-	}
-	if tbl.Meta["commit"] != "deadbeef" {
-		t.Errorf("commit = %q, want the -commit override", tbl.Meta["commit"])
 	}
 }
 

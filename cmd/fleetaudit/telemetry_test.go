@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,44 +89,5 @@ func TestTracedIncrementalSweepStaysFinite(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Errorf("fully-cached traced sweep leaks non-finite values:\n%s", out)
-	}
-}
-
-// TestBenchTelemetryWritesJSON: -bench-telemetry writes a valid JSON
-// table with provenance metadata to its own default output file.
-func TestBenchTelemetryWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench matrix in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_telemetry.json")
-	code, stdout, errb := runCapture(t, "-bench-telemetry", "-o", out, "-commit", "testhash")
-	if code != 0 {
-		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, stdout, errb)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tbl struct {
-		Title string            `json:"title"`
-		Meta  map[string]string `json:"meta"`
-		Rows  [][]string        `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &tbl); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if tbl.Meta["commit"] != "testhash" || tbl.Meta["goos"] == "" {
-		t.Errorf("provenance meta = %v", tbl.Meta)
-	}
-	// 3 shard counts x 3 telemetry modes + the fully-cached row.
-	if len(tbl.Rows) != 10 {
-		t.Errorf("rows = %d, want 10", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		for _, cell := range row {
-			if cell == "NaN" || strings.Contains(cell, "Inf") {
-				t.Errorf("non-finite cell %q in row %v", cell, row)
-			}
-		}
 	}
 }

@@ -20,8 +20,6 @@
 //	         [-duration D] [-sweep-every D] [-shards N] [-workers N]
 //	         [-seed N] [-metrics] [-push] [-window D] [-assert-p99 D]
 //	         [-slowest N]
-//	vdo-load -bench [-hosts N] [-o BENCH_load.json] [-seed N] [-commit HASH]
-//	vdo-load -bench-serve [-hosts N] [-o BENCH_serve.json] [-seed N] [-commit HASH]
 //
 // Exit status: 0 replay completed, 1 -assert-p99 violated, 2 usage or
 // I/O error.
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"veridevops/internal/loadgen"
@@ -62,10 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	window := fs.Duration("window", 50*time.Millisecond, "virtual dirty-key coalescing window between -push flushes")
 	slowest := fs.Int("slowest", 0, "keep spans in the trace store and print the N slowest host audits (push: deltas) after the replay")
 	assertP99 := fs.Duration("assert-p99", 0, "exit 1 unless detection p99 is strictly below this bound (0 disables)")
-	benchMode := fs.Bool("bench", false, "run the rate matrix and write the BENCH_load.json perf record")
-	benchServe := fs.Bool("bench-serve", false, "run the sweep-vs-push matrix and write the BENCH_serve.json perf record")
-	out := fs.String("o", "", "output file for -bench/-bench-serve JSON (default BENCH_load.json / BENCH_serve.json)")
-	commit := fs.String("commit", "", "commit hash recorded in -bench provenance (default: build info)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,10 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *push && *window <= 0 {
 		fmt.Fprintln(stderr, "vdo-load: -window must be positive in -push mode")
-		return 2
-	}
-	if *benchMode && *benchServe {
-		fmt.Fprintln(stderr, "vdo-load: -bench and -bench-serve are mutually exclusive")
 		return 2
 	}
 
@@ -95,19 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "vdo-load: %v\n", err)
 			return 2
 		}
-	}
-
-	if *benchMode {
-		if *out == "" {
-			*out = "BENCH_load.json"
-		}
-		return runBench(stdout, stderr, top, *hosts, *shards, *workers, *seed, *out, *commit)
-	}
-	if *benchServe {
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		return runBenchServe(stdout, stderr, top, *hosts, *shards, *workers, *seed, *out, *commit)
 	}
 
 	var mets *telemetry.Metrics
@@ -199,126 +175,4 @@ func replay(top loadgen.Topology, hosts int, seed int64, opts loadgen.DriverOpti
 	}
 	c := loadgen.NewChurn(f, top.Mix, seed+1)
 	return loadgen.Run(f, c, opts)
-}
-
-// runBench produces the BENCH_load.json perf record: the same fleet
-// size replayed at increasing churn rates, each row reporting applied
-// events, detection-latency percentiles on the virtual clock (seeded,
-// reproducible) and real replay throughput (machine-dependent, hence
-// the provenance meta).
-func runBench(stdout, stderr io.Writer, top loadgen.Topology, hosts, shards, workers int, seed int64, out, commit string) int {
-	const (
-		benchDuration = 10 * time.Second
-		benchSweep    = 500 * time.Millisecond
-	)
-	t := report.New(fmt.Sprintf(
-		"mega-fleet load harness: %d hosts, %v virtual replay, sweep every %v (seed %d)",
-		hosts, benchDuration, benchSweep, seed),
-		"scenario", "hosts", "rate-ev-s", "events", "drift", "detected",
-		"detect-p50-ms", "detect-p95-ms", "detect-p99-ms", "detect-max-ms",
-		"sweeps", "hosts-reaudited", "cache-replays", "replay-wall-ms", "real-ev-s")
-	t.Meta = report.Provenance(commit)
-
-	for _, rate := range []float64{500, 2000, 8000} {
-		st, err := replay(top, hosts, seed, loadgen.DriverOptions{
-			Duration:   benchDuration,
-			SweepEvery: benchSweep,
-			Rate:       rate,
-			Burst:      16,
-			Shards:     shards,
-			Workers:    workers,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "vdo-load: %v\n", err)
-			return 2
-		}
-		t.AddRow(fmt.Sprintf("churn replay @ %.0f ev/s", rate), st.Hosts, rate,
-			st.Events, st.Drift, st.Detected,
-			report.Millis(st.Detect.P50), report.Millis(st.Detect.P95),
-			report.Millis(st.Detect.P99), report.Millis(st.Detect.Max),
-			st.Sweeps, st.HostsReaudited, st.CacheReplays,
-			report.Millis(st.ReplayWall), st.RealEventsPerSec)
-	}
-
-	t.Note = fmt.Sprintf(
-		"detection latency is virtual (change admitted -> next sweep's verdict; bound by the %v sweep interval) and deterministic in the seed; replay-wall and real-ev-s are machine-dependent",
-		benchSweep)
-	t.WriteText(stdout)
-	return writeBenchJSON(stdout, stderr, t, out)
-}
-
-// runBenchServe produces the BENCH_serve.json perf record: sweep vs
-// push on the identical seeded event stream at each churn rate, so the
-// p99 ratio isolates the evaluation strategy. Push rows also record how
-// many checks each event cost through the dependency index.
-func runBenchServe(stdout, stderr io.Writer, top loadgen.Topology, hosts, shards, workers int, seed int64, out, commit string) int {
-	const (
-		benchDuration = 10 * time.Second
-		benchSweep    = 500 * time.Millisecond
-		benchWindow   = 25 * time.Millisecond
-	)
-	t := report.New(fmt.Sprintf(
-		"streaming evaluator: sweep (every %v) vs push (window %v, fallback %v), %d hosts, %v virtual (seed %d)",
-		benchSweep, benchWindow, benchSweep, hosts, benchDuration, seed),
-		"scenario", "mode", "rate-ev-s", "events", "detected",
-		"detect-p50-ms", "detect-p95-ms", "detect-p99-ms", "detect-max-ms",
-		"flushes", "checks-evaluated", "checks-executed", "checks-per-event",
-		"hosts-reaudited", "cache-replays", "replay-wall-ms", "real-ev-s")
-	t.Meta = report.Provenance(commit)
-
-	var ratios []string
-	for _, rate := range []float64{500, 2000} {
-		var p99 [2]time.Duration
-		for i, push := range []bool{false, true} {
-			opts := loadgen.DriverOptions{
-				Duration:   benchDuration,
-				SweepEvery: benchSweep,
-				Push:       push,
-				Window:     benchWindow,
-				Rate:       rate,
-				Burst:      16,
-				Shards:     shards,
-				Workers:    workers,
-			}
-			st, err := replay(top, hosts, seed, opts)
-			if err != nil {
-				fmt.Fprintf(stderr, "vdo-load: %v\n", err)
-				return 2
-			}
-			p99[i] = st.Detect.P99
-			t.AddRow(fmt.Sprintf("churn replay @ %.0f ev/s", rate), st.Mode, rate,
-				st.Events, st.Detected,
-				report.Millis(st.Detect.P50), report.Millis(st.Detect.P95),
-				report.Millis(st.Detect.P99), report.Millis(st.Detect.Max),
-				st.Flushes, st.ChecksEvaluated, st.ChecksExecuted,
-				fmt.Sprintf("%.2f", st.ChecksPerEvent),
-				st.HostsReaudited, st.CacheReplays,
-				report.Millis(st.ReplayWall), st.RealEventsPerSec)
-		}
-		if p99[1] > 0 {
-			ratios = append(ratios, fmt.Sprintf("%.1fx @ %.0f ev/s",
-				float64(p99[0])/float64(p99[1]), rate))
-		}
-	}
-
-	t.Note = fmt.Sprintf(
-		"both modes admit the identical seeded event stream; push p99 reduction vs sweep: %s; checks-per-event counts dependency-index subset evaluations against the full catalogue a sweep would run",
-		strings.Join(ratios, ", "))
-	t.WriteText(stdout)
-	return writeBenchJSON(stdout, stderr, t, out)
-}
-
-func writeBenchJSON(stdout, stderr io.Writer, t *report.Table, out string) int {
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(stderr, "vdo-load: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
-		fmt.Fprintf(stderr, "vdo-load: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", out)
-	return 0
 }

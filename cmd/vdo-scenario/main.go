@@ -84,6 +84,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vdo-scenario: %v\n", err)
 		return 2
 	}
+	modes := []bool{*push}
+	if *both {
+		modes = []bool{false, true}
+	}
 	failed := 0
 	for _, p := range paths {
 		specFile, err := os.Open(p)
@@ -96,10 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintf(stderr, "vdo-scenario: %s: %v\n", p, err)
 			return 2
-		}
-		modes := []bool{*push}
-		if *both {
-			modes = []bool{false, true}
 		}
 		for _, pushMode := range modes {
 			o := opts
@@ -133,17 +133,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if spanStore != nil {
 		opts.Trace.Flush()
 		spanStore.Flush()
-		name := "host"
-		if *push {
-			name = "delta" // push-mode flushes root a trace per delta, not per host audit
+		for _, pushMode := range modes {
+			name := "host"
+			if pushMode {
+				name = "delta" // push-mode flushes root a trace per delta, not per host audit
+			}
+			res, err := spanStore.Query(fmt.Sprintf("name=%s | slowest %d", name, *slowest))
+			if err != nil {
+				fmt.Fprintf(stderr, "vdo-scenario: %v\n", err)
+				return 2
+			}
+			fmt.Fprintln(stdout)
+			res.WriteText(stdout)
 		}
-		res, err := spanStore.Query(fmt.Sprintf("name=%s | slowest %d", name, *slowest))
-		if err != nil {
-			fmt.Fprintf(stderr, "vdo-scenario: %v\n", err)
-			return 2
-		}
-		fmt.Fprintln(stdout)
-		res.WriteText(stdout)
 	}
 	if failed > 0 {
 		return 1

@@ -548,8 +548,8 @@ func E12SecurityLevels(seed int64) *report.Table {
 // incremental re-sweep with one changed host, and an unreachable host
 // degrading its shard to ERROR verdicts without stalling the fleet. Every
 // check pays a simulated 50µs probe round-trip (the live-audit transport
-// cost that makes sharding pay); cmd/fleetaudit -bench records the same
-// matrix into BENCH_fleet.json at the full 100µs setting.
+// cost that makes sharding pay); BenchmarkFleetSweep in internal/fleet
+// times the same sweep at the full 100µs setting.
 func E13FleetAudit(seed int64) *report.Table {
 	const nHosts = 16
 	t := report.New("E13: sharded fleet audit (16 hosts, 50us probe round-trip)",

@@ -11,8 +11,7 @@ import (
 
 // The fleet benchmarks model the live-audit shape: every check pays a
 // probe round-trip (100µs here), so wall-clock scales with parallelism.
-// `make bench` runs these with -benchmem and regenerates BENCH_fleet.json
-// via cmd/fleetaudit -bench.
+// `make bench` runs these with -benchmem.
 
 const benchProbeDelay = 100 * time.Microsecond
 
@@ -54,8 +53,8 @@ func BenchmarkFleetSweep(b *testing.B) {
 // BenchmarkFleetSkewedSweep measures the work-stealing win on the skewed
 // fleet shape: one host 10× slower than its shard co-tenants. Static
 // scheduling paces the sweep at the slow bucket; stealing drains the
-// bucket's healthy hosts onto idle shards. `make bench-steal` runs this
-// pair side by side.
+// bucket's healthy hosts onto idle shards. The two modes run side by
+// side as sub-benchmarks.
 func BenchmarkFleetSkewedSweep(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -96,8 +95,8 @@ func BenchmarkFleetDedupSweep(b *testing.B) {
 
 // BenchmarkTelemetrySweepTraced measures the full-instrumentation tax on
 // a sweep: telemetry off (nil tracer/metrics), aggregate-only spans, and
-// spans with metrics. `make bench-telemetry` runs this alongside the
-// micro benchmarks in internal/telemetry.
+// spans with metrics. `make bench` runs this alongside the micro
+// benchmarks in internal/telemetry.
 func BenchmarkTelemetrySweepTraced(b *testing.B) {
 	for _, mode := range []string{"off", "spans", "spans+metrics"} {
 		b.Run(mode, func(b *testing.B) {

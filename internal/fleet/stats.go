@@ -50,8 +50,7 @@ type HostStats struct {
 }
 
 // FleetStats merges the per-shard RunStats of one sweep into a fleet-wide
-// roll-up: the telemetry cmd/fleetaudit renders and BENCH_fleet.json
-// records.
+// roll-up: the telemetry cmd/fleetaudit renders.
 type FleetStats struct {
 	Hosts   int
 	Shards  int

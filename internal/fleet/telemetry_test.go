@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -208,5 +209,55 @@ func TestTracedIncrementalAndDedupSweep(t *testing.T) {
 	}
 	if hits != ddSt.DedupHits {
 		t.Errorf("dedup-hit spans = %d, want %d", hits, ddSt.DedupHits)
+	}
+}
+
+// TestTracingOverheadGate is the tracing-overhead regression gate (make
+// smoke-trace): on 16 hosts with a 100us probe round-trip, swept at 4
+// shards x 4 workers, the best of 5 sweeps traced as JSONL to a
+// discarding writer must stay within 25% of the best of 5 untraced
+// sweeps. The sweep is ~5ms of mostly sleep, so single-digit
+// percentages are noise on a loaded runner; 25% still catches the
+// 31-33% overhead the per-collector sharding removed.
+func TestTracingOverheadGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the traced/untraced wall ratio; gate measured without -race")
+	}
+	const (
+		nHosts   = 16
+		runs     = 5
+		maxRatio = 0.25
+	)
+	sweep := func(traced bool) time.Duration {
+		targets, _ := LinuxFleet(nHosts)
+		for i := range targets {
+			targets[i] = WithProbeDelay(targets[i], 100*time.Microsecond)
+		}
+		opts := Options{Shards: 4, Workers: 4}
+		if traced {
+			opts.Trace = telemetry.New(io.Discard)
+		}
+		_, st := Sweep(targets, opts)
+		opts.Trace.Flush() // no-op when untraced
+		return st.Wall
+	}
+	// One unmeasured sweep of each kind warms the pools and the
+	// scheduler, then the runs alternate so drift in machine load hits
+	// both sides alike.
+	sweep(false)
+	sweep(true)
+	var off, on time.Duration
+	for run := 0; run < runs; run++ {
+		if w := sweep(false); run == 0 || w < off {
+			off = w
+		}
+		if w := sweep(true); run == 0 || w < on {
+			on = w
+		}
+	}
+	overhead := float64(on-off) / float64(off)
+	t.Logf("4-shard spans overhead %.1f%% (untraced %v, traced %v, best of %d)", 100*overhead, off, on, runs)
+	if overhead > maxRatio {
+		t.Fatalf("4-shard spans overhead %.1f%% exceeds %.0f%%", 100*overhead, 100*maxRatio)
 	}
 }

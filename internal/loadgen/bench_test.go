@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// The mega-fleet benchmarks behind `make bench-load`: synthesis cost per
+// The mega-fleet benchmarks `make bench` runs: synthesis cost per
 // fleet size and end-to-end replay cost at a fixed churn rate.
 
 func BenchmarkLoadSynthesize1k(b *testing.B)  { benchSynthesize(b, 1_000) }

@@ -156,6 +156,11 @@ func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 		}
 		tick = opts.Window
 	}
+	if tick > opts.Duration {
+		// The loop below would never run: no event admitted, no
+		// verdict, and every latency gate passing vacuously.
+		return LoadStats{}, fmt.Errorf("loadgen: tick %v (the sweep interval, or the push window) exceeds duration %v", tick, opts.Duration)
+	}
 	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
 	if err != nil {
 		return LoadStats{}, err

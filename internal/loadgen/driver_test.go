@@ -127,6 +127,14 @@ func TestDriverRejectsBadOptions(t *testing.T) {
 	if _, err := Run(f, c, DriverOptions{Duration: time.Second, Rate: 0}); err == nil {
 		t.Error("zero rate accepted")
 	}
+	// A tick longer than the replay would admit nothing and report
+	// nothing: an error, not a vacuous pass.
+	if _, err := Run(f, c, DriverOptions{Duration: 100 * time.Millisecond, SweepEvery: 500 * time.Millisecond, Rate: 10}); err == nil {
+		t.Error("sweep interval longer than the duration accepted")
+	}
+	if _, err := Run(f, c, DriverOptions{Duration: time.Second, SweepEvery: 500 * time.Millisecond, Push: true, Window: 2 * time.Second, Rate: 10}); err == nil {
+		t.Error("push window longer than the duration accepted")
+	}
 }
 
 func replayPush(t *testing.T, seed int64) LoadStats {

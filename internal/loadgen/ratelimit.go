@@ -9,7 +9,7 @@ import (
 // time is a plain time.Duration offset, refill is computed
 // arithmetically, and admission instants are exact — so a fixed seed
 // and rate produce an identical event-admission schedule on every run,
-// which is what makes BENCH_load.json percentiles reproducible.
+// which is what makes replay latency percentiles reproducible.
 type TokenBucket struct {
 	rate   float64 // tokens per second
 	burst  float64

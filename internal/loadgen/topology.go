@@ -3,7 +3,7 @@
 // seeded churn stream against them through a token-bucket rate limiter,
 // and drives continuous incremental sweeps on the fleet coordinator
 // while measuring change→verdict detection latency per event — the
-// scale harness behind cmd/vdo-load and BENCH_load.json.
+// scale harness behind cmd/vdo-load.
 //
 // A topology spec describes the fleet as weighted host classes. Each
 // class carries weighted package/service/config-file distributions plus
@@ -13,7 +13,8 @@
 // Synthesis, churn and replay are all deterministic in one seed: the
 // same spec, size and seed produce byte-identical event streams and
 // detection-latency percentiles on the virtual clock, which is what
-// lets BENCH_load.json act as a regression record.
+// lets testdata/replay.golden (TestReplayGolden) act as a regression
+// record.
 package loadgen
 
 import (

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -47,10 +46,6 @@ type Table struct {
 	// Note is free-text commentary printed under the table (expected
 	// shape, caveats).
 	Note string `json:"note,omitempty"`
-	// Meta carries provenance key/values (goos, goarch, cpu count,
-	// commit) serialised alongside benchmark tables so a recorded run is
-	// attributable to the machine and revision that produced it.
-	Meta map[string]string `json:"meta,omitempty"`
 }
 
 // New returns an empty table.
@@ -111,18 +106,6 @@ func (t *Table) String() string {
 	}
 	if t.Note != "" {
 		fmt.Fprintf(&b, "note: %s\n", t.Note)
-	}
-	if len(t.Meta) > 0 {
-		keys := make([]string, 0, len(t.Meta))
-		for k := range t.Meta {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = k + "=" + t.Meta[k]
-		}
-		fmt.Fprintf(&b, "meta: %s\n", strings.Join(parts, " "))
 	}
 	return b.String()
 }

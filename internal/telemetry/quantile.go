@@ -33,7 +33,7 @@ type Quantiles struct {
 }
 
 // QuantileStats is the exported snapshot of one Quantiles recorder: the
-// summary plus the three operational percentiles every BENCH table
+// summary plus the three operational percentiles every latency table
 // reports. Min/Max/Mean/Count are exact; P50/P95/P99 are exact until the
 // retention cap forces decimation.
 type QuantileStats struct {

@@ -206,7 +206,7 @@ func TestNilTelemetryZeroAllocs(t *testing.T) {
 
 // BenchmarkTelemetryDisabled measures the nil-receiver fast path the
 // engine/fleet/monitor hot loops pay when telemetry is off. The
-// acceptance bar is 0 allocs/op (see `make bench-telemetry`).
+// acceptance bar is 0 allocs/op (see `make bench`).
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	var tr *Tracer
 	var m *Metrics
