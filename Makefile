@@ -59,7 +59,8 @@ trace-race:
 
 # bench is the one benchmark command. It runs the Go micro-benchmarks
 # with -benchmem — fleet sweeps (probe-delayed, skewed, dedup,
-# incremental and the all-cached fallback sweep), catalogue dispatch,
+# incremental, the all-cached fallback sweep, and one down host against
+# one up host), catalogue dispatch,
 # tracing overhead, trace-store ingestion and queries, load-harness
 # synthesis and replay — then every root experiment benchmark once (a
 # correctness smoke, not a timing run), and finally the end-to-end

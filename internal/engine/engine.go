@@ -15,6 +15,16 @@
 // The package is deliberately generic — it knows nothing about
 // requirements or check statuses — so internal/core can build its
 // execution path on top of it without an import cycle.
+//
+// Recovered panics come in two kinds. A bug (a runtime error, an
+// arbitrary panic value, an injected ErrInjectedPanic) is recovered with
+// the goroutine stack that raised it. An expected failure — a panic value
+// with an ExpectedPanic() method, such as the simulated hosts' transport
+// sentinels (host.ErrUnreachable, host.ErrCanceled) — is recovered the
+// same way but without the stack: capturing one costs far more than the
+// failed probe itself, and a down host raises one per check. The marker
+// is structural, so packages that raise expected failures need not
+// import this one.
 package engine
 
 import (
@@ -108,8 +118,16 @@ type Stats struct {
 // PanicError wraps a recovered panic value.
 type PanicError struct {
 	Value any
+	// Stack is the panicking goroutine's stack (runtime/debug.Stack), or
+	// nil when Value marks itself an expected failure (see expectedPanic):
+	// the panic is counted, traced and retried like any other, only its
+	// stack is not captured.
 	Stack []byte
 }
+
+// expectedPanic is the structural marker of an anticipated panic value:
+// runRecovered recovers it without capturing a stack.
+type expectedPanic interface{ ExpectedPanic() }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("engine: recovered panic: %v", e.Value) }
 
@@ -223,10 +241,16 @@ func runProtected[R any](op func(context.Context) R, timeout time.Duration) (R, 
 	}
 }
 
+// runRecovered runs op once, turning a panic into a *PanicError that
+// carries the stack unless the panic value is an expectedPanic.
 func runRecovered[R any](op func() R) (v R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			pe := &PanicError{Value: r}
+			if _, ok := r.(expectedPanic); !ok {
+				pe.Stack = debug.Stack()
+			}
+			err = pe
 		}
 	}()
 	return op(), nil

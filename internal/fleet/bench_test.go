@@ -153,3 +153,23 @@ func BenchmarkFleetCachedSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFleetDownHost compares one evaluation of an unreachable host
+// with one of a reachable host (one host, audit-only, dedup on, one
+// shard of one worker). TestDownHostCostsWhatUpHostCosts gates the bytes.
+func BenchmarkFleetDownHost(b *testing.B) {
+	for _, down := range []bool{true, false} {
+		name := "up"
+		if down {
+			name = "down"
+		}
+		b.Run(name, func(b *testing.B) {
+			targets := singleHost(down)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Sweep(targets, singleHostOpts)
+			}
+		})
+	}
+}

@@ -42,7 +42,9 @@
 // Unreachable hosts (host.Linux.SetUnreachable) degrade instead of
 // stalling the fleet: their probes panic, the fault-tolerant engine
 // recovers each panic into an ERROR verdict, and the remaining shards
-// proceed untouched.
+// proceed untouched. The unreachable panic marks itself expected, so the
+// engine skips the stack capture and a down host costs about what an up
+// host does.
 package fleet
 
 import (
@@ -50,6 +52,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"veridevops/internal/core"
@@ -203,8 +206,12 @@ func newCacheEntry(version uint64, rep core.Report) cacheEntry {
 // its evaluations must not overlap: no Sweep call may run concurrently
 // with another Sweep or with the Flush of a Streamer over the same
 // coordinator, and one Streamer's Flush calls must not overlap each
-// other.
+// other. The contract is enforced: an evaluation that enters while
+// another is in flight panics.
 type Coordinator struct {
+	// busy is set while a dispatch is in flight (the no-overlap guard).
+	busy atomic.Bool
+
 	mu    sync.Mutex
 	cache map[string]cacheEntry
 	// costs is the observed per-host audit wall of the most recent
@@ -363,8 +370,13 @@ type dispatched struct {
 // stolen, cached, degraded) below a "shard" span per active shard
 // goroutine; a flush roots at "flush" and hangs "delta" spans (tagged
 // host, full, checks) straight off it. Telemetry off allocates no span
-// bookkeeping.
+// bookkeeping. It panics if another dispatch on c is in flight, which
+// enforces the Coordinator's no-overlap contract.
 func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched {
+	if !c.busy.CompareAndSwap(false, true) {
+		panic("fleet: overlapping evaluations on one Coordinator: a Sweep or Streamer.Flush entered while another was in flight")
+	}
+	defer c.busy.Store(false)
 	opts = opts.normalized(len(jobs))
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"veridevops/internal/core"
@@ -235,4 +237,61 @@ func TestFleetReportFailingAndTables(t *testing.T) {
 			t.Errorf("rendering looks empty: %q", s)
 		}
 	}
+}
+
+// TestOverlappingEvaluationsPanic pins the Coordinator's no-overlap
+// contract: while a Sweep is blocked inside a check, a second Sweep and a
+// Streamer.Flush on the same coordinator each panic naming the contract,
+// and sequential evaluations before and after run normally. Run it under
+// -race (make race): the guard is the only synchronisation between the
+// in-flight sweep and the rejected callers.
+func TestOverlappingEvaluationsPanic(t *testing.T) {
+	var armed atomic.Bool
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	blocking := core.NewCatalog()
+	blocking.MustRegister(&plainReq{Finding: core.Finding{ID: "V-900100"}, CheckFunc: func() core.CheckStatus {
+		if armed.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return core.CheckPass
+	}})
+	blocked := []Target{{Name: "blocked", Catalog: blocking}}
+	others, _ := LinuxFleet(1)
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	sequential := func() {
+		coord.Sweep(blocked, Options{})
+		coord.Sweep(others, Options{})
+		s.Watch(others[0], nil) // dirty, so the flush dispatches
+		if fr := s.Flush(0); len(fr.Hosts) != 1 {
+			t.Fatalf("sequential flush evaluated %d hosts, want 1", len(fr.Hosts))
+		}
+	}
+	overlapping := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "overlapping evaluations") {
+				t.Errorf("%s during a Sweep: recovered %v, want the no-overlap panic", what, r)
+			}
+		}()
+		f()
+	}
+
+	sequential()
+	armed.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord.Sweep(blocked, Options{})
+	}()
+	<-entered
+	overlapping("Sweep", func() { coord.Sweep(others, Options{}) })
+	s.Watch(others[0], nil)
+	overlapping("Streamer.Flush", func() { s.Flush(0) })
+	close(release)
+	<-done
+	armed.Store(false)
+	sequential()
 }

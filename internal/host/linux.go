@@ -9,7 +9,6 @@ package host
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -54,19 +53,34 @@ type Linux struct {
 	rec *ReadRecorder
 }
 
+// probeError is the type of the probe-failure sentinels below. Its
+// ExpectedPanic marker tells the execution engine (internal/engine) that
+// the panic is an anticipated transport failure rather than a bug, so the
+// engine recovers it without capturing a goroutine stack. The sentinels
+// are pointers, so callers compare them by identity (r == ErrUnreachable).
+type probeError struct{ msg string }
+
+func (e *probeError) Error() string { return e.msg }
+
+// ExpectedPanic marks the value as an expected probe failure.
+func (*probeError) ExpectedPanic() {}
+
 // ErrUnreachable is the panic value every Linux operation raises while the
 // host is marked unreachable. The fault-tolerant engine recovers it into a
-// CheckError verdict; code calling hosts directly will crash, which is the
-// point of the hook.
-var ErrUnreachable = errors.New("host: unreachable")
+// CheckError verdict — counted as a panic and retried like one, but
+// without a captured stack, so a down host's audit costs about what an up
+// host's does; code calling hosts directly will crash, which is the point
+// of the hook.
+var ErrUnreachable error = &probeError{"host: unreachable"}
 
 // ErrCanceled is the panic value ctx-aware probes raise once the
 // attempt's context is done: the execution engine has already abandoned
 // the attempt (engine.Policy.AttemptTimeout), so unwinding here releases
 // the probe goroutine early instead of letting it run to completion in
-// the background. The engine's panic recovery absorbs the unwind; the
-// discarded attempt's verdict was never going to be read.
-var ErrCanceled = errors.New("host: probe canceled")
+// the background. The engine's panic recovery absorbs the unwind without
+// capturing a stack; the discarded attempt's verdict was never going to
+// be read.
+var ErrCanceled error = &probeError{"host: probe canceled"}
 
 // SetUnreachable toggles the connectivity fault. While set, every probe
 // and mutation panics with ErrUnreachable. Toggling back restores normal
