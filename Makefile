@@ -2,14 +2,14 @@ GO ?= go
 
 .PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
 
-# check is the CI gate: vet, the repository's own analyzers, build
-# everything, then the full test suite under the race detector (the
-# engine, core and monitor packages are concurrent by construction, so
-# -race is not optional), the dynamic declared-reads oracle, and finally
-# the small-N load-harness smoke replays in both sweep and push modes
-# plus the tracing-overhead gate, then the fleet-evaluation benchmark's
-# own tests. fleet-race is part of race via ./..., listed separately for
-# a focused re-run.
+# check runs every CI gate in one local command (CI runs each as its own
+# step): vet, the repository's own analyzers, build everything, then the
+# full test suite under the race detector (the engine, core and monitor
+# packages are concurrent by construction, so -race is not optional), the
+# dynamic declared-reads oracle, and finally the small-N load-harness
+# smoke replays in both sweep and push modes plus the tracing-overhead
+# gate, then the fleet-evaluation benchmark's own tests. fleet-race is
+# part of race via ./..., listed separately for a focused re-run.
 check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke
 
 vet:

@@ -26,7 +26,7 @@
 //	           [-incremental] [-enforce] [-sched steal|static] [-dedup]
 //	           [-cache-file PATH] [-telemetry] [-trace PATH] [-metrics]
 //	           [-trace-query EXPR] [-vclock] [-trace-capacity N]
-//	           [-trace-keep-ok N] [-trace-head N]
+//	           [-trace-keep-ok N]
 //	           [-cpuprofile PATH] [-memprofile PATH]
 //
 // Exit status: 0 fleet fully compliant, 1 violations or errors open,
@@ -80,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	vclock := fs.Bool("vclock", false, "stamp spans on a deterministic virtual clock (1us per reading)")
 	traceCap := fs.Int("trace-capacity", 0, "trace store span capacity (default 262144)")
 	traceKeepOK := fs.Int("trace-keep-ok", 0, "tail-sample: keep 1 in N healthy traces (error traces always kept; 0/1 keeps all)")
-	traceHead := fs.Int("trace-head", 0, "head-sample: buffer only 1 in N traces at all (0/1 keeps all)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -90,8 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fleetaudit: -hosts must be >= 1 and -drift/-down/-retries non-negative")
 		return 2
 	}
-	if *timeout < 0 || *traceCap < 0 || *traceKeepOK < 0 || *traceHead < 0 {
-		fmt.Fprintln(stderr, "fleetaudit: -timeout/-trace-capacity/-trace-keep-ok/-trace-head must be non-negative")
+	if *timeout < 0 || *traceCap < 0 || *traceKeepOK < 0 {
+		fmt.Fprintln(stderr, "fleetaudit: -timeout/-trace-capacity/-trace-keep-ok must be non-negative")
 		return 2
 	}
 	if *drift > *hosts || *down > *hosts {
@@ -149,7 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceQuery != "" {
 		spanStore = store.New(store.Config{
 			Capacity:      *traceCap,
-			HeadKeep1In:   *traceHead,
 			TailKeepOK1In: *traceKeepOK,
 		})
 		tracerOpts = append(tracerOpts, telemetry.WithSink(spanStore))
@@ -266,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sst := spanStore.Stats()
 		fmt.Fprintf(stdout, "\ntrace store: %d spans resident from %d traces (%d offered, %d sampled out, %d evicted)\n",
-			sst.Resident, sst.Traces, sst.Offered, sst.HeadDropped+sst.TailDropped, sst.Evicted)
+			sst.Resident, sst.Traces, sst.Offered, sst.TailDropped, sst.Evicted)
 		res.WriteText(stdout)
 	}
 
@@ -297,6 +295,12 @@ func printSweep(w io.Writer, title string, rep fleet.FleetReport, st fleet.Fleet
 	t.WriteText(w)
 	if telemetry {
 		st.ShardTable(title + ": shards").WriteText(w)
-		st.HostTable(title + ": hosts").WriteText(w)
+		h := report.New(title+": hosts", "host", "shard", "requirements", "errors", "cached", "stolen", "degraded", "wall-ms")
+		for _, hr := range rep.Hosts {
+			h.AddRow(hr.Target, hr.Shard, len(hr.Report.Results), hr.Stats.Errors, hr.FromCache,
+				hr.Stolen, hr.Degraded, report.Millis(hr.Stats.Wall))
+		}
+		h.Note = st.Summary()
+		h.WriteText(w)
 	}
 }

@@ -128,7 +128,7 @@ func E3cAdaptivePolling(seed int64) *report.Table {
 			h := host.NewUbuntu1804()
 			s := monitor.NewScheduler(10)
 			if adaptive {
-				s.Adaptive = &monitor.AdaptivePolicy{}
+				s.Adaptive = true
 			}
 			s.Watch("V-219157", stig.NewV219157(h))
 			inject := 1500 + trace.Time(rng.Int63n(500))

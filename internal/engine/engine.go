@@ -4,8 +4,8 @@
 // blocks:
 //
 //   - Attempt: run one operation with panic recovery, per-attempt timeouts,
-//     and retry with exponential backoff under a configurable attempt/time
-//     budget — a misbehaving check yields a verdict, never a crash.
+//     and retry with exponential backoff up to a configurable attempt
+//     count — a misbehaving check yields a verdict, never a crash.
 //   - Map: a bounded worker pool that preserves input order and reports
 //     wall/busy time and worker utilisation.
 //   - FaultInjector: a seeded, deterministic source of injected panics,
@@ -36,20 +36,21 @@ import (
 	"veridevops/internal/telemetry"
 )
 
+// The retry backoff is fixed: the first retry waits initialBackoff, each
+// later one twice the previous, capped at maxBackoff.
+const (
+	initialBackoff = time.Millisecond
+	maxBackoff     = 100 * time.Millisecond
+)
+
 // Policy configures how Attempt runs one operation. The zero value means
-// "one attempt, no timeout, no budget": exactly the semantics of calling
-// the operation directly, plus panic recovery.
+// "one attempt, no timeout": exactly the semantics of calling the
+// operation directly, plus panic recovery. Retries back off on the fixed
+// schedule above (1ms, doubling, capped at 100ms).
 type Policy struct {
 	// MaxAttempts is the total number of tries per operation (first try
 	// included). Values below 1 are treated as 1.
 	MaxAttempts int
-	// InitialBackoff is the delay before the first retry (default 1ms when
-	// retries are enabled).
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100ms).
-	MaxBackoff time.Duration
-	// BackoffFactor multiplies the delay after each retry (default 2).
-	BackoffFactor float64
 	// AttemptTimeout bounds one attempt's wall-clock time; 0 disables it.
 	// A timed-out attempt counts as a retryable failure. The abandoned
 	// attempt's goroutine is left to finish in the background (its result
@@ -59,10 +60,6 @@ type Policy struct {
 	// abandonment and release their goroutine early instead of running to
 	// completion.
 	AttemptTimeout time.Duration
-	// Budget bounds the total wall-clock time across attempts and
-	// backoffs; 0 disables it. Retries stop once the budget would be
-	// exceeded.
-	Budget time.Duration
 	// Sleep is the backoff sleeper, injectable for tests and for
 	// virtual-time schedulers; nil means time.Sleep.
 	Sleep func(time.Duration)
@@ -74,22 +71,9 @@ type Policy struct {
 	Span *telemetry.Span
 }
 
-// Retry is a convenience Policy with n total attempts and fast default
-// backoff.
-func Retry(n int) Policy { return Policy{MaxAttempts: n} }
-
 func (p Policy) normalized() Policy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
-	}
-	if p.InitialBackoff <= 0 {
-		p.InitialBackoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = 2
 	}
 	if p.Sleep == nil {
 		//lint:ignore clockuse seam default: this is the one place the real sleep is wired; tests inject a virtual Sleep
@@ -139,7 +123,7 @@ func (e *TimeoutError) Error() string {
 }
 
 // Attempt runs op under the policy. A panicking or timed-out attempt is
-// retried while attempts and budget remain; a returned value is retried
+// retried while attempts remain; a returned value is retried
 // only while retryable reports it transient (nil retryable means any value
 // is final). When every attempt fails without producing a value, fallback
 // maps the last error to the result (nil fallback returns the zero value).
@@ -162,7 +146,7 @@ func AttemptCtx[R any](op func(context.Context) R, retryable func(R) bool, fallb
 	var st Stats
 	var last R
 	hasValue := false
-	backoff := p.InitialBackoff
+	backoff := initialBackoff
 	for {
 		st.Attempts++
 		sp := p.Span.Child("attempt").TagInt("n", st.Attempts)
@@ -192,15 +176,9 @@ func AttemptCtx[R any](op func(context.Context) R, retryable func(R) bool, fallb
 		if st.Attempts >= p.MaxAttempts {
 			break
 		}
-		if p.Budget > 0 && time.Since(start)+backoff > p.Budget {
-			break
-		}
 		st.Retries++
 		p.Sleep(backoff)
-		backoff = time.Duration(float64(backoff) * p.BackoffFactor)
-		if backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 	st.Duration = time.Since(start)
 	if hasValue {

@@ -112,29 +112,16 @@ func TestAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestAttemptBudgetStopsRetries(t *testing.T) {
-	calls := 0
-	// Backoff of 50ms against a 1ms budget: the first retry would already
-	// blow the budget, so exactly one attempt runs.
-	_, st := Attempt(func() int { calls++; return -1 },
-		func(v int) bool { return true },
-		nil,
-		Policy{MaxAttempts: 10, InitialBackoff: 50 * time.Millisecond, Budget: time.Millisecond})
-	if calls != 1 || st.Attempts != 1 || st.Retries != 0 {
-		t.Errorf("calls=%d stats=%+v", calls, st)
-	}
-}
-
+// TestBackoffExponentialAndCapped pins the fixed retry schedule: 1ms,
+// doubling after each retry, capped at 100ms.
 func TestBackoffExponentialAndCapped(t *testing.T) {
 	var slept []time.Duration
 	p := Policy{
-		MaxAttempts:    5,
-		InitialBackoff: 10 * time.Millisecond,
-		MaxBackoff:     40 * time.Millisecond,
-		Sleep:          func(d time.Duration) { slept = append(slept, d) },
+		MaxAttempts: 10,
+		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	}
 	Attempt(func() int { return -1 }, func(int) bool { return true }, nil, p)
-	want := []time.Duration{10, 20, 40, 40}
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 64, 100, 100}
 	if len(slept) != len(want) {
 		t.Fatalf("slept = %v", slept)
 	}

@@ -32,7 +32,7 @@ func TestAttemptSpansCarryOutcomes(t *testing.T) {
 	v, st := Attempt(op,
 		func(s string) bool { return s == "transient" },
 		nil,
-		Policy{MaxAttempts: 3, InitialBackoff: time.Microsecond, Span: root})
+		Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}, Span: root})
 	root.End()
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

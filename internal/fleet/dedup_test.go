@@ -108,17 +108,16 @@ func TestDedupSkipsFaultyRequirements(t *testing.T) {
 func TestDedupDeterministicTotals(t *testing.T) {
 	// Which host pays a miss is scheduling-dependent; the Canonical
 	// roll-up — dedup totals included — must not be.
-	run := func() FleetStats {
+	run := func() canonicalSweep {
 		targets, hosts := LinuxFleet(12)
 		host.DriftLinux(hosts[4], 3, newRng(31))
-		_, st := Sweep(targets, Options{Shards: 4, Workers: 4, Dedup: true})
-		return st.Canonical()
+		return canonical(Sweep(targets, Options{Shards: 4, Workers: 4, Dedup: true}))
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("deduped sweeps diverge:\n%+v\n%+v", a, b)
 	}
-	if a.DedupHits == 0 {
+	if a.Stats.DedupHits == 0 {
 		t.Error("homogeneous fleet produced no dedup hits")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // FleetStats roll-up undercount: a host whose cached report is degraded
 // (primed while unreachable) must still count in DegradedHosts when a
 // later incremental sweep replays it from cache, so Summary() agrees
-// with the HostTable rows showing Degraded=true.
+// with the per-host rows showing Degraded=true.
 func TestDegradedHostCountedOnCacheReplay(t *testing.T) {
 	targets, hosts := LinuxFleet(4)
 	hosts[1].SetUnreachable(true)
@@ -33,7 +33,7 @@ func TestDegradedHostCountedOnCacheReplay(t *testing.T) {
 		t.Errorf("cached re-sweep DegradedHosts = %d, want 1", st2.DegradedHosts)
 	}
 	var degradedRows int
-	for _, h := range st2.PerHost {
+	for _, h := range rep.Hosts {
 		if h.Degraded {
 			degradedRows++
 			if !h.FromCache {
@@ -42,7 +42,7 @@ func TestDegradedHostCountedOnCacheReplay(t *testing.T) {
 		}
 	}
 	if degradedRows != st2.DegradedHosts {
-		t.Errorf("Summary says %d degraded hosts, HostTable rows say %d",
+		t.Errorf("Summary says %d degraded hosts, per-host rows say %d",
 			st2.DegradedHosts, degradedRows)
 	}
 	for _, hr := range rep.Hosts {

@@ -19,13 +19,15 @@ import (
 //   - nil: the whole catalogue. With opts.Incremental set, a cached
 //     report observed at the host's current version is replayed instead.
 //   - empty (non-nil): no check is affected. The cached report is
-//     re-stamped at the current version and replayed (FromCache reports
-//     whether an entry existed); nothing executes. Without the re-stamp
-//     the next fallback sweep would re-audit a host whose verdicts
-//     provably cannot have moved.
+//     re-stamped at the current version and replayed; nothing executes.
+//     Without the re-stamp the next fallback sweep would re-audit a host
+//     whose verdicts provably cannot have moved.
 //   - non-empty: only those checks run, and their verdicts merge into the
-//     cached report. Without a cached base there is nothing sound to
-//     merge into, so the whole catalogue runs and ran comes back nil.
+//     cached report.
+//
+// A subset, empty or not, without a cached base has nothing sound to
+// replay or merge into, so the whole catalogue runs and ran comes back
+// nil: the result is always the full per-host report.
 //
 // Executed runs of versioned targets are cached at the version read
 // before the run (see cacheEntry). span, when non-nil, parents the
@@ -49,7 +51,7 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 		if e, ok := c.restamp(t, version); ok {
 			return replayed(hr, e), only
 		}
-		return hr, only
+		only = nil
 	default:
 		var ok bool
 		if base, ok = c.lookup(t.Name); !ok {

@@ -24,20 +24,45 @@ func faultedFleet(n int, seed int64) ([]Target, []*host.Linux) {
 	return targets, hosts
 }
 
+// hostFact is the placement- and timing-free per-host outcome of a
+// sweep: what the determinism tests compare alongside the Canonical
+// roll-up.
+type hostFact struct {
+	Target       string
+	Requirements int
+	Errors       int
+	FromCache    bool
+	Degraded     bool
+}
+
+// canonicalSweep pairs a sweep's Canonical roll-up with its per-host facts.
+type canonicalSweep struct {
+	Stats FleetStats
+	Hosts []hostFact
+}
+
+func canonical(rep FleetReport, st FleetStats) canonicalSweep {
+	c := canonicalSweep{Stats: st.Canonical(), Hosts: make([]hostFact, len(rep.Hosts))}
+	for i, hr := range rep.Hosts {
+		c.Hosts[i] = hostFact{hr.Target, len(hr.Report.Results), hr.Stats.Errors, hr.FromCache, hr.Degraded}
+	}
+	return c
+}
+
 // TestFleetDeterminism: the same seed and fault plan must produce the
-// identical FleetStats modulo timing fields, across repeated sweeps and
-// across shard counts' worth of goroutine interleavings. Run under -race
-// by `make check`.
+// identical FleetStats and per-host outcomes modulo timing and placement,
+// across repeated sweeps and across shard counts' worth of goroutine
+// interleavings. Run under -race by `make check`.
 func TestFleetDeterminism(t *testing.T) {
 	pol := engine.Policy{MaxAttempts: 4, Sleep: func(time.Duration) {}}
-	run := func() (FleetStats, FleetStats) {
+	run := func() (canonicalSweep, canonicalSweep) {
 		targets, hosts := faultedFleet(8, 42)
 		hosts[5].SetUnreachable(true)
 		coord := NewCoordinator()
-		_, full := coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol})
+		full := canonical(coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol}))
 		host.DriftLinux(hosts[2], 3, newRng(7))
-		_, incr := coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol, Incremental: true})
-		return full.Canonical(), incr.Canonical()
+		incr := canonical(coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol, Incremental: true}))
+		return full, incr
 	}
 
 	full1, incr1 := run()
@@ -48,7 +73,7 @@ func TestFleetDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(incr1, incr2) {
 		t.Errorf("incremental sweeps diverge:\n%+v\n%+v", incr1, incr2)
 	}
-	if full1.Wall != 0 || incr1.Wall != 0 {
+	if full1.Stats.Wall != 0 || incr1.Stats.Wall != 0 {
 		t.Error("Canonical must zero timing fields")
 	}
 }

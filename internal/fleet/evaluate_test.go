@@ -11,18 +11,24 @@ import (
 )
 
 // TestStreamerUncachedSubsetReportsFullRun pins what a flush reports
-// when a keyed delta has no cached report to merge into: the evaluator
-// runs the whole catalogue, and the DeltaResult and StreamStats must say
-// so rather than claim the planned subset.
+// when a keyed delta has no cached report to merge into or replay: the
+// evaluator runs the whole catalogue, and the DeltaResult and StreamStats
+// must say so rather than claim the planned subset — or, for an empty
+// subset, return an empty report.
 func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// unversioned strips the target's version probe, so nothing is
 		// ever cached; invalidate drops the primed entry instead.
 		unversioned, invalidate bool
+		// unread installs a package no check reads, so the planned subset
+		// is empty rather than one check.
+		unread bool
 	}{
 		{name: "unversioned target", unversioned: true},
 		{name: "invalidated entry", invalidate: true},
+		{name: "unversioned target, empty subset", unversioned: true, unread: true},
+		{name: "invalidated entry, empty subset", invalidate: true, unread: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			targets, hosts := LinuxFleet(1)
@@ -38,14 +44,21 @@ func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 				coord.Invalidate(tg.Name)
 			}
 
-			hosts[0].Remove("aide")
+			wantFail := 1
+			if tc.unread {
+				hosts[0].Install("zz-unrelated", "1")
+				wantFail = 0
+			} else {
+				hosts[0].Remove("aide")
+			}
 			fr := s.Flush(time.Second)
 			if len(fr.Hosts) != 1 {
 				t.Fatalf("flush hosts = %+v, want one", fr.Hosts)
 			}
 			d := fr.Hosts[0]
-			if !d.Full || d.Checks != 8 {
-				t.Errorf("baseless keyed delta = full=%v checks=%d, want full 8", d.Full, d.Checks)
+			if !d.Full || d.Checks != 8 || len(d.Result.Report.Results) != 8 {
+				t.Errorf("baseless keyed delta = full=%v checks=%d results=%d, want a full run of 8",
+					d.Full, d.Checks, len(d.Result.Report.Results))
 			}
 			if fr.ChecksEvaluated != 8 || fr.ChecksExecuted > fr.ChecksEvaluated {
 				t.Errorf("flush evaluated %d / executed %d, want 8 / <= 8", fr.ChecksEvaluated, fr.ChecksExecuted)
@@ -53,8 +66,11 @@ func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 			if st := s.Stats(); st.FullAudits != 2 {
 				t.Errorf("FullAudits = %d, want 2 (priming + fallback)", st.FullAudits)
 			}
-			if _, fail, _ := s.Counts(); fail != 1 {
-				t.Errorf("fail = %d, want 1", fail)
+			if _, fail, _ := s.Counts(); fail != wantFail {
+				t.Errorf("fail = %d, want %d", fail, wantFail)
+			}
+			if tc.invalidate && coord.CachedHosts() != 1 {
+				t.Errorf("cache holds %d hosts after the full run, want the entry re-primed", coord.CachedHosts())
 			}
 		})
 	}

@@ -36,19 +36,6 @@ type ShardStats struct {
 	QueueWait time.Duration
 }
 
-// HostStats is the compact per-host row of a FleetStats.
-type HostStats struct {
-	Target       string
-	Shard        int
-	Requirements int
-	Errors       int
-	FromCache    bool
-	// Stolen marks a host executed away from its affinity home.
-	Stolen   bool
-	Degraded bool
-	Wall     time.Duration
-}
-
 // FleetStats merges the per-shard RunStats of one sweep into a fleet-wide
 // roll-up: the telemetry cmd/fleetaudit renders.
 type FleetStats struct {
@@ -106,10 +93,9 @@ type FleetStats struct {
 	// when measurable and 0 when not: 1.0 means perfectly balanced
 	// shards, the value work stealing pushes towards.
 	LoadImbalance float64
-	// PerShard and PerHost hold the detail rows, ordered by shard index
-	// and target name respectively.
+	// PerShard holds the per-shard rows, ordered by shard index. The
+	// per-host detail is the sweep's FleetReport.Hosts.
 	PerShard []ShardStats
-	PerHost  []HostStats
 }
 
 // CacheHitRate is CacheHits / (CacheHits + CacheMisses) in [0,1]; 0 when
@@ -181,38 +167,18 @@ func (s FleetStats) ShardTable(title string) *report.Table {
 	return t
 }
 
-// HostTable renders the per-host telemetry.
-func (s FleetStats) HostTable(title string) *report.Table {
-	t := report.New(title, "host", "shard", "requirements", "errors", "cached", "stolen", "degraded", "wall-ms")
-	for _, h := range s.PerHost {
-		t.AddRow(h.Target, h.Shard, h.Requirements, h.Errors, h.FromCache,
-			h.Stolen, h.Degraded, report.Millis(h.Wall))
-	}
-	t.Note = s.Summary()
-	return t
-}
-
 // Canonical returns the stats with every timing- and placement-dependent
 // field zeroed — the form the determinism tests compare. Verdict counts,
 // cache accounting, dedup totals and attempt/panic telemetry are
 // deterministic functions of the fleet, the seed and the fault plan;
 // which shard a host lands on under work stealing is not, so Canonical
-// drops the per-shard rows and neutralises per-host placement the same
-// way it neutralises wall clocks.
+// drops the per-shard rows the same way it neutralises wall clocks.
 func (s FleetStats) Canonical() FleetStats {
 	s.Wall, s.Busy = 0, 0
 	s.Steals, s.QueueWait = 0, 0
 	s.ActiveShards = 0
 	s.LoadImbalance = 0
 	s.PerShard = nil
-	hosts := make([]HostStats, len(s.PerHost))
-	copy(hosts, s.PerHost)
-	for i := range hosts {
-		hosts[i].Wall = 0
-		hosts[i].Shard = 0
-		hosts[i].Stolen = false
-	}
-	s.PerHost = hosts
 	return s
 }
 
@@ -241,7 +207,6 @@ func aggregate(results []HostResult, shardWalls []time.Duration, ps engine.PoolS
 		Workers:  opts.Workers,
 		Wall:     ps.Wall,
 		PerShard: make([]ShardStats, opts.Shards),
-		PerHost:  make([]HostStats, 0, len(results)),
 	}
 	for i := range st.PerShard {
 		st.PerShard[i].Shard = i
@@ -255,19 +220,9 @@ func aggregate(results []HostResult, shardWalls []time.Duration, ps engine.PoolS
 		st.Requirements += reqs
 		sh.Hosts++
 		sh.Requirements += reqs
-		st.PerHost = append(st.PerHost, HostStats{
-			Target:       hr.Target,
-			Shard:        hr.Shard,
-			Requirements: reqs,
-			Errors:       hr.Stats.Errors,
-			FromCache:    hr.FromCache,
-			Stolen:       hr.Stolen,
-			Degraded:     hr.Degraded,
-			Wall:         hr.Stats.Wall,
-		})
 		// Degraded is counted before the cache branch: a replayed host
 		// whose cached report was degraded is still a degraded host, and
-		// skipping it here made Summary() contradict the HostTable rows.
+		// skipping it here made Summary() contradict the per-host rows.
 		if hr.Degraded {
 			st.DegradedHosts++
 		}

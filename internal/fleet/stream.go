@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"veridevops/internal/core"
-	"veridevops/internal/engine"
 	"veridevops/internal/host"
 	"veridevops/internal/telemetry"
 )
@@ -38,7 +37,8 @@ type Streamer struct {
 	view  *View
 }
 
-// StreamOptions configures a Streamer's evaluations.
+// StreamOptions configures a Streamer's evaluations. Every check runs
+// once, without a timeout: the zero engine.Policy of Options.Checks.
 type StreamOptions struct {
 	// Mode selects audit-only or audit-and-remediate deltas.
 	Mode core.RunMode
@@ -46,8 +46,6 @@ type StreamOptions struct {
 	Shards int
 	// Workers is the engine pool size inside each host's delta run.
 	Workers int
-	// Checks is the per-check resilience policy (see core.RunOptions).
-	Checks engine.Policy
 	// Dedup shares one single-flight check memo across each flush's
 	// hosts, as batch sweeps do (audit-only flushes; see Options.Dedup).
 	Dedup bool
@@ -76,7 +74,6 @@ func (o StreamOptions) evalOptions() Options {
 		Mode:    o.Mode,
 		Shards:  o.Shards,
 		Workers: o.Workers,
-		Checks:  o.Checks,
 		Dedup:   o.Dedup,
 		Trace:   o.Trace,
 		Metrics: o.Metrics,
@@ -360,8 +357,9 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		// Until a host is primed there is no verdict baseline to delta
 		// against: only stays nil and the whole catalogue runs.
 		full := !sh.primed
+		// keys may repeat and come in event order: Affected sorts and
+		// dedups its output whatever the input order.
 		var keys []string
-		seen := map[string]bool{}
 		for _, ev := range p.events {
 			// Unkeyed events (bulk provisioning, legacy appends) and
 			// connectivity flips touch the whole host.
@@ -369,13 +367,9 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 				full = true
 				break
 			}
-			if k := ev.Key.String(); !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
+			keys = append(keys, ev.Key.String())
 		}
 		if !full {
-			sort.Strings(keys)
 			jobs[i].only = sh.index.Affected(keys)
 			if jobs[i].only == nil {
 				// Distinguish "no affected checks" (a cache re-stamp) from

@@ -180,32 +180,15 @@ func (l *EventLog) Len() int {
 	return len(l.events)
 }
 
-// Since returns the events with sequence >= seq as an immutable
-// snapshot: the returned slice is freshly allocated on every call and
-// its Event elements are plain values, so later Appends (and anything
-// the caller does to the slice) never alias the log's internal storage.
-// A seq at or past the end returns nil; a negative seq is clamped to 0.
-func (l *EventLog) Since(seq int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq >= len(l.events) {
-		return nil
-	}
-	out := make([]Event, len(l.events)-seq)
-	copy(out, l.events[seq:])
-	return out
-}
-
 // Tail is the cursor-style read the fleet streamer consumes deltas
-// with: it returns the events with sequence >= from (same immutable-
-// snapshot semantics as Since) plus the cursor to pass to the next call
-// — the sequence number one past the last event returned, i.e. the
-// log's current length. A from at or past the end returns (nil, Len):
-// the caller's cursor never goes backwards. A negative from reads from
-// the beginning.
+// with: it returns the events with sequence >= from plus the cursor to
+// pass to the next call — the sequence number one past the last event
+// returned, i.e. the log's current length. The events are an immutable
+// snapshot: the slice is freshly allocated on every call and its Event
+// elements are plain values, so later Appends (and anything the caller
+// does to the slice) never alias the log's internal storage. A from at
+// or past the end returns (nil, Len): the caller's cursor never goes
+// backwards. A negative from reads from the beginning.
 func (l *EventLog) Tail(from int) (events []Event, next int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

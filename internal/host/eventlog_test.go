@@ -41,22 +41,22 @@ func TestEventLogVersionMonotonicUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestEventLogSinceSnapshotImmutable pins the copy semantics of Since:
+// TestEventLogTailSnapshotImmutable pins the copy semantics of Tail:
 // the returned slice must never alias the log's internal storage, so a
 // consumer iterating a snapshot while appends continue (the streamer's
 // whole life) reads stable values.
-func TestEventLogSinceSnapshotImmutable(t *testing.T) {
+func TestEventLogTailSnapshotImmutable(t *testing.T) {
 	l := NewEventLog()
 	l.Append("a", "1")
 	l.Append("b", "2")
-	snap := l.Since(0)
+	snap, _ := l.Tail(0)
 	if len(snap) != 2 {
-		t.Fatalf("Since(0) = %d events, want 2", len(snap))
+		t.Fatalf("Tail(0) = %d events, want 2", len(snap))
 	}
 	// Mutating the snapshot must not leak into the log...
 	snap[0].Action = "mutated"
-	if got := l.Since(0)[0].Action; got != "a" {
-		t.Errorf("log event mutated through snapshot: Action = %q, want %q", got, "a")
+	if again, _ := l.Tail(0); again[0].Action != "a" {
+		t.Errorf("log event mutated through snapshot: Action = %q, want %q", again[0].Action, "a")
 	}
 	// ...and appends after the snapshot must not grow or change it.
 	l.Append("c", "3")
@@ -65,27 +65,9 @@ func TestEventLogSinceSnapshotImmutable(t *testing.T) {
 	}
 }
 
-func TestEventLogSinceBounds(t *testing.T) {
-	l := NewEventLog()
-	if got := l.Since(0); got != nil {
-		t.Errorf("Since(0) on empty log = %v, want nil", got)
-	}
-	l.Append("a", "1")
-	l.Append("b", "2")
-	if got := l.Since(-3); len(got) != 2 {
-		t.Errorf("Since(-3) = %d events, want 2 (negative clamps to 0)", len(got))
-	}
-	if got := l.Since(2); got != nil {
-		t.Errorf("Since(len) = %v, want nil", got)
-	}
-	if got := l.Since(99); got != nil {
-		t.Errorf("Since(past end) = %v, want nil", got)
-	}
-}
-
 // TestEventLogRaceAppendSinceVersion is the -race regression test for
-// concurrent Append/Since/Version/Tail: it proves snapshots taken while
-// writers append never observe torn events or alias live storage.
+// concurrent Append/Version/Tail: it proves snapshots taken while writers
+// append never observe torn events or alias live storage.
 func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 	l := NewEventLog()
 	const writers, per, readers = 4, 100, 4
@@ -106,7 +88,8 @@ func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 			cursor := 0
 			for i := 0; i < per; i++ {
 				_ = l.Version()
-				for _, ev := range l.Since(cursor / 2) {
+				old, _ := l.Tail(cursor / 2)
+				for _, ev := range old {
 					if ev.Action != "op" || ev.Key.Kind != KeyPackage {
 						t.Errorf("torn event read: %+v", ev)
 						return
@@ -171,6 +154,26 @@ func TestEventLogTailCursor(t *testing.T) {
 	evs, next = l.Tail(-1)
 	if len(evs) != 4 || next != 4 {
 		t.Errorf("Tail(-1) = (%d events, %d), want (4, 4)", len(evs), next)
+	}
+}
+
+// TestEventLogSinceBounds pins Tail's clamping of out-of-range cursors:
+// an empty log, a negative cursor, a cursor at the end and one past it.
+func TestEventLogSinceBounds(t *testing.T) {
+	l := NewEventLog()
+	if got, _ := l.Tail(0); got != nil {
+		t.Errorf("Tail(0) on empty log = %v, want nil", got)
+	}
+	l.Append("a", "1")
+	l.Append("b", "2")
+	if got, _ := l.Tail(-3); len(got) != 2 {
+		t.Errorf("Tail(-3) = %d events, want 2 (negative clamps to 0)", len(got))
+	}
+	if got, _ := l.Tail(2); got != nil {
+		t.Errorf("Tail(len) = %v, want nil", got)
+	}
+	if got, _ := l.Tail(99); got != nil {
+		t.Errorf("Tail(past end) = %v, want nil", got)
 	}
 }
 
@@ -241,7 +244,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
 		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
 	}
-	evs := l.Log().Since(0)
+	evs, _ := l.Log().Tail(0)
 	if len(evs) != len(want) {
 		t.Fatalf("got %d events, want %d: %v", len(evs), len(want), evs)
 	}
@@ -254,7 +257,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 	// Denied mutations keep the key so push consumers still re-verify.
 	l.SetReadOnly(true)
 	l.Install("doas", "1")
-	evs = l.Log().Since(len(want))
+	evs, _ = l.Log().Tail(len(want))
 	if len(evs) != 1 || evs[0].Action != "apt.install.denied" || evs[0].Key != PackageKey("doas") {
 		t.Errorf("denied install event = %v, want keyed apt.install.denied", evs)
 	}
@@ -265,7 +268,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetRegistry(`HKLM\X`, "1")
-	wevs := w.Log().Since(base)
+	wevs, _ := w.Log().Tail(base)
 	if len(wevs) != 2 || wevs[0].Key != AuditKey("Logon") || wevs[1].Key != RegistryKey(`HKLM\X`) {
 		t.Errorf("windows events = %v, want audit + registry keys", wevs)
 	}
@@ -279,7 +282,7 @@ func TestSetUnreachableLogsTransitions(t *testing.T) {
 	l.SetUnreachable(true) // repeated flip must not re-log
 	l.SetUnreachable(false)
 
-	events := l.Log().Since(int(v0))
+	events, _ := l.Log().Tail(int(v0))
 	if len(events) != 2 {
 		t.Fatalf("got %d net events, want 2: %v", len(events), events)
 	}

@@ -92,15 +92,15 @@ func TestEventLog(t *testing.T) {
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d,%d", s1, s2)
 	}
-	evs := l.Since(1)
+	evs, _ := l.Tail(1)
 	if len(evs) != 1 || evs[0].Action != "b" {
-		t.Errorf("Since(1) = %v", evs)
+		t.Errorf("Tail(1) = %v", evs)
 	}
-	if l.Since(99) != nil {
-		t.Error("Since past end should be nil")
+	if got, _ := l.Tail(99); got != nil {
+		t.Error("Tail past end should be nil")
 	}
-	if got := l.Since(-5); len(got) != 2 {
-		t.Errorf("Since(-5) = %v", got)
+	if got, _ := l.Tail(-5); len(got) != 2 {
+		t.Errorf("Tail(-5) = %v", got)
 	}
 	if !strings.Contains(evs[0].String(), "b 2") {
 		t.Errorf("Event.String = %q", evs[0].String())

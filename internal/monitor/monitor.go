@@ -45,12 +45,6 @@ type entry struct {
 	e    core.Enforceable // nil when not auto-remediable
 	// inViolation dedupes alarms: one alarm per violation episode.
 	inViolation bool
-	// budget is the entry's current attempt budget under RetryBudget; 0
-	// means "not yet initialised from the base policy".
-	budget int
-	// panicStreak counts consecutive polls whose check panicked at least
-	// once, the signal RetryBudget shrinks the budget on.
-	panicStreak int
 }
 
 // TimedAction is an environment mutation scheduled at a virtual instant,
@@ -60,42 +54,15 @@ type TimedAction struct {
 	Do func()
 }
 
-// AdaptivePolicy backs polling off while the environment stays healthy:
-// after CleanStreak consecutive violation-free polls the period doubles
-// (capped at MaxPeriod); any violation snaps it back to the base period.
-// The E3c ablation quantifies the polls-saved / latency-paid trade.
-type AdaptivePolicy struct {
-	// MaxPeriod caps the backoff (default 8x the base period).
-	MaxPeriod trace.Time
-	// CleanStreak is how many clean polls double the period (default 4).
-	CleanStreak int
-}
-
-// RetryBudgetPolicy feeds the engine telemetry back into per-entry retry
-// budgets, the retry analogue of AdaptivePolicy's period tuning: an entry
-// whose checks keep panicking has its attempt budget halved after every
-// PanicStreak consecutive panicking polls (floored at MinAttempts), so a
-// chronically broken check stops burning retries the whole fleet pays
-// for. A clean poll (no panics) snaps the budget back to the base policy,
-// mirroring how AdaptivePolicy snaps the period back on a violation.
-type RetryBudgetPolicy struct {
-	// MinAttempts floors the shrinking budget (default 1).
-	MinAttempts int
-	// PanicStreak is how many consecutive panicking polls halve the budget
-	// (default 3).
-	PanicStreak int
-}
-
-func (p *RetryBudgetPolicy) normalized() (minAttempts, streak int) {
-	minAttempts, streak = p.MinAttempts, p.PanicStreak
-	if minAttempts < 1 {
-		minAttempts = 1
-	}
-	if streak < 1 {
-		streak = 3
-	}
-	return
-}
+// Adaptive polling backs off while the environment stays healthy: after
+// adaptiveCleanStreak consecutive violation-free polls the period doubles,
+// capped at adaptiveMaxFactor times the base period; any violation snaps
+// it back to the base period. The E3c ablation quantifies the
+// polls-saved / latency-paid trade.
+const (
+	adaptiveCleanStreak = 4
+	adaptiveMaxFactor   = 8
+)
 
 // Scheduler polls registered requirements at a fixed period.
 type Scheduler struct {
@@ -105,12 +72,9 @@ type Scheduler struct {
 	Period trace.Time
 	// AutoEnforce turns on remediation of failing enforceable entries.
 	AutoEnforce bool
-	// Adaptive, when non-nil, enables backoff polling.
-	Adaptive *AdaptivePolicy
-	// RetryBudget, when non-nil, enables adaptive per-entry retry budgets:
-	// chronically panicking checks get their Checks.MaxAttempts shrunk, a
-	// clean poll restores it (see RetryBudgetPolicy).
-	RetryBudget *RetryBudgetPolicy
+	// Adaptive enables backoff polling: the period doubles after 4 clean
+	// polls, up to 8x Period, and snaps back to Period on a violation.
+	Adaptive bool
 	// Checks is the per-check resilience policy: every poll check runs
 	// through the fault-tolerant engine, so a panicking requirement
 	// raises an alarm (fail-closed, status ERROR) instead of killing the
@@ -180,7 +144,7 @@ func (s *Scheduler) Run(until trace.Time, actions []TimedAction) {
 	next := 0
 	period := s.Period
 	streak := 0
-	maxPeriod, cleanStreak := s.adaptiveParams()
+	maxPeriod := adaptiveMaxFactor * s.Period
 	root := s.Trace.Root("monitor.run").TagInt("entries", len(s.entries))
 	defer root.End()
 	for s.Clock.Now() <= until {
@@ -190,17 +154,14 @@ func (s *Scheduler) Run(until trace.Time, actions []TimedAction) {
 			next++
 		}
 		violated := s.poll(now, root)
-		if s.Adaptive != nil {
+		if s.Adaptive {
 			if violated {
 				period = s.Period
 				streak = 0
 			} else {
 				streak++
-				if streak >= cleanStreak && period < maxPeriod {
-					period *= 2
-					if period > maxPeriod {
-						period = maxPeriod
-					}
+				if streak >= adaptiveCleanStreak && period < maxPeriod {
+					period = min(2*period, maxPeriod)
 					streak = 0
 				}
 			}
@@ -212,21 +173,6 @@ func (s *Scheduler) Run(until trace.Time, actions []TimedAction) {
 		acts[next].Do()
 		next++
 	}
-}
-
-func (s *Scheduler) adaptiveParams() (maxPeriod trace.Time, cleanStreak int) {
-	if s.Adaptive == nil {
-		return s.Period, 0
-	}
-	maxPeriod = s.Adaptive.MaxPeriod
-	if maxPeriod <= 0 {
-		maxPeriod = 8 * s.Period
-	}
-	cleanStreak = s.Adaptive.CleanStreak
-	if cleanStreak <= 0 {
-		cleanStreak = 4
-	}
-	return
 }
 
 // poll checks every entry once through the engine, handles violations,
@@ -269,18 +215,11 @@ func (s *Scheduler) poll(now trace.Time, parent *telemetry.Span) bool {
 	return violated
 }
 
-// check runs one entry's Check on the engine under s.Checks, with the
-// entry's adaptive attempt budget applied when RetryBudget is enabled.
+// check runs one entry's Check on the engine under s.Checks.
 func (s *Scheduler) check(en *entry, parent *telemetry.Span) core.CheckStatus {
 	sp := parent.Child("check").Tag("requirement", en.name)
 	pol := s.Checks
 	pol.Span = sp
-	if s.RetryBudget != nil {
-		if en.budget == 0 {
-			en.budget = s.baseAttempts()
-		}
-		pol.MaxAttempts = en.budget
-	}
 	status, st := engine.Attempt(en.c.Check,
 		func(v core.CheckStatus) bool { return v == core.CheckIncomplete },
 		func(error) core.CheckStatus { return core.CheckError },
@@ -290,52 +229,8 @@ func (s *Scheduler) check(en *entry, parent *telemetry.Span) core.CheckStatus {
 	s.CheckPanics += st.Panics
 	s.Metrics.Add("monitor.checks", 1)
 	s.Metrics.Observe("monitor.check_wall", st.Duration)
-	if s.RetryBudget != nil {
-		s.tuneBudget(en, st)
-	}
 	sp.Tag("status", status.String()).End()
 	return status
-}
-
-// baseAttempts is the configured attempt budget, floored at one.
-func (s *Scheduler) baseAttempts() int {
-	if s.Checks.MaxAttempts < 1 {
-		return 1
-	}
-	return s.Checks.MaxAttempts
-}
-
-// tuneBudget applies the RetryBudget feedback from one poll's telemetry.
-func (s *Scheduler) tuneBudget(en *entry, st engine.Stats) {
-	minAttempts, streak := s.RetryBudget.normalized()
-	if st.Panics == 0 {
-		en.panicStreak = 0
-		en.budget = s.baseAttempts()
-		return
-	}
-	en.panicStreak++
-	if en.panicStreak >= streak && en.budget > minAttempts {
-		en.budget /= 2
-		if en.budget < minAttempts {
-			en.budget = minAttempts
-		}
-		en.panicStreak = 0
-	}
-}
-
-// RetryBudgets reports the current per-entry attempt budgets, keyed by
-// entry name (entries not yet polled map to the base budget). Diagnostic
-// companion to the CheckPanics counters.
-func (s *Scheduler) RetryBudgets() map[string]int {
-	out := make(map[string]int, len(s.entries))
-	for _, en := range s.entries {
-		b := en.budget
-		if b == 0 {
-			b = s.baseAttempts()
-		}
-		out[en.name] = b
-	}
-	return out
 }
 
 // enforce runs one entry's Enforce panic-isolated (never retried: host

@@ -77,7 +77,7 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 		}
 		before := c.log.Len()
 		c.mutate()
-		evs := c.log.Since(before)
+		evs, _ := c.log.Tail(before)
 		if len(evs) != 1 {
 			t.Errorf("%s: mutation logged %d events, want 1", c.name, len(evs))
 			continue

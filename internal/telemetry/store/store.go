@@ -13,10 +13,9 @@
 // decides the whole trace's fate — error-class traces (a span whose
 // outcome is fail/incomplete/error/timeout/panic) are always kept, OK
 // traces are kept one-in-N — and kept traces append atomically into the
-// block ring. Head sampling (drop a trace at first sight by trace-ID
-// hash) bounds even the buffering cost under extreme load. The ring
-// holds a fixed span capacity; when full, the oldest block is recycled,
-// so memory is bounded no matter how long the daemon runs.
+// block ring. The ring holds a fixed span capacity; when full, the
+// oldest block is recycled, so memory is bounded no matter how long the
+// daemon runs.
 //
 // The query layer lives in query.go; rendering reuses report.Table and
 // tree reassembly reuses telemetry.BuildTree.
@@ -99,7 +98,7 @@ func ParseOutcome(s string) Outcome {
 }
 
 // Config sizes and tunes a Store. The zero value gets sane defaults
-// from New.
+// from New and keeps every completed trace.
 type Config struct {
 	// Capacity is the span budget of the ring: once this many spans are
 	// resident, the oldest block is evicted to admit new ones. Default
@@ -108,11 +107,6 @@ type Config struct {
 	// BlockSpans is the columnar block granularity (capacity is rounded
 	// up to whole blocks). Default 4096.
 	BlockSpans int
-	// HeadKeep1In, when > 1, head-samples traces: only trace IDs whose
-	// salted hash lands in the 1-in-N keep set are buffered at all; the
-	// rest are dropped at first sight, before any copying. 0 or 1 keeps
-	// every trace at the head.
-	HeadKeep1In int
 	// TailKeepOK1In, when > 1, tail-samples healthy traces: when a trace
 	// completes with no error-class span, it is stored only if its ID
 	// hash lands in the 1-in-N keep set. Error-class traces (any span
@@ -124,7 +118,6 @@ type Config struct {
 // Stats is a snapshot of the store's ingestion counters.
 type Stats struct {
 	Offered      uint64 // spans offered by the tracer
-	HeadDropped  uint64 // spans dropped by head sampling
 	TailDropped  uint64 // spans in healthy traces dropped by tail sampling
 	Stored       uint64 // spans appended to the ring (lifetime)
 	Evicted      uint64 // spans recycled with their block on ring wrap
@@ -235,7 +228,6 @@ type Store struct {
 	resident int
 
 	offered     atomic.Uint64
-	headDropped atomic.Uint64
 	tailDropped atomic.Uint64
 	stored      atomic.Uint64
 	evicted     atomic.Uint64
@@ -324,20 +316,12 @@ func (s *Store) hashTrace(id uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (s *Store) headKeep(trace uint64) bool {
-	n := s.cfg.HeadKeep1In
-	if n <= 1 {
-		return true
-	}
-	return s.hashTrace(trace)%uint64(n) == 0
-}
-
 func (s *Store) tailKeepOK(trace uint64) bool {
 	n := s.cfg.TailKeepOK1In
 	if n <= 1 {
 		return true
 	}
-	// Re-mix so head and tail keep sets are independent.
+	// The fixed re-mix pins which 1-in-N healthy traces are kept.
 	return s.hashTrace(trace^0xd1b54a32d192ed03)%uint64(n) == 0
 }
 
@@ -345,10 +329,6 @@ func (s *Store) tailKeepOK(trace uint64) bool {
 // valid only during the call — everything kept is interned here).
 func (s *Store) Offer(d telemetry.SpanData) {
 	s.offered.Add(1)
-	if !s.headKeep(d.Trace) {
-		s.headDropped.Add(1)
-		return
-	}
 	sh := &s.shards[d.Trace%numShards]
 	run := s.runID.Load()
 	sh.mu.Lock()
@@ -513,7 +493,6 @@ func (s *Store) Reset() {
 	s.resident = 0
 	s.appendMu.Unlock()
 	s.offered.Store(0)
-	s.headDropped.Store(0)
 	s.tailDropped.Store(0)
 	s.stored.Store(0)
 	s.evicted.Store(0)
@@ -548,7 +527,6 @@ func (s *Store) Stats() Stats {
 	s.appendMu.Unlock()
 	return Stats{
 		Offered:      s.offered.Load(),
-		HeadDropped:  s.headDropped.Load(),
 		TailDropped:  s.tailDropped.Load(),
 		Stored:       s.stored.Load(),
 		Evicted:      s.evicted.Load(),

@@ -98,28 +98,6 @@ func TestTailSamplingKeepsSomeOKTraces(t *testing.T) {
 	}
 }
 
-func TestHeadSamplingDropsBeforeBuffering(t *testing.T) {
-	s := New(Config{Capacity: 1 << 14, HeadKeep1In: 4})
-	for i := uint64(1); i <= 400; i++ {
-		offerTrace(s,
-			span(i+1000, i, i, "attempt", 50, "outcome", "timeout"), // error-class...
-			span(i, 0, i, "check", 100),
-		)
-	}
-	st := s.Stats()
-	if st.HeadDropped == 0 {
-		t.Fatal("head sampler dropped nothing at 1-in-4")
-	}
-	// ...but head sampling drops before outcome is even seen: error
-	// traces outside the keep set are gone too, by design.
-	if st.Traces >= 400 {
-		t.Errorf("stored %d traces, want a head-sampled subset", st.Traces)
-	}
-	if st.Offered != 800 {
-		t.Errorf("offered = %d, want 800", st.Offered)
-	}
-}
-
 func TestRingEvictsOldestBlocks(t *testing.T) {
 	s := New(Config{Capacity: 128, BlockSpans: 32})
 	for i := uint64(1); i <= 512; i++ {
