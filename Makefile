@@ -115,7 +115,7 @@ tables:
 # command — and their total: the size measure simplicity changes report
 # (EXPERIMENTS.md E22). Not part of check. Point it at another checkout
 # with make -C DIR -f $(CURDIR)/Makefile loc.
-LOC_PKGS ?= internal/fleet internal/scenario internal/loadgen internal/report $(patsubst %/,%,$(sort $(dir $(wildcard cmd/*/*.go))))
+LOC_PKGS ?= internal/fleet internal/scenario internal/loadgen internal/report internal/host internal/telemetry $(patsubst %/,%,$(sort $(dir $(wildcard cmd/*/*.go))))
 
 loc:
 	@total=0; for d in $(LOC_PKGS); do \

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"veridevops/internal/loadgen"
-	"veridevops/internal/report"
 	"veridevops/internal/telemetry"
 	"veridevops/internal/telemetry/store"
 )
@@ -114,30 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t := report.New(fmt.Sprintf("load replay (%s): %d hosts, %v virtual at %.0f ev/s (seed %d)",
-		st.Mode, st.Hosts, st.VirtualDuration, st.OfferedRate, *seed),
-		"measure", "value")
-	t.AddRow("events applied / skipped", fmt.Sprintf("%d / %d", st.Events, st.Skipped))
-	t.AddRow("drift events", st.Drift)
-	t.AddRow("joins / leaves", fmt.Sprintf("%d / %d", st.Joins, st.Leaves))
-	t.AddRow("outages / restores", fmt.Sprintf("%d / %d", st.Outages, st.Restores))
-	t.AddRow("detected / orphaned / pending", fmt.Sprintf("%d / %d / %d", st.Detected, st.Orphaned, st.Pending))
-	if st.Mode == "push" {
-		t.AddRow("flush window", st.Window.String())
-		t.AddRow("flushes / delta hosts", fmt.Sprintf("%d / %d", st.Flushes, st.DeltaHosts))
-		t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", st.ChecksEvaluated, st.ChecksExecuted))
-		t.AddRow("checks per event", fmt.Sprintf("%.2f", st.ChecksPerEvent))
-		t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", st.Alarms, st.Repairs))
-	}
-	t.AddRow("sweeps", st.Sweeps)
-	t.AddRow("host audits executed / cached", fmt.Sprintf("%d / %d", st.HostsReaudited, st.CacheReplays))
-	t.AddRow("detect p50 / p95 / p99 ms", fmt.Sprintf("%s / %s / %s",
-		report.Millis(st.Detect.P50), report.Millis(st.Detect.P95), report.Millis(st.Detect.P99)))
-	t.AddRow("detect max ms", report.Millis(st.Detect.Max))
-	t.AddRow("achieved virtual ev/s", fmt.Sprintf("%.1f", st.AchievedRate))
-	t.AddRow("replay wall ms", report.Millis(st.ReplayWall))
-	t.AddRow("real ev/s", fmt.Sprintf("%.0f", st.RealEventsPerSec))
-	t.WriteText(stdout)
+	st.Table(fmt.Sprintf("load replay (%s): %d hosts, %v virtual at %.0f ev/s (seed %d)",
+		st.Mode, st.Hosts, st.VirtualDuration, st.OfferedRate, *seed)).WriteText(stdout)
 
 	if mets != nil {
 		fmt.Fprintln(stdout)

@@ -1,18 +1,18 @@
 // Command vdo-serve is the streaming compliance daemon: it synthesizes
-// a fleet, subscribes a fleet.Streamer to every host's event log, and
-// keeps a live compliance view while seeded churn mutates the fleet in
-// real time. Every -window the streamer flushes — coalescing the state
-// keys dirtied since the last flush and re-running only the checks the
-// dependency index maps to them — and every -sweep-fallback a full
-// incremental sweep runs as the safety net for state the index cannot
-// localise (all cache replays when the index is healthy). Violation
-// episodes print as ALARM/REPAIR lines as they open and close.
+// a fleet and keeps a live compliance view while seeded churn mutates
+// the fleet in real time. It runs vdo-load's push-mode replay
+// (loadgen.Replay) on the real clock instead of a virtual one: every
+// -window one tick admits the churn that fell due, and the
+// fleet.Streamer flushes — coalescing the state keys dirtied since the
+// last flush and re-running only the checks the dependency index maps
+// to them. A tick that reaches the next -sweep-fallback boundary also
+// runs a full incremental sweep, the safety net for state the index
+// cannot localise (all cache replays when the index is healthy).
+// Violation episodes print as ALARM/REPAIR lines as they open and close.
 //
-// Unlike vdo-load, which replays on a virtual clock for reproducible
-// latency measurement, vdo-serve runs on the real clock: it is the
-// long-running deployment shape of the same evaluator. SIGINT/SIGTERM
-// (or -duration elapsing) drains a final flush and prints the session
-// summary before exiting.
+// SIGINT/SIGTERM (or -duration elapsing) drains a final tick and prints
+// the session summary: vdo-load's replay table, with detection latency
+// on the real clock, plus the final compliance view.
 //
 // Usage:
 //
@@ -34,8 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"veridevops/internal/core"
-	"veridevops/internal/fleet"
 	"veridevops/internal/loadgen"
 	"veridevops/internal/report"
 	"veridevops/internal/telemetry"
@@ -56,7 +54,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	rate := fs.Float64("rate", 100, "offered churn load, events per second")
 	burst := fs.Int("burst", 16, "token-bucket burst capacity")
 	window := fs.Duration("window", 50*time.Millisecond, "dirty-key coalescing window between flushes")
-	sweepFallback := fs.Duration("sweep-fallback", 500*time.Millisecond, "interval between fallback sweeps (0 disables)")
+	sweepFallback := fs.Duration("sweep-fallback", 500*time.Millisecond, "interval between fallback sweeps")
 	duration := fs.Duration("duration", 0, "stop after this long (0: run until SIGINT/SIGTERM)")
 	shards := fs.Int("shards", 8, "dirty hosts evaluated concurrently per flush")
 	workers := fs.Int("workers", 2, "engine workers per catalogue run inside a shard")
@@ -67,8 +65,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *hosts < 1 || *rate <= 0 || *window <= 0 || *duration < 0 || *sweepFallback < 0 {
-		fmt.Fprintln(stderr, "vdo-serve: -hosts must be >= 1, -rate/-window positive, -duration/-sweep-fallback non-negative")
+	if *hosts < 1 || *rate <= 0 || *window <= 0 || *sweepFallback <= 0 || *duration < 0 {
+		fmt.Fprintln(stderr, "vdo-serve: -hosts must be >= 1, -rate/-window/-sweep-fallback positive, -duration non-negative")
 		return 2
 	}
 
@@ -92,12 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vdo-serve: %v\n", err)
 		return 2
 	}
-	churn := loadgen.NewChurn(f, top.Mix, *seed+1)
-	bucket, err := loadgen.NewTokenBucket(*rate, *burst)
-	if err != nil {
-		fmt.Fprintf(stderr, "vdo-serve: %v\n", err)
-		return 2
-	}
 
 	var mets *telemetry.Metrics
 	if *showMetrics {
@@ -112,26 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		spanStore = store.New(store.Config{TailKeepOK1In: 4})
 		tracer = telemetry.New(nil, telemetry.WithSink(spanStore))
 	}
-	coord := fleet.NewCoordinator()
-	s := fleet.NewStreamer(coord, fleet.StreamOptions{
-		Mode:    core.CheckOnly,
-		Shards:  *shards,
-		Workers: *workers,
-		Dedup:   true,
-		Metrics: mets,
-		Trace:   tracer,
-	})
-	for _, h := range f.Hosts() {
-		s.Watch(h.Target(), h.Linux.Log())
-	}
-	sweepOpts := fleet.Options{
-		Mode:        core.CheckOnly,
-		Shards:      *shards,
-		Workers:     *workers,
-		Incremental: true,
-		Dedup:       true,
-		Metrics:     mets,
-	}
 
 	if *duration > 0 {
 		var cancel context.CancelFunc
@@ -141,102 +113,80 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "vdo-serve: %d hosts, window %v, fallback %v, %.0f ev/s (seed %d)\n",
 		*hosts, *window, *sweepFallback, *rate, *seed)
-	s.Flush(0) // prime the verdict baseline before churn starts
+	// The replay primes the verdict baseline before churn starts; its
+	// counters leave the baseline out.
+	r, err := loadgen.NewReplay(f, loadgen.NewChurn(f, top.Mix, *seed+1), loadgen.DriverOptions{
+		SweepEvery: *sweepFallback,
+		Rate:       *rate,
+		Burst:      *burst,
+		Shards:     *shards,
+		Workers:    *workers,
+		Push:       true,
+		Window:     *window,
+		Metrics:    mets,
+		Trace:      tracer,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "vdo-serve: %v\n", err)
+		return 2
+	}
+	s := r.Streamer()
 	if !*quiet {
 		p, fl, inc := s.Counts()
 		fmt.Fprintf(stdout, "baseline: compliance %.4f (%d pass / %d fail / %d incomplete)\n",
 			s.Compliance(), p, fl, inc)
 	}
-	// Steady-state counters start after priming: the baseline's
-	// whole-catalogue runs would otherwise swamp checks-per-event.
-	primed := s.Stats()
-
-	// The daemon is the deployment shape of the evaluator: its cadence
-	// is wall-clock by design (virtual time lives in the loadgen
-	// driver), so the raw tickers are legitimate here.
-	//
-	//lint:ignore clockuse the serve loop is driven by the real clock; determinism is the loadgen driver's job
-	tick := time.NewTicker(*window)
-	defer tick.Stop()
-	var fallbackC <-chan time.Time
-	if *sweepFallback > 0 {
-		//lint:ignore clockuse fallback sweeps are wall-clock scheduled alongside the flush ticker
-		fb := time.NewTicker(*sweepFallback)
-		defer fb.Stop()
-		fallbackC = fb.C
-	}
-
-	var (
-		start    = time.Now()
-		admitted time.Duration // last churn admission instant
-		events   int
-		skipped  int
-		sweeps   int
-		replays  int
-		reaudits int
-	)
-	admit := func(elapsed time.Duration) {
-		for {
-			at := bucket.When(admitted)
-			if at > elapsed {
-				return
-			}
-			bucket.Take(at)
-			admitted = at
-			ev, ok := churn.Step()
-			if !ok {
-				skipped++
-				continue
-			}
-			events++
-			switch ev.Kind {
-			case loadgen.HostJoin:
-				if h, ok := f.Get(ev.Host); ok {
-					s.Watch(h.Target(), h.Linux.Log())
-				}
-			case loadgen.HostLeave:
-				s.Unwatch(ev.Host)
-			}
-		}
-	}
-	flush := func(elapsed time.Duration) {
-		fr := s.Flush(elapsed)
+	show := func(tr loadgen.TickResult) {
 		if *quiet {
 			return
 		}
+		fr := tr.Flush
 		for _, a := range fr.Alarms {
 			fmt.Fprintf(stdout, "ALARM  t=%-8v %s %s %v\n", a.At.Round(time.Millisecond), a.Host, a.Finding, a.Status)
 		}
 		if fr.Repairs > 0 {
 			fmt.Fprintf(stdout, "REPAIR t=%-8v %d episode(s) closed\n", fr.At.Round(time.Millisecond), fr.Repairs)
 		}
+		if sw := tr.Sweep; sw != nil {
+			p, fl, inc := s.Counts()
+			fmt.Fprintf(stdout, "status t=%-8v hosts=%d compliance=%.4f (%d/%d/%d) cached=%d/%d\n",
+				fr.At.Round(time.Millisecond), s.Hosts(),
+				s.Compliance(), p, fl, inc, sw.CachedHosts, sw.Hosts)
+		}
 	}
 
+	// The daemon ticks the loadgen replay on the real clock: every tick
+	// admits the churn due by then and flushes, and a tick that reaches
+	// the next -sweep-fallback boundary runs the fallback sweep too.
+	//
+	start := time.Now()
+	//lint:ignore clockuse the serve loop is driven by the real clock; determinism is the loadgen driver's job
+	tick := time.NewTicker(*window)
+	defer tick.Stop()
 	for done := false; !done; {
 		select {
 		case <-ctx.Done():
 			done = true
 		case now := <-tick.C:
-			elapsed := now.Sub(start)
-			admit(elapsed)
-			flush(elapsed)
-		case <-fallbackC:
-			_, st := coord.Sweep(f.Targets(), sweepOpts)
-			sweeps++
-			replays += st.CachedHosts
-			reaudits += st.Hosts - st.CachedHosts
-			if !*quiet {
-				p, fl, inc := s.Counts()
-				fmt.Fprintf(stdout, "status t=%-8v hosts=%d compliance=%.4f (%d/%d/%d) cached=%d/%d\n",
-					time.Since(start).Round(time.Millisecond), s.Hosts(),
-					s.Compliance(), p, fl, inc, st.CachedHosts, st.Hosts)
-			}
+			show(r.Tick(now.Sub(start)))
 		}
 	}
+	// Drain: one final tick so nothing dirty is dropped on shutdown.
+	show(r.Tick(time.Since(start)))
 
-	// Drain: one final flush so nothing dirty is dropped on shutdown.
-	flush(time.Since(start))
-	writeSummary(stdout, s, f, primed, time.Since(start), events, skipped, sweeps, replays, reaudits)
+	st := r.Stats()
+	t := st.Table(fmt.Sprintf("vdo-serve session: %d hosts, uptime %v",
+		st.Hosts, time.Since(start).Round(time.Millisecond)))
+	// The replay table plus two facts of the live view: the final
+	// verdicts, and how much of the watched catalogues the dependency
+	// index localizes.
+	p, fl, inc := s.Counts()
+	t.AddRow("final compliance", fmt.Sprintf("%.4f (%d pass / %d fail / %d incomplete)",
+		s.Compliance(), p, fl, inc))
+	ss := s.Stats()
+	t.AddRow("read localization", fmt.Sprintf("%s (%d indexed / %d unindexed checks)",
+		report.Percent(ss.ReadLocalization()), ss.IndexedChecks, ss.UnindexedChecks))
+	t.WriteText(stdout)
 	if mets != nil {
 		fmt.Fprintln(stdout)
 		mets.Table("metrics").WriteText(stdout)
@@ -253,41 +203,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		res.WriteText(stdout)
 	}
 	return 0
-}
-
-// writeSummary prints the end-of-session roll-up: uptime, churn volume,
-// streaming counters (steady-state: the priming baseline in primed is
-// subtracted out) and the final live compliance view.
-func writeSummary(w io.Writer, s *fleet.Streamer, f *loadgen.Fleet, primed fleet.StreamStats,
-	uptime time.Duration, events, skipped, sweeps, replays, reaudits int) {
-	st := s.Stats()
-	st.Flushes -= primed.Flushes
-	st.Events -= primed.Events
-	st.DeltaHosts -= primed.DeltaHosts
-	st.FullAudits -= primed.FullAudits
-	st.ChecksEvaluated -= primed.ChecksEvaluated
-	st.ChecksExecuted -= primed.ChecksExecuted
-	pass, fail, incomplete := s.Counts()
-	t := report.New(fmt.Sprintf("vdo-serve session: %d hosts, uptime %v",
-		s.Hosts(), uptime.Round(time.Millisecond)),
-		"measure", "value")
-	t.AddRow("churn events applied / skipped", fmt.Sprintf("%d / %d", events, skipped))
-	t.AddRow("flushes / delta evaluations", fmt.Sprintf("%d / %d", st.Flushes, st.DeltaHosts))
-	t.AddRow("events consumed / full audits", fmt.Sprintf("%d / %d", st.Events, st.FullAudits))
-	t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", st.ChecksEvaluated, st.ChecksExecuted))
-	if st.Events > 0 {
-		t.AddRow("checks per event", fmt.Sprintf("%.2f", float64(st.ChecksEvaluated)/float64(st.Events)))
-	}
-	t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", st.Alarms, st.Repairs))
-	// The localization gauges are a property of the watched catalogues,
-	// not of the session's churn, so the priming baseline is not
-	// subtracted from them.
-	t.AddRow("read localization", fmt.Sprintf("%s (%d indexed / %d unindexed checks)",
-		report.Percent(st.ReadLocalization()), st.IndexedChecks, st.UnindexedChecks))
-	t.AddRow("fallback sweeps", sweeps)
-	t.AddRow("fallback audits executed / cached", fmt.Sprintf("%d / %d", reaudits, replays))
-	t.AddRow("final compliance", fmt.Sprintf("%.4f (%d pass / %d fail / %d incomplete)",
-		s.Compliance(), pass, fail, incomplete))
-	t.AddRow("fleet size / down", fmt.Sprintf("%d / %d", f.Size(), f.DownCount()))
-	t.WriteText(w)
 }

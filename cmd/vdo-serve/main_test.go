@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,7 @@ func TestServeRunsForDuration(t *testing.T) {
 		"baseline: compliance",
 		"status t=",
 		"vdo-serve session: ",
-		"flushes / delta evaluations",
+		"flushes / delta hosts",
 		"checks per event",
 		"final compliance",
 	} {
@@ -40,8 +41,39 @@ func TestServeRunsForDuration(t *testing.T) {
 	}
 	// The streamer keeps the incremental cache stamped, so the fallback
 	// sweep must not re-audit (the "0 / N" executed/cached row).
-	if !strings.Contains(out, "fallback audits executed / cached  0 /") {
+	if !strings.Contains(out, "host audits executed / cached  0 /") {
 		t.Errorf("fallback sweeps re-audited hosts:\n%s", out)
+	}
+}
+
+// TestServeAlarmsMatchLiveLines pins the session's alarm count to the
+// ALARM lines the session printed: the alarms the priming baseline
+// raised are the baseline's, not the session's.
+func TestServeAlarmsMatchLiveLines(t *testing.T) {
+	code, out, errb := runCapture(t, context.Background(),
+		"-hosts", "100", "-duration", "300ms", "-seed", "7")
+	if code != 0 {
+		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
+	}
+	lines, alarms := 0, -1
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "ALARM ") {
+			lines++
+		}
+		if rest, ok := strings.CutPrefix(line, "alarms / repairs"); ok {
+			if _, err := fmt.Sscanf(rest, "%d /", &alarms); err != nil {
+				t.Fatalf("unparsable alarms row %q: %v", line, err)
+			}
+		}
+	}
+	if alarms < 0 {
+		t.Fatalf("no alarms / repairs row:\n%s", out)
+	}
+	if lines == 0 {
+		t.Fatalf("no ALARM lines; the check is vacuous:\n%s", out)
+	}
+	if alarms != lines {
+		t.Errorf("summary counts %d alarms, session printed %d ALARM lines:\n%s", alarms, lines, out)
 	}
 }
 
@@ -51,7 +83,7 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	code, out, _ := runCapture(t, ctx,
-		"-hosts", "50", "-window", "20ms", "-sweep-fallback", "0s",
+		"-hosts", "50", "-window", "20ms", "-sweep-fallback", "100ms",
 		"-rate", "100", "-shards", "2", "-workers", "1", "-quiet")
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out)
@@ -89,6 +121,7 @@ func TestServeUsageErrors(t *testing.T) {
 		"zero rate":      {"-rate", "0"},
 		"zero window":    {"-window", "0s"},
 		"negative sweep": {"-sweep-fallback", "-1s"},
+		"zero sweep":     {"-sweep-fallback", "0s"},
 		"missing topo":   {"-topology", filepath.Join(t.TempDir(), "absent.json")},
 	} {
 		if code, _, _ := runCapture(t, context.Background(), args...); code != 2 {

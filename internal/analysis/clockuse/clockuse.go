@@ -25,8 +25,9 @@
 //
 // Daemon entrypoints are the sanctioned exception to the ticker ban: a
 // long-running serve loop (cmd/vdo-serve) is wall-clock cadenced by
-// design, and records that design decision as a //lint:ignore clockuse
-// suppression with the reason inline.
+// design. Its one ticker steps the same loadgen.Replay that vdo-load
+// steps on the virtual clock, and records that design decision as a
+// //lint:ignore clockuse suppression with the reason inline.
 //
 // The seam definitions themselves ("nil means time.Sleep") carry a
 // //lint:ignore clockuse directive — they are the one place the real

@@ -22,10 +22,10 @@ import (
 // The coalescing window is the caller's flush cadence: event
 // notifications only mark hosts dirty (cheap, lock-one-map cheap), and
 // the actual evaluation happens when the owner calls Flush — the
-// vdo-serve daemon ticks Flush on a real clock, the loadgen driver on
-// the virtual one, tests whenever they like. Watch, Unwatch and the
-// read accessors are safe for concurrent use; Flush is an evaluation
-// on the coordinator and follows its no-overlap contract.
+// loadgen driver's Replay ticks it on the virtual clock in vdo-load and
+// on the real clock in vdo-serve, tests whenever they like. Watch,
+// Unwatch and the read accessors are safe for concurrent use; Flush is
+// an evaluation on the coordinator and follows its no-overlap contract.
 type Streamer struct {
 	coord *Coordinator
 	opts  StreamOptions

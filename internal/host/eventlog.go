@@ -3,7 +3,6 @@ package host
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Kinds of state slots a StateKey can name. The kind strings are short
@@ -74,7 +73,6 @@ func NetKey() StateKey { return StateKey{Kind: KeyNet, Name: "transport"} }
 // Event is one entry of a host event log.
 type Event struct {
 	Seq    int
-	At     time.Time
 	Action string
 	Detail string
 	// Key is the structured identity of the state slot the event
@@ -123,7 +121,7 @@ func (l *EventLog) Append(action, detail string) int {
 func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 	l.mu.Lock()
 	seq := len(l.events)
-	ev := Event{Seq: seq, At: time.Now(), Action: action, Detail: detail, Key: key}
+	ev := Event{Seq: seq, Action: action, Detail: detail, Key: key}
 	l.events = append(l.events, ev)
 	l.version++
 	var subs []func(Event)

@@ -6,6 +6,7 @@ import (
 
 	"veridevops/internal/core"
 	"veridevops/internal/fleet"
+	"veridevops/internal/report"
 	"veridevops/internal/telemetry"
 )
 
@@ -15,25 +16,29 @@ import (
 // the checks each event's state key affects, flushing every Window —
 // and measures change→verdict detection latency per event.
 //
-// Time is virtual — a plain time.Duration offset from replay start. The
-// bucket computes each event's admission instant arithmetically and a
-// sweep or flush is treated as atomic at the current virtual instant, so
-// the detection latency of an event admitted at t and picked up at
-// instant v is exactly v−t — bounded by SweepEvery in sweep mode and by
-// Window in push mode, which is the whole point of the streaming
-// evaluator. Everything downstream of the seed is deterministic; the
-// wall clock is only read to report real replay throughput.
+// A Replay is that driver as a stepper: its owner keeps the clock and
+// calls Tick with the current instant, a plain time.Duration offset from
+// replay start. Run ticks it on a virtual clock; vdo-serve ticks the
+// same Replay from a wall-clock ticker. The bucket computes each event's
+// admission instant arithmetically and a sweep or flush is treated as
+// atomic at the tick's instant, so the detection latency of an event
+// admitted at t and picked up at instant v is exactly v−t — bounded by
+// SweepEvery in sweep mode and by Window in push mode, which is the
+// whole point of the streaming evaluator. On the virtual clock
+// everything downstream of the seed is deterministic; the wall clock is
+// only read to report real replay throughput.
 
 // DriverOptions parameterizes one load replay.
 type DriverOptions struct {
-	// Duration is the virtual replay length; SweepEvery the virtual
-	// interval between incremental sweeps (default Duration/10). In push
-	// mode SweepEvery is the fallback full-sweep interval — the safety
-	// net for state the index cannot localise.
+	// Duration is the virtual replay length Run replays (a Replay whose
+	// owner keeps the clock reads it only for the SweepEvery default);
+	// SweepEvery the interval between incremental sweeps (default
+	// Duration/10). In push mode SweepEvery is the fallback full-sweep
+	// interval — the safety net for state the index cannot localise.
 	Duration   time.Duration
 	SweepEvery time.Duration
-	// Rate is the offered churn load in events per virtual second;
-	// Burst the token-bucket burst (default 1).
+	// Rate is the offered churn load in events per second of the
+	// replay's clock; Burst the token-bucket burst (default 1).
 	Rate  float64
 	Burst int
 	// Shards/Workers configure each sweep (see fleet.Options).
@@ -46,7 +51,8 @@ type DriverOptions struct {
 	// Window is the push-mode coalescing window (default SweepEvery/10).
 	Window time.Duration
 	// Metrics, when non-nil, receives load.* counters and the
-	// load.detect latency samples.
+	// load.detect latency samples, and is passed to the streamer and the
+	// sweeps for their stream.* and fleet.* metrics.
 	Metrics *telemetry.Metrics
 	// Trace, when non-nil, instruments every sweep and flush with spans
 	// (sweep→shard→host, flush→delta). Attach a store via
@@ -114,46 +120,57 @@ type LoadStats struct {
 	OfferedRate     float64
 	AchievedRate    float64
 
-	// ReplayWall is the real elapsed time of the whole replay (sweeps
-	// included); RealEventsPerSec applied events per real second — the
-	// harness's throughput figure.
+	// ReplayWall is the real elapsed time of the whole replay (priming
+	// and sweeps included); RealEventsPerSec applied events per real
+	// second — the harness's throughput figure.
 	ReplayWall       time.Duration
 	RealEventsPerSec float64
 
-	// Detect summarizes change→verdict detection latency on the virtual
-	// clock: how long an admitted event waited until a sweep produced a
-	// verdict for its host.
+	// Detect summarizes change→verdict detection latency on the replay's
+	// clock: how long an admitted event waited until a sweep or flush
+	// produced a verdict for its host.
 	Detect telemetry.QuantileStats
 }
 
-// Run replays churn against the fleet in one loop for both modes. Each
-// tick admits the bucket's due events, push mode flushes a
-// fleet.Streamer, and an incremental sweep runs whenever the virtual
-// clock reaches the next SweepEvery boundary. Sweep mode (the default)
-// ticks every SweepEvery with no Streamer, so every tick sweeps. Push
-// mode (DriverOptions.Push) ticks every Window, and the sweep is the
-// fallback. Both modes admit the identical event stream, so they are
-// directly comparable on the same seed. The priming evaluation at
-// virtual instant 0 — a full sweep, or the first flush — is not counted
-// in the stats.
+// Table renders st as the measure/value table vdo-load prints after a
+// replay and vdo-serve at the end of a session.
+func (st LoadStats) Table(title string) *report.Table {
+	t := report.New(title, "measure", "value")
+	t.AddRow("events applied / skipped", fmt.Sprintf("%d / %d", st.Events, st.Skipped))
+	t.AddRow("drift events", st.Drift)
+	t.AddRow("joins / leaves", fmt.Sprintf("%d / %d", st.Joins, st.Leaves))
+	t.AddRow("outages / restores", fmt.Sprintf("%d / %d", st.Outages, st.Restores))
+	t.AddRow("detected / orphaned / pending", fmt.Sprintf("%d / %d / %d", st.Detected, st.Orphaned, st.Pending))
+	if st.Mode == "push" {
+		t.AddRow("flush window", st.Window.String())
+		t.AddRow("flushes / delta hosts", fmt.Sprintf("%d / %d", st.Flushes, st.DeltaHosts))
+		t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", st.ChecksEvaluated, st.ChecksExecuted))
+		t.AddRow("checks per event", fmt.Sprintf("%.2f", st.ChecksPerEvent))
+		t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", st.Alarms, st.Repairs))
+	}
+	t.AddRow("sweeps", st.Sweeps)
+	t.AddRow("host audits executed / cached", fmt.Sprintf("%d / %d", st.HostsReaudited, st.CacheReplays))
+	t.AddRow("detect p50 / p95 / p99 ms", fmt.Sprintf("%s / %s / %s",
+		report.Millis(st.Detect.P50), report.Millis(st.Detect.P95), report.Millis(st.Detect.P99)))
+	t.AddRow("detect max ms", report.Millis(st.Detect.Max))
+	t.AddRow("achieved virtual ev/s", fmt.Sprintf("%.1f", st.AchievedRate))
+	t.AddRow("replay wall ms", report.Millis(st.ReplayWall))
+	t.AddRow("real ev/s", fmt.Sprintf("%.0f", st.RealEventsPerSec))
+	return t
+}
+
+// Run replays churn against the fleet on a virtual clock: it ticks a
+// Replay every SweepEvery in sweep mode (the default), so every tick
+// sweeps, and every Window in push mode (DriverOptions.Push), where the
+// sweep is the fallback. Both modes admit the identical event stream, so
+// they are directly comparable on the same seed.
 func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 	if opts.Duration <= 0 {
 		return LoadStats{}, fmt.Errorf("loadgen: driver duration %v, need > 0", opts.Duration)
 	}
-	if opts.SweepEvery <= 0 {
-		opts.SweepEvery = opts.Duration / 10
-		if opts.SweepEvery <= 0 {
-			opts.SweepEvery = opts.Duration
-		}
-	}
+	opts = opts.normalized()
 	tick := opts.SweepEvery
 	if opts.Push {
-		if opts.Window <= 0 {
-			opts.Window = opts.SweepEvery / 10
-			if opts.Window <= 0 {
-				opts.Window = opts.SweepEvery
-			}
-		}
 		tick = opts.Window
 	}
 	if tick > opts.Duration {
@@ -161,115 +178,176 @@ func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 		// verdict, and every latency gate passing vacuously.
 		return LoadStats{}, fmt.Errorf("loadgen: tick %v (the sweep interval, or the push window) exceeds duration %v", tick, opts.Duration)
 	}
-	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
+	r, err := NewReplay(f, c, opts)
 	if err != nil {
 		return LoadStats{}, err
 	}
-	sweepOpts := fleet.Options{
-		Mode:        core.CheckOnly,
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		Incremental: true,
-		Trace:       opts.Trace,
+	for now := tick; now <= opts.Duration; now += tick {
+		r.Tick(now)
 	}
-
-	start := time.Now() // real clock: throughput reporting only
-	coord := fleet.NewCoordinator()
-	st := LoadStats{Mode: "sweep"}
-	var s *fleet.Streamer
-	var onJoin, onLeave func(name string)
-	if opts.Push {
-		st.Mode, st.Window = "push", opts.Window
-		s = fleet.NewStreamer(coord, fleet.StreamOptions{
-			Mode:    core.CheckOnly,
-			Shards:  opts.Shards,
-			Workers: opts.Workers,
-			Dedup:   true,
-			Metrics: opts.Metrics,
-			Trace:   opts.Trace,
-		})
-		for _, h := range f.Hosts() {
-			s.Watch(h.Target(), h.Linux.Log())
-		}
-		s.Flush(0)
-		onJoin = func(name string) {
-			if h, ok := f.Get(name); ok {
-				s.Watch(h.Target(), h.Linux.Log())
-			}
-		}
-		onLeave = func(name string) { s.Unwatch(name) }
-	} else {
-		coord.Sweep(f.Targets(), sweepOpts)
-	}
-
-	detect := telemetry.NewQuantilesCap(1 << 16)
-	// pending maps host name -> virtual admission times of its events
-	// still awaiting a verdict.
-	pending := map[string][]time.Duration{}
-
-	admitted := time.Duration(0) // last admission instant
-	vend := time.Duration(0)     // last tick actually replayed
-	nextSweep := opts.SweepEvery
-	for vnow := tick; vnow <= opts.Duration; vnow += tick {
-		vend = vnow
-		admitted = admitUpTo(c, bucket, vnow, admitted, &st, pending, onJoin, onLeave)
-
-		if s != nil {
-			fr := s.Flush(vnow)
-			if len(fr.Hosts) > 0 {
-				st.Flushes++
-				st.DeltaHosts += len(fr.Hosts)
-				st.ChecksEvaluated += fr.ChecksEvaluated
-				st.ChecksExecuted += fr.ChecksExecuted
-				st.Alarms += len(fr.Alarms)
-				st.Repairs += fr.Repairs
-				for _, d := range fr.Hosts {
-					// Every flushed host's live view is now current — a
-					// zero-check re-stamp is a verdict too (the change
-					// provably touched nothing) — so its events resolve.
-					resolvePending(pending, d.Host, vnow, detect, opts.Metrics, &st)
-				}
-			}
-		}
-
-		if vnow >= nextSweep {
-			nextSweep += opts.SweepEvery
-			rep, _ := coord.Sweep(f.Targets(), sweepOpts)
-			st.Sweeps++
-			for _, hr := range rep.Hosts {
-				if hr.FromCache {
-					st.CacheReplays++
-					continue
-				}
-				// An executed host audit delivers the verdicts for that
-				// host's pending events (in push mode: state the stream
-				// missed).
-				st.HostsReaudited++
-				resolvePending(pending, hr.Target, vnow, detect, opts.Metrics, &st)
-			}
-		}
-	}
-
-	finishStats(&st, f, opts, pending, vend, start, detect)
-	return st, nil
+	return r.Stats(), nil
 }
 
-// admitUpTo drains the bucket's due events up to virtual instant vnow,
-// applying each through the churn engine and recording it in st and
-// pending. onJoin/onLeave, when non-nil, observe membership changes (the
-// push driver wires and unwires the streamer there). admitted is the
-// last admission instant, threaded between calls.
-func admitUpTo(c *Churn, bucket *TokenBucket, vnow, admitted time.Duration,
-	st *LoadStats, pending map[string][]time.Duration,
-	onJoin, onLeave func(name string)) time.Duration {
-	for {
-		at := bucket.When(admitted)
-		if at > vnow {
-			return admitted
+// normalized fills in the default SweepEvery and push Window.
+func (o DriverOptions) normalized() DriverOptions {
+	if o.SweepEvery <= 0 {
+		o.SweepEvery = o.Duration / 10
+		if o.SweepEvery <= 0 {
+			o.SweepEvery = o.Duration
 		}
-		bucket.Take(at)
-		admitted = at
-		ev, ok := c.Step()
+	}
+	if o.Push && o.Window <= 0 {
+		o.Window = o.SweepEvery / 10
+		if o.Window <= 0 {
+			o.Window = o.SweepEvery
+		}
+	}
+	return o
+}
+
+// Replay is one churn replay driven by its owner's clock. It owns the
+// token bucket, the coordinator, the Streamer in push mode, the events
+// awaiting a verdict and the detection-latency recorder. Tick and Stats
+// must not be called concurrently.
+type Replay struct {
+	f         *Fleet
+	c         *Churn
+	opts      DriverOptions
+	bucket    *TokenBucket
+	coord     *fleet.Coordinator
+	sweepOpts fleet.Options
+	s         *fleet.Streamer
+	// primed is the streamer's telemetry after the priming flush, which
+	// LoadStats leaves out.
+	primed fleet.StreamStats
+	// pending maps host name -> admission instants of its events still
+	// awaiting a verdict.
+	pending   map[string][]time.Duration
+	detect    *telemetry.Quantiles
+	admitted  time.Duration // last admission instant
+	now       time.Duration // last tick's instant
+	nextSweep time.Duration
+	start     time.Time // real clock: throughput reporting only
+	st        LoadStats // the counters Tick keeps
+	published LoadStats // what the load.* metrics last recorded
+}
+
+// TickResult is what one Tick evaluated.
+type TickResult struct {
+	// Flush is the tick's push-mode flush (zero in sweep mode).
+	Flush fleet.FlushResult
+	// Sweep is the sweep's statistics when the tick reached a SweepEvery
+	// boundary, nil otherwise.
+	Sweep *fleet.FleetStats
+}
+
+// NewReplay primes a replay at instant 0: a full sweep, or in push mode
+// the first flush of a Streamer watching every host. The priming
+// evaluation is not counted in the stats.
+func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
+	opts = opts.normalized()
+	if opts.SweepEvery <= 0 {
+		return nil, fmt.Errorf("loadgen: sweep interval %v, need > 0", opts.SweepEvery)
+	}
+	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
+	if err != nil {
+		return nil, err
+	}
+	r := &Replay{
+		f: f, c: c, opts: opts, bucket: bucket,
+		coord: fleet.NewCoordinator(),
+		sweepOpts: fleet.Options{
+			Mode:        core.CheckOnly,
+			Shards:      opts.Shards,
+			Workers:     opts.Workers,
+			Incremental: true,
+			Trace:       opts.Trace,
+			Metrics:     opts.Metrics,
+		},
+		pending:   map[string][]time.Duration{},
+		detect:    telemetry.NewQuantilesCap(1 << 16),
+		nextSweep: opts.SweepEvery,
+		start:     time.Now(),
+		st:        LoadStats{Mode: "sweep"},
+	}
+	if !opts.Push {
+		r.coord.Sweep(f.Targets(), r.sweepOpts)
+		return r, nil
+	}
+	r.st.Mode, r.st.Window = "push", opts.Window
+	r.s = fleet.NewStreamer(r.coord, fleet.StreamOptions{
+		Mode:    core.CheckOnly,
+		Shards:  opts.Shards,
+		Workers: opts.Workers,
+		Dedup:   true,
+		Metrics: opts.Metrics,
+		Trace:   opts.Trace,
+	})
+	for _, h := range f.Hosts() {
+		r.s.Watch(h.Target(), h.Linux.Log())
+	}
+	r.s.Flush(0)
+	r.primed = r.s.Stats()
+	return r, nil
+}
+
+// Streamer is the push-mode live evaluator (nil in sweep mode), for
+// reading its compliance view.
+func (r *Replay) Streamer() *fleet.Streamer { return r.s }
+
+// Tick advances the replay to instant now: it admits the bucket's due
+// events, flushes the Streamer in push mode, and runs an incremental
+// sweep when now reaches the next SweepEvery boundary. Each event whose
+// host a flush or an executed host audit evaluated gets its verdict at
+// now.
+func (r *Replay) Tick(now time.Duration) TickResult {
+	var res TickResult
+	r.now = now
+	r.admit(now)
+	if r.s != nil {
+		res.Flush = r.s.Flush(now)
+		for _, d := range res.Flush.Hosts {
+			// Every flushed host's live view is now current — a
+			// zero-check re-stamp is a verdict too (the change provably
+			// touched nothing) — so its events resolve.
+			r.resolve(d.Host, now)
+		}
+	}
+	if now >= r.nextSweep {
+		for r.nextSweep <= now {
+			r.nextSweep += r.opts.SweepEvery
+		}
+		rep, fs := r.coord.Sweep(r.f.Targets(), r.sweepOpts)
+		res.Sweep = &fs
+		r.st.Sweeps++
+		for _, hr := range rep.Hosts {
+			if hr.FromCache {
+				r.st.CacheReplays++
+				continue
+			}
+			// An executed host audit delivers the verdicts for that
+			// host's pending events (in push mode: state the stream
+			// missed).
+			r.st.HostsReaudited++
+			r.resolve(hr.Target, now)
+		}
+	}
+	return res
+}
+
+// admit drains the bucket's due events up to instant now, applying each
+// through the churn engine and recording it as pending. In push mode a
+// joining host is watched and a leaving one unwatched.
+func (r *Replay) admit(now time.Duration) {
+	st := &r.st
+	for {
+		at := r.bucket.When(r.admitted)
+		if at > now {
+			return
+		}
+		r.bucket.Take(at)
+		r.admitted = at
+		ev, ok := r.c.Step()
 		if !ok {
 			st.Skipped++
 			continue
@@ -281,90 +359,104 @@ func admitUpTo(c *Churn, bucket *TokenBucket, vnow, admitted time.Duration,
 		switch ev.Kind {
 		case HostJoin:
 			st.Joins++
-			if onJoin != nil {
-				onJoin(ev.Host)
+			if h, ok := r.f.Get(ev.Host); ok && r.s != nil {
+				r.s.Watch(h.Target(), h.Linux.Log())
 			}
 		case HostLeave:
+			// The member is gone: its verdict never arrives.
 			st.Leaves++
+			st.Orphaned += len(r.pending[ev.Host])
+			delete(r.pending, ev.Host)
+			if r.s != nil {
+				r.s.Unwatch(ev.Host)
+			}
+			continue
 		case HostDown:
 			st.Outages++
 		case HostUp:
 			st.Restores++
 		}
-		if ev.Kind == HostLeave {
-			// The member is gone: its verdict never arrives.
-			st.Orphaned += len(pending[ev.Host])
-			delete(pending, ev.Host)
-			if onLeave != nil {
-				onLeave(ev.Host)
-			}
-			continue
-		}
-		pending[ev.Host] = append(pending[ev.Host], at)
+		r.pending[ev.Host] = append(r.pending[ev.Host], at)
 	}
 }
 
-// resolvePending delivers verdicts for one host's pending events at
-// virtual instant vnow, observing each latency.
-func resolvePending(pending map[string][]time.Duration, name string,
-	vnow time.Duration, detect *telemetry.Quantiles, m *telemetry.Metrics, st *LoadStats) {
-	times := pending[name]
+// resolve delivers verdicts for one host's pending events at instant
+// now, observing each latency.
+func (r *Replay) resolve(name string, now time.Duration) {
+	times := r.pending[name]
 	if len(times) == 0 {
 		return
 	}
 	for _, t0 := range times {
-		lat := vnow - t0
-		detect.Observe(lat)
-		m.Sample("load.detect", lat)
+		lat := now - t0
+		r.detect.Observe(lat)
+		r.opts.Metrics.Sample("load.detect", lat)
 	}
-	st.Detected += len(times)
-	delete(pending, name)
+	r.st.Detected += len(times)
+	delete(r.pending, name)
 }
 
-// finishStats fills the end-of-replay roll-up, push-mode counters
-// included.
-func finishStats(st *LoadStats, f *Fleet, opts DriverOptions,
-	pending map[string][]time.Duration, vend time.Duration,
-	start time.Time, detect *telemetry.Quantiles) {
-	for _, times := range pending {
+// Stats returns the replay's outcome up to the last tick and brings the
+// load.* metrics up to date with it. The push-mode counters are the
+// Streamer's own, less the priming flush.
+func (r *Replay) Stats() LoadStats {
+	st := r.st
+	for _, times := range r.pending {
 		st.Pending += len(times)
 	}
-	st.Hosts = f.Size()
-	st.Down = f.DownCount()
-	st.VirtualDuration = vend
-	st.OfferedRate = opts.Rate
-	if s := vend.Seconds(); s > 0 {
+	st.Hosts = r.f.Size()
+	st.Down = r.f.DownCount()
+	st.VirtualDuration = r.now
+	st.OfferedRate = r.opts.Rate
+	if s := r.now.Seconds(); s > 0 {
 		st.AchievedRate = float64(st.Events) / s
 	}
-	st.ReplayWall = time.Since(start)
+	st.ReplayWall = time.Since(r.start)
 	if s := st.ReplayWall.Seconds(); s > 0 {
 		st.RealEventsPerSec = float64(st.Events) / s
 	}
-	st.Detect = detect.Snapshot()
+	st.Detect = r.detect.Snapshot()
+	if r.s != nil {
+		ss := r.s.Stats()
+		st.Flushes = ss.Flushes - r.primed.Flushes
+		st.DeltaHosts = ss.DeltaHosts - r.primed.DeltaHosts
+		st.ChecksEvaluated = ss.ChecksEvaluated - r.primed.ChecksEvaluated
+		st.ChecksExecuted = ss.ChecksExecuted - r.primed.ChecksExecuted
+		st.Alarms = ss.Alarms - r.primed.Alarms
+		st.Repairs = ss.Repairs - r.primed.Repairs
+		if st.Events > 0 {
+			st.ChecksPerEvent = float64(st.ChecksEvaluated) / float64(st.Events)
+		}
+	}
+	r.publish(st)
+	return st
+}
 
-	m := opts.Metrics
-	m.Add("load.events", int64(st.Events))
-	m.Add("load.events.skipped", int64(st.Skipped))
-	m.Add("load.events.drift", int64(st.Drift))
-	m.Add("load.events.orphaned", int64(st.Orphaned))
-	m.Add("load.events.pending", int64(st.Pending))
-	m.Add("load.sweeps", int64(st.Sweeps))
-	m.Add("load.hosts.reaudited", int64(st.HostsReaudited))
-	m.Add("load.hosts.cache-replays", int64(st.CacheReplays))
+// publish records st in the load.* metrics: counters advance by what
+// changed since the previous Stats call, gauges take st's values.
+func (r *Replay) publish(st LoadStats) {
+	m, was := r.opts.Metrics, r.published
+	r.published = st
+	add := func(name string, now, was int) { m.Add(name, int64(now-was)) }
+	add("load.events", st.Events, was.Events)
+	add("load.events.skipped", st.Skipped, was.Skipped)
+	add("load.events.drift", st.Drift, was.Drift)
+	add("load.events.orphaned", st.Orphaned, was.Orphaned)
+	add("load.events.pending", st.Pending, was.Pending)
+	add("load.sweeps", st.Sweeps, was.Sweeps)
+	add("load.hosts.reaudited", st.HostsReaudited, was.HostsReaudited)
+	add("load.hosts.cache-replays", st.CacheReplays, was.CacheReplays)
 	m.SetGauge("load.hosts", float64(st.Hosts))
 	m.SetGauge("load.rate.virtual", st.AchievedRate)
 	m.SetGauge("load.rate.real", st.RealEventsPerSec)
-	if !opts.Push {
+	if r.s == nil {
 		return
 	}
-	if st.Events > 0 {
-		st.ChecksPerEvent = float64(st.ChecksEvaluated) / float64(st.Events)
-	}
-	m.Add("load.flushes", int64(st.Flushes))
-	m.Add("load.delta-hosts", int64(st.DeltaHosts))
-	m.Add("load.checks.evaluated", int64(st.ChecksEvaluated))
-	m.Add("load.checks.executed", int64(st.ChecksExecuted))
-	m.Add("load.alarms", int64(st.Alarms))
-	m.Add("load.repairs", int64(st.Repairs))
+	add("load.flushes", st.Flushes, was.Flushes)
+	add("load.delta-hosts", st.DeltaHosts, was.DeltaHosts)
+	add("load.checks.evaluated", st.ChecksEvaluated, was.ChecksEvaluated)
+	add("load.checks.executed", st.ChecksExecuted, was.ChecksExecuted)
+	add("load.alarms", st.Alarms, was.Alarms)
+	add("load.repairs", st.Repairs, was.Repairs)
 	m.SetGauge("load.checks-per-event", st.ChecksPerEvent)
 }

@@ -267,3 +267,60 @@ func TestDriverPushFeedsMetrics(t *testing.T) {
 		t.Errorf("load.detect samples = %d, want %d", got.Count, st.Detect.Count)
 	}
 }
+
+// TestReplayTicksOnCallersClock drives a Replay the way vdo-serve does:
+// at irregular instants, with one late tick past several fallback
+// boundaries, and Stats read mid-session as well as at the end.
+func TestReplayTicksOnCallersClock(t *testing.T) {
+	f, err := Synthesize(smallTopology(), 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReplay(f, NewChurn(f, DefaultMix(), 5), DriverOptions{Rate: 10}); err == nil {
+		t.Error("replay with no sweep interval and no duration accepted")
+	}
+	m := telemetry.NewMetrics()
+	r, err := NewReplay(f, NewChurn(f, DefaultMix(), 5), DriverOptions{
+		SweepEvery: 100 * time.Millisecond,
+		Push:       true,
+		Window:     20 * time.Millisecond,
+		Rate:       50,
+		Shards:     2,
+		Workers:    1,
+		Metrics:    m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alarms := 0
+	for _, ms := range []time.Duration{20, 45, 110, 430, 450} {
+		now := ms * time.Millisecond
+		tr := r.Tick(now)
+		alarms += len(tr.Flush.Alarms)
+		// Sweeps fall due at 100ms and then 200ms; the late tick at 430ms
+		// runs one sweep, not the three it skipped.
+		if swept := tr.Sweep != nil; swept != (ms == 110 || ms == 430) {
+			t.Errorf("tick at %v: swept = %v", now, swept)
+		}
+		if ms == 110 {
+			r.Stats()
+		}
+	}
+	st := r.Stats()
+	if st.Sweeps != 2 || st.VirtualDuration != 450*time.Millisecond {
+		t.Errorf("Sweeps/VirtualDuration = %d/%v, want 2/450ms", st.Sweeps, st.VirtualDuration)
+	}
+	if st.Events == 0 {
+		t.Fatal("no events admitted")
+	}
+	if st.Alarms != alarms {
+		t.Errorf("Alarms = %d, want the %d the ticks' flushes opened", st.Alarms, alarms)
+	}
+	// A mid-session Stats does not count anything twice.
+	if got := m.Counter("load.events"); got != int64(st.Events) {
+		t.Errorf("load.events counter = %d, want %d", got, st.Events)
+	}
+	if got := m.Counter("load.flushes"); got != int64(st.Flushes) {
+		t.Errorf("load.flushes counter = %d, want %d", got, st.Flushes)
+	}
+}

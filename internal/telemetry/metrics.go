@@ -9,34 +9,18 @@ import (
 	"veridevops/internal/report"
 )
 
-// histoBounds are the duration histogram's bucket upper bounds; a sixth
-// implicit bucket is unbounded. The range covers the repo's hot paths:
-// sub-100µs simulated probes up through multi-second fleet sweeps.
-var histoBounds = [...]time.Duration{
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
-// histo is one duration histogram: a summary (count/sum/min/max) plus
-// fixed exponential buckets.
+// histo is one duration histogram's summary: count, sum, min and max.
 type histo struct {
 	count    int64
 	sum      time.Duration
 	min, max time.Duration
-	buckets  [len(histoBounds) + 1]int64
 }
 
 // HistogramStats is the exported snapshot of one duration histogram.
-// Buckets is indexed like HistogramBounds() with one extra unbounded
-// bucket at the end.
 type HistogramStats struct {
 	Count    int64
 	Total    time.Duration
 	Min, Max time.Duration
-	Buckets  []int64
 }
 
 // Mean is Total / Count; 0 when nothing was observed.
@@ -45,15 +29,6 @@ func (h HistogramStats) Mean() time.Duration {
 		return 0
 	}
 	return h.Total / time.Duration(h.Count)
-}
-
-// HistogramBounds returns the bucket upper bounds shared by every
-// duration histogram (the last bucket of HistogramStats.Buckets is
-// unbounded).
-func HistogramBounds() []time.Duration {
-	out := make([]time.Duration, len(histoBounds))
-	copy(out, histoBounds[:])
-	return out
 }
 
 // Metrics is the lightweight registry half of the telemetry layer: named
@@ -129,19 +104,11 @@ func (m *Metrics) Observe(name string, d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	b := len(histoBounds)
-	for i, bound := range histoBounds {
-		if d <= bound {
-			b = i
-			break
-		}
-	}
-	h.buckets[b]++
 	m.mu.Unlock()
 }
 
 // Sample folds one duration into the named percentile recorder — the
-// exact-quantile companion to Observe's fixed-bucket histogram, used
+// exact-quantile companion to Observe's summary histogram, used
 // where a table must answer p50/p95/p99 (the load harness's detection
 // latencies). Negative durations clamp to zero.
 func (m *Metrics) Sample(name string, d time.Duration) {
@@ -208,9 +175,7 @@ func (m *Metrics) Histogram(name string) HistogramStats {
 	if h == nil {
 		return HistogramStats{}
 	}
-	buckets := make([]int64, len(h.buckets))
-	copy(buckets, h.buckets[:])
-	return HistogramStats{Count: h.count, Total: h.sum, Min: h.min, Max: h.max, Buckets: buckets}
+	return HistogramStats{Count: h.count, Total: h.sum, Min: h.min, Max: h.max}
 }
 
 // Table renders every metric, sorted by kind (counters, gauges,

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Quantiles is a duration percentile recorder: where the fixed six-bucket
-// histogram answers "roughly which decade", Quantiles answers "what is
-// p99" — the question the load harness's change→verdict detection
-// latencies need answered exactly. Samples are retained individually
+// Quantiles is a duration percentile recorder: where a histogram's
+// count/total/min/max summary answers "how much, how bad", Quantiles
+// answers "what is p99" — the question the load harness's change→verdict
+// detection latencies need answered exactly. Samples are retained individually
 // until an optional cap is reached, after which the recorder degrades to
 // deterministic stride decimation: it keeps every 2nd retained sample and
 // from then on records every 2nd (then 4th, 8th, ...) arrival, so memory

@@ -102,29 +102,6 @@ func WithSink(s Sink) Option {
 	return func(t *Tracer) { t.sink = s }
 }
 
-// WithCollectors overrides how many independently locked collector
-// shards the tracer spreads ended spans over (rounded up to a power of
-// two, clamped to [1, 256]). The default is 8; 1 restores the serialised
-// single-mutex behaviour — the ablation knob behind the E18 row.
-func WithCollectors(n int) Option {
-	return func(t *Tracer) {
-		if n < 1 {
-			n = 1
-		}
-		if n > 256 {
-			n = 256
-		}
-		t.ncols = n
-	}
-}
-
-// WithPooling toggles the span pool (default on). Off means every span
-// is a fresh allocation — the ablation knob quantifying what pooling
-// buys on the enabled path.
-func WithPooling(on bool) Option {
-	return func(t *Tracer) { t.pool = on }
-}
-
 // aggregate is the per-span-name roll-up behind Breakdown.
 type aggregate struct {
 	count int
@@ -147,8 +124,9 @@ type collector struct {
 // so the interleaving stays record-atomic).
 const flushBytes = 32 * 1024
 
-// defaultCollectors is the default collector shard count.
-const defaultCollectors = 8
+// collectors is the collector shard count, a power of two so a span ID
+// masks to its shard.
+const collectors = 8
 
 // Tracer records hierarchical spans, aggregates them per name, and
 // exports them as JSONL and/or to an in-process Sink. A nil *Tracer is
@@ -159,10 +137,7 @@ type Tracer struct {
 	clock  Clock
 	nextID atomic.Uint64
 	sink   Sink
-	pool   bool
-	ncols  int
-	mask   uint64
-	cols   []*collector
+	cols   [collectors]*collector
 
 	// wmu guards the shared buffered writer; collectors take it only to
 	// hand over a full buffer (memcpy of whole records), never per span.
@@ -176,19 +151,13 @@ type Tracer struct {
 // and any attached Sink without exporting records. Call Flush before
 // reading the output.
 func New(w io.Writer, opts ...Option) *Tracer {
-	t := &Tracer{clock: time.Now, pool: true, ncols: defaultCollectors}
+	t := &Tracer{clock: time.Now}
 	if w != nil {
 		t.bw = bufio.NewWriterSize(w, 64*1024)
 	}
 	for _, o := range opts {
 		o(t)
 	}
-	n := 1
-	for n < t.ncols {
-		n <<= 1
-	}
-	t.mask = uint64(n - 1)
-	t.cols = make([]*collector, n)
 	for i := range t.cols {
 		t.cols[i] = &collector{agg: make(map[string]*aggregate)}
 	}
@@ -209,12 +178,7 @@ func (t *Tracer) Root(name string) *Span {
 var spanPool = sync.Pool{New: func() any { return new(Span) }}
 
 func (t *Tracer) newSpan(name string, parent, trace uint64) *Span {
-	var s *Span
-	if t.pool {
-		s = spanPool.Get().(*Span)
-	} else {
-		s = new(Span)
-	}
+	s := spanPool.Get().(*Span)
 	s.t = t
 	s.id = t.nextID.Add(1)
 	s.parent = parent
@@ -306,7 +270,7 @@ func (t *Tracer) finish(s *Span) {
 	if dur < 0 {
 		dur = 0
 	}
-	c := t.cols[s.id&t.mask]
+	c := t.cols[s.id%collectors]
 	c.mu.Lock()
 	a := c.agg[s.name]
 	if a == nil {
@@ -496,7 +460,5 @@ func (s *Span) End() {
 	t.finish(s)
 	s.t = nil
 	s.name = ""
-	if t.pool {
-		spanPool.Put(s)
-	}
+	spanPool.Put(s)
 }
