@@ -15,11 +15,15 @@ check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke
 vet:
 	$(GO) vet ./...
 
-# lint runs the seven repository analyzers (spanend, directcheck,
-# ctxprobe, clockuse, lockedchan, reqmeta, keyreads) over every package
-# including tests. See README "Static analysis" for what each enforces
-# and how to suppress a finding with a recorded reason.
+# lint first fails if gofmt would reformat any Go file in the tree
+# (analyzer fixtures under testdata included), then runs the seven
+# repository analyzers (spanend, directcheck, ctxprobe, clockuse,
+# lockedchan, reqmeta, keyreads) over every package including tests.
+# See README "Static analysis" for what each enforces and how to
+# suppress a finding with a recorded reason.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/vdolint ./...
 
 # verify-reads is the dynamic counterpart of the keyreads analyzer: it

@@ -35,11 +35,11 @@ func dynamicBundles() []struct {
 	pl.Install("openssl", "1.0.0") // vulnerable: the patch check reads both pkg slots
 	pats := core.NewCatalog()
 	pats.MustRegister(&stig.UbuntuServicePattern{
-		Finding: core.Finding{ID: "DYN-SVC-1", Sev: "medium", Desc: "auditd must be active"},
+		Finding: &core.Finding{ID: "DYN-SVC-1", Sev: "medium", Desc: "auditd must be active"},
 		Host:    pl, ServiceName: "auditd", MustBeActive: true,
 	})
 	pats.MustRegister(&stig.RegistryRequirement{
-		Finding: core.Finding{ID: "DYN-REG-1", Sev: "medium", Desc: "policy value must be set"},
+		Finding: &core.Finding{ID: "DYN-REG-1", Sev: "medium", Desc: "policy value must be set"},
 		Host:    pw, Key: `HKLM\Software\Policies\System\EnableLUA`, Want: "1",
 	})
 	pats.MustRegister(vulndb.NewPatchRequirement(pl, vulndb.Advisory{

@@ -13,9 +13,9 @@ import (
 
 type req struct{}
 
-func (req) Check() core.CheckStatus                   { return core.CheckPass }
+func (req) Check() core.CheckStatus                     { return core.CheckPass }
 func (req) CheckCtx(_ context.Context) core.CheckStatus { return core.CheckPass }
-func (req) Enforce() core.EnforcementStatus           { return core.EnforceSuccess }
+func (req) Enforce() core.EnforcementStatus             { return core.EnforceSuccess }
 
 // Flagged: a free function calling the contract methods directly
 // bypasses panic recovery, retries and attempt spans.

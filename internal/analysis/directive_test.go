@@ -70,14 +70,14 @@ func f() {
 		f    Finding
 		want bool
 	}{
-		{mk("reqmeta", "src.go", 42), true},     // file-ignore matches anywhere
-		{mk("spanend", "src.go", 7), true},      // line below the ignore
-		{mk("clockuse", "src.go", 7), true},     // second analyzer in the list
-		{mk("spanend", "src.go", 6), true},      // the directive's own line
-		{mk("spanend", "src.go", 8), false},     // two lines below: out of reach
+		{mk("reqmeta", "src.go", 42), true},      // file-ignore matches anywhere
+		{mk("spanend", "src.go", 7), true},       // line below the ignore
+		{mk("clockuse", "src.go", 7), true},      // second analyzer in the list
+		{mk("spanend", "src.go", 6), true},       // the directive's own line
+		{mk("spanend", "src.go", 8), false},      // two lines below: out of reach
 		{mk("directcheck", "src.go", 12), false}, // malformed directives suppress nothing
-		{mk("lockedchan", "src.go", 7), false},  // analyzer not listed
-		{mk("spanend", "other.go", 7), false},   // wrong file
+		{mk("lockedchan", "src.go", 7), false},   // analyzer not listed
+		{mk("spanend", "other.go", 7), false},    // wrong file
 	}
 	for _, c := range cases {
 		if got := suppressed(idx, c.f); got != c.want {

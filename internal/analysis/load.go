@@ -35,15 +35,15 @@ type Unit struct {
 
 // listedPackage is the slice of `go list -json` output the loader reads.
 type listedPackage struct {
-	Dir           string
-	ImportPath    string
-	Name          string
-	GoFiles       []string
-	CgoFiles      []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Incomplete    bool
-	Error         *struct{ Err string }
+	Dir          string
+	ImportPath   string
+	Name         string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Incomplete   bool
+	Error        *struct{ Err string }
 }
 
 // Load enumerates the packages matching patterns (go list syntax, e.g.

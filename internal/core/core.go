@@ -169,7 +169,11 @@ type CheckableEnforceableRequirement interface {
 
 // Finding is a concrete value implementation of Requirement. Embedding a
 // Finding into a pattern struct yields the metadata accessors for free, the
-// Go analogue of the RQCODE Java inheritance from Requirement.
+// Go analogue of the RQCODE Java inheritance from Requirement. Patterns
+// may embed a *Finding that many requirements share (every host's copy
+// of one built-in STIG finding points at one value), so a Finding that
+// a requirement points at is immutable: build a new one, never write
+// its fields.
 type Finding struct {
 	ID        string // e.g. "V-219157"
 	Ver       string // e.g. "Version 1"

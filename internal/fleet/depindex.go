@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"sort"
+	"strconv"
 
 	"veridevops/internal/core"
 )
@@ -18,7 +19,9 @@ import (
 // periodically regardless).
 //
 // A DepIndex is immutable after construction and safe for concurrent
-// reads.
+// reads, which is what lets a Streamer share one index among every
+// watched host whose catalogue makes the same declarations (see
+// Streamer.Watch).
 type DepIndex struct {
 	byKey     map[string][]string
 	indexed   []string
@@ -31,25 +34,77 @@ type DepIndex struct {
 // slice the index holds is sorted — so two indexes built from equal
 // catalogues are deeply equal regardless of registration or
 // map-iteration order.
-func BuildDepIndex(c *core.Catalog) *DepIndex {
-	x := &DepIndex{byKey: map[string][]string{}}
+func BuildDepIndex(c *core.Catalog) *DepIndex { return buildDepIndex(declarations(c)) }
+
+// keyDecl is one catalogue entry's read declaration: its finding ID and
+// what core.CheckKeys reports for it.
+type keyDecl struct {
+	id   string
+	keys []string
+	ok   bool
+}
+
+// declarations lists a catalogue's read declarations in finding-ID
+// order; nil for a nil catalogue.
+func declarations(c *core.Catalog) []keyDecl {
 	if c == nil {
-		return x
+		return nil
 	}
-	for _, req := range c.All() {
-		x.findings++
-		keys, ok := core.CheckKeys(req)
-		if !ok {
-			x.unindexed = append(x.unindexed, req.FindingID())
+	reqs := c.All()
+	out := make([]keyDecl, len(reqs))
+	for i, req := range reqs {
+		out[i].id = req.FindingID()
+		out[i].keys, out[i].ok = core.CheckKeys(req)
+	}
+	return out
+}
+
+// declSignature encodes declarations as one string: each finding ID,
+// then "-" for an undeclared read set or "+<count>;" and the keys, with
+// every ID and key length-prefixed ("<len>:<bytes>"). The encoding is
+// unambiguous, so catalogues with equal signatures get equal indexes
+// from BuildDepIndex: the signature is the key the Streamer interns
+// indexes under.
+func declSignature(decls []keyDecl) string {
+	var b []byte
+	field := func(s string) {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
+	}
+	for _, d := range decls {
+		field(d.id)
+		if !d.ok {
+			b = append(b, '-')
 			continue
 		}
-		x.indexed = append(x.indexed, req.FindingID())
-		for _, k := range keys {
-			x.byKey[k] = append(x.byKey[k], req.FindingID())
+		b = strconv.AppendInt(append(b, '+'), int64(len(d.keys)), 10)
+		b = append(b, ';')
+		for _, k := range d.keys {
+			field(k)
 		}
 	}
-	// All() is ID-sorted, so appends already are too — but a requirement
-	// may declare duplicate keys; dedup each posting list defensively.
+	return string(b)
+}
+
+// buildDepIndex builds the index of a declaration list in finding-ID
+// order.
+func buildDepIndex(decls []keyDecl) *DepIndex {
+	x := &DepIndex{byKey: map[string][]string{}}
+	for _, d := range decls {
+		x.findings++
+		if !d.ok {
+			x.unindexed = append(x.unindexed, d.id)
+			continue
+		}
+		x.indexed = append(x.indexed, d.id)
+		for _, k := range d.keys {
+			x.byKey[k] = append(x.byKey[k], d.id)
+		}
+	}
+	// Declarations come in ID order, so appends already are sorted — but
+	// a requirement may declare duplicate keys; dedup each posting list
+	// defensively.
 	for k, ids := range x.byKey {
 		x.byKey[k] = dedupSorted(ids)
 	}

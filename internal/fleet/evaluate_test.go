@@ -81,9 +81,11 @@ func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 // Streamer (the dependency index selects each delta's checks), and after
 // every flush a fresh non-incremental Sweep (the index bypassed, every
 // check run) must agree with the Streamer's merged per-host reports and
-// its live Counts.
+// its live Counts. The fleet mixes three catalogue shapes (mixedFleet),
+// so the hosts share three interned indexes, one of them with an
+// unindexed check.
 func TestStreamerMatchesFreshSweep(t *testing.T) {
-	targets, hosts := LinuxFleet(16)
+	targets, hosts := mixedFleet(16)
 	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 3, Workers: 2, Dedup: true})
 	for i, tg := range targets {
 		s.Watch(tg, hosts[i].Log())

@@ -35,6 +35,20 @@ type Streamer struct {
 	dirty map[string]bool
 	stats StreamStats
 	view  *View
+	// indexes interns the watched hosts' dependency indexes by
+	// declaration signature (declSignature): hosts whose catalogues make
+	// the same declarations share one index. An entry leaves when its
+	// last host is unwatched.
+	indexes map[string]*sharedIndex
+}
+
+// sharedIndex is one interned DepIndex, its signature and the number of
+// watched hosts holding it. Only refs changes after creation, under the
+// Streamer's lock; the embedded index is read without it.
+type sharedIndex struct {
+	*DepIndex
+	sig  string
+	refs int
 }
 
 // StreamOptions configures a Streamer's evaluations. Every check runs
@@ -81,11 +95,11 @@ func (o StreamOptions) evalOptions() Options {
 }
 
 // streamHost is the streamer's per-host state: the audit target, its
-// event source, its dependency index and the tail cursor.
+// event source, its (shared) dependency index and the tail cursor.
 type streamHost struct {
 	target Target
 	log    *host.EventLog
-	index  *DepIndex
+	index  *sharedIndex
 	cancel func()
 	// cursor is the next EventLog sequence to consume (host.EventLog.Tail).
 	cursor int
@@ -190,6 +204,8 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 		hosts: map[string]*streamHost{},
 		dirty: map[string]bool{},
 		view:  NewView(),
+
+		indexes: map[string]*sharedIndex{},
 	}
 }
 
@@ -198,12 +214,16 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // verdict baseline, and every subsequent flush deltas from the event
 // tail. Re-watching a name replaces the previous registration and
 // drops the host's verdicts and open episodes from the live view.
+//
+// The host's dependency index is interned: Watch reads the catalogue's
+// key declarations (finding IDs with their CheckKeys), and a host whose
+// declarations equal those of a host already watched shares that host's
+// index instead of building its own, so a fleet of one catalogue shape
+// holds one index. The declarations are read once, at Watch.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
-	sh := &streamHost{
-		target: t,
-		log:    log,
-		index:  BuildDepIndex(t.Catalog),
-	}
+	decls := declarations(t.Catalog)
+	sig := declSignature(decls)
+	sh := &streamHost{target: t, log: log}
 	if log != nil {
 		name := t.Name
 		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(name) })
@@ -215,6 +235,13 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ix := s.indexes[sig]
+	if ix == nil {
+		ix = &sharedIndex{DepIndex: buildDepIndex(decls), sig: sig}
+		s.indexes[sig] = ix
+	}
+	ix.refs++
+	sh.index = ix
 	if old := s.hosts[t.Name]; old != nil {
 		s.detachLocked(old)
 	}
@@ -239,13 +266,17 @@ func (s *Streamer) Unwatch(name string) {
 	}
 }
 
-// detachLocked cancels a host's subscription and drops it from the
-// live view; callers hold s.mu.
+// detachLocked cancels a host's subscription, drops it from the live
+// view and releases its reference to the interned index; callers hold
+// s.mu. A flush already planned keeps using the index it read.
 func (s *Streamer) detachLocked(sh *streamHost) {
 	if sh.cancel != nil {
 		sh.cancel()
 	}
 	s.view.Drop(sh.target.Name)
+	if sh.index.refs--; sh.index.refs == 0 {
+		delete(s.indexes, sh.index.sig)
+	}
 }
 
 func (s *Streamer) markDirty(name string) {
@@ -386,6 +417,9 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	// episodes — in plan (name) order, so alarms and counts are
 	// deterministic. Full and Checks report what the evaluator ran, which
 	// is the whole catalogue whenever a subset had no cached base.
+	// Sized up front: a DeltaResult carries a whole HostResult, and
+	// growing the slice by doubling was the largest allocation per event.
+	fr.Hosts = make([]DeltaResult, 0, len(out.results))
 	s.mu.Lock()
 	for i, hr := range out.results {
 		p := plans[i]

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -97,10 +98,18 @@ type EventLog struct {
 	// monotonic even if the log later gains truncation or compaction, so
 	// cache keys built on it never go backwards.
 	version uint64
-	// subs holds the append subscribers keyed by registration id, so a
-	// departed subscriber (Subscribe's cancel) leaves no hole to skip.
-	subs    map[int]func(Event)
+	// subs holds the append subscribers in registration order. The slice
+	// is never written in place: Subscribe and cancel install a fresh
+	// copy, so AppendKeyed can hand the current one to its notification
+	// loop without copying it, and a departed subscriber leaves no hole.
+	subs    []subscriber
 	nextSub int
+}
+
+// subscriber is one Subscribe registration.
+type subscriber struct {
+	id int
+	fn func(Event)
 }
 
 // NewEventLog returns an empty log.
@@ -124,16 +133,10 @@ func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 	ev := Event{Seq: seq, Action: action, Detail: detail, Key: key}
 	l.events = append(l.events, ev)
 	l.version++
-	var subs []func(Event)
-	if len(l.subs) > 0 {
-		subs = make([]func(Event), 0, len(l.subs))
-		for _, fn := range l.subs {
-			subs = append(subs, fn)
-		}
-	}
+	subs := l.subs
 	l.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
+	for _, sub := range subs {
+		sub.fn(ev)
 	}
 	return seq
 }
@@ -143,21 +146,24 @@ func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 // after the log's lock is released — fn may call back into the log but
 // must not block, and concurrent appends may deliver notifications out
 // of sequence order (tail the log with Tail for ordered consumption;
-// subscriptions are the wake-up signal, not the data channel). The
-// returned cancel function removes the subscription; it is idempotent.
+// subscriptions are the wake-up signal, not the data channel). One
+// append notifies its subscribers in registration order. The returned
+// cancel function removes the subscription; it is idempotent.
 func (l *EventLog) Subscribe(fn func(Event)) (cancel func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.subs == nil {
-		l.subs = map[int]func(Event){}
-	}
 	id := l.nextSub
 	l.nextSub++
-	l.subs[id] = fn
+	l.subs = append(l.subs[:len(l.subs):len(l.subs)], subscriber{id, fn})
 	return func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		delete(l.subs, id)
+		for i, sub := range l.subs {
+			if sub.id == id {
+				l.subs = slices.Delete(slices.Clone(l.subs), i, i+1)
+				return
+			}
+		}
 	}
 }
 

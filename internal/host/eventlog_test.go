@@ -1,7 +1,9 @@
 package host
 
 import (
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -198,6 +200,59 @@ func TestEventLogSubscribe(t *testing.T) {
 	l.Append("op", "y")
 	if len(got) != 2 {
 		t.Errorf("cancelled subscriber still notified: %v", got)
+	}
+}
+
+// TestEventLogSubscribeCancelDuringAppends races subscriptions coming
+// and going against appends (run under -race): a subscriber present for
+// the whole run sees every append exactly once, and each transient one
+// sees at least the appends it made itself while subscribed.
+func TestEventLogSubscribeCancelDuringAppends(t *testing.T) {
+	l := NewEventLog()
+	var steady atomic.Int64
+	l.Subscribe(func(Event) { steady.Add(1) })
+	const workers, per = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				var seen atomic.Int64
+				cancel := l.Subscribe(func(Event) { seen.Add(1) })
+				l.Append("op", "x")
+				cancel()
+				if seen.Load() < 1 {
+					t.Error("transient subscriber missed its own append")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := steady.Load(); got != workers*per {
+		t.Errorf("steady subscriber saw %d appends, want %d", got, workers*per)
+	}
+}
+
+// TestEventLogSubscribersInRegistrationOrder pins the notification
+// order: registration order, with a cancelled subscriber leaving no gap
+// and a later registration going last.
+func TestEventLogSubscribersInRegistrationOrder(t *testing.T) {
+	l := NewEventLog()
+	var order []string
+	sub := func(name string) func() {
+		return l.Subscribe(func(Event) { order = append(order, name) })
+	}
+	sub("a")
+	cancelB := sub("b")
+	sub("c")
+	l.Append("op", "1")
+	cancelB()
+	sub("d")
+	l.Append("op", "2")
+	want := []string{"a", "b", "c", "a", "c", "d"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("notification order = %q, want %q", order, want)
 	}
 }
 

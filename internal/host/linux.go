@@ -14,29 +14,34 @@ import (
 	"sync"
 )
 
-// Package is a dpkg-style package record.
-type Package struct {
-	Name      string
-	Version   string
-	Installed bool
+// pkgState is a dpkg-style package record; the map key is its name.
+type pkgState struct {
+	version   string
+	installed bool
 }
 
-// Service is a systemd-style service record.
-type Service struct {
-	Name    string
-	Enabled bool
-	Running bool
+// svcState is a systemd-style service record; the map key is its name.
+type svcState struct {
+	enabled, running bool
+}
+
+// cfgSlot names one key of one configuration file. A struct key keeps
+// ("/a:b", "c") and ("/a", "b:c") apart, which a joined string would not.
+type cfgSlot struct {
+	file, key string
 }
 
 // Linux is a simulated Ubuntu host. The zero value is unusable; use
 // NewLinux or NewUbuntu1804. All methods are safe for concurrent use.
 type Linux struct {
-	mu       sync.Mutex
-	packages map[string]*Package
-	services map[string]*Service
-	// config maps file path -> key -> value, modelling the key-value style
+	mu sync.Mutex
+	// The state maps hold values, not pointers: a host's state costs its
+	// map buckets, not one heap object per package, service or file.
+	packages map[string]pkgState
+	services map[string]svcState
+	// config maps (file path, key) -> value, modelling the key-value style
 	// configuration files STIG checks grep (sshd_config, login.defs, ...).
-	config map[string]map[string]string
+	config map[cfgSlot]string
 	log    *EventLog
 	// readOnly makes every mutation a logged no-op, modelling hosts where
 	// the enforcement agent lacks privileges — the failure-injection hook
@@ -145,9 +150,9 @@ func (l *Linux) denied(action, detail string, key StateKey) bool {
 // NewLinux returns an empty Linux host.
 func NewLinux() *Linux {
 	return &Linux{
-		packages: map[string]*Package{},
-		services: map[string]*Service{},
-		config:   map[string]map[string]string{},
+		packages: map[string]pkgState{},
+		services: map[string]svcState{},
+		config:   map[cfgSlot]string{},
 		log:      NewEventLog(),
 	}
 }
@@ -177,13 +182,7 @@ func (l *Linux) Install(name, version string) {
 	if l.denied("apt.install", name, PackageKey(name)) {
 		return
 	}
-	p, ok := l.packages[name]
-	if !ok {
-		p = &Package{Name: name}
-		l.packages[name] = p
-	}
-	p.Version = version
-	p.Installed = true
+	l.packages[name] = pkgState{version: version, installed: true}
 	l.log.AppendKeyed("apt.install", name, PackageKey(name))
 }
 
@@ -197,7 +196,8 @@ func (l *Linux) Remove(name string) {
 		return
 	}
 	if p, ok := l.packages[name]; ok {
-		p.Installed = false
+		p.installed = false
+		l.packages[name] = p
 	}
 	l.log.AppendKeyed("apt.remove", name, PackageKey(name))
 }
@@ -209,8 +209,8 @@ func (l *Linux) Version(name string) string {
 	defer l.mu.Unlock()
 	l.ping()
 	l.rec.observe(PackageKey(name))
-	if p, ok := l.packages[name]; ok && p.Installed {
-		return p.Version
+	if p := l.packages[name]; p.installed {
+		return p.version
 	}
 	return ""
 }
@@ -228,8 +228,7 @@ func (l *Linux) InstalledCtx(ctx context.Context, name string) bool {
 	defer l.mu.Unlock()
 	l.pingCtx(ctx)
 	l.rec.observe(PackageKey(name))
-	p, ok := l.packages[name]
-	return ok && p.Installed
+	return l.packages[name].installed
 }
 
 // Packages returns the installed package names, sorted.
@@ -239,9 +238,9 @@ func (l *Linux) Packages() []string {
 	l.ping()
 	l.rec.observe(wildcard(KeyPackage))
 	var out []string
-	for _, p := range l.packages {
-		if p.Installed {
-			out = append(out, p.Name)
+	for name, p := range l.packages {
+		if p.installed {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
@@ -256,13 +255,7 @@ func (l *Linux) EnableService(name string) {
 	if l.denied("systemctl.enable", name, ServiceKey(name)) {
 		return
 	}
-	s, ok := l.services[name]
-	if !ok {
-		s = &Service{Name: name}
-		l.services[name] = s
-	}
-	s.Enabled = true
-	s.Running = true
+	l.services[name] = svcState{enabled: true, running: true}
 	l.log.AppendKeyed("systemctl.enable", name, ServiceKey(name))
 }
 
@@ -274,9 +267,8 @@ func (l *Linux) DisableService(name string) {
 	if l.denied("systemctl.disable", name, ServiceKey(name)) {
 		return
 	}
-	if s, ok := l.services[name]; ok {
-		s.Enabled = false
-		s.Running = false
+	if _, ok := l.services[name]; ok {
+		l.services[name] = svcState{}
 	}
 	l.log.AppendKeyed("systemctl.disable", name, ServiceKey(name))
 }
@@ -293,8 +285,8 @@ func (l *Linux) ServiceActiveCtx(ctx context.Context, name string) bool {
 	defer l.mu.Unlock()
 	l.pingCtx(ctx)
 	l.rec.observe(ServiceKey(name))
-	s, ok := l.services[name]
-	return ok && s.Enabled && s.Running
+	s := l.services[name]
+	return s.enabled && s.running
 }
 
 // SetConfig sets key=value in the given configuration file.
@@ -305,12 +297,7 @@ func (l *Linux) SetConfig(file, key, value string) {
 	if l.denied("config.set", file+":"+key, ConfigKey(file, key)) {
 		return
 	}
-	f, ok := l.config[file]
-	if !ok {
-		f = map[string]string{}
-		l.config[file] = f
-	}
-	f[key] = value
+	l.config[cfgSlot{file, key}] = value
 	l.log.AppendKeyed("config.set", fmt.Sprintf("%s:%s=%s", file, key, value), ConfigKey(file, key))
 }
 
@@ -326,11 +313,7 @@ func (l *Linux) ConfigCtx(ctx context.Context, file, key string) (string, bool) 
 	defer l.mu.Unlock()
 	l.pingCtx(ctx)
 	l.rec.observe(ConfigKey(file, key))
-	f, ok := l.config[file]
-	if !ok {
-		return "", false
-	}
-	v, ok := f[key]
+	v, ok := l.config[cfgSlot{file, key}]
 	return v, ok
 }
 
@@ -342,8 +325,6 @@ func (l *Linux) UnsetConfig(file, key string) {
 	if l.denied("config.unset", file+":"+key, ConfigKey(file, key)) {
 		return
 	}
-	if f, ok := l.config[file]; ok {
-		delete(f, key)
-	}
+	delete(l.config, cfgSlot{file, key})
 	l.log.AppendKeyed("config.unset", file+":"+key, ConfigKey(file, key))
 }

@@ -30,17 +30,15 @@ func (l *Linux) Snapshot() Snapshot {
 		Config:   map[string]string{},
 	}
 	for name, p := range l.packages {
-		if p.Installed {
-			s.Packages[name] = p.Version
+		if p.installed {
+			s.Packages[name] = p.version
 		}
 	}
 	for name, sv := range l.services {
-		s.Services[name] = sv.Enabled && sv.Running
+		s.Services[name] = sv.enabled && sv.running
 	}
-	for file, kv := range l.config {
-		for k, v := range kv {
-			s.Config[file+":"+k] = v
-		}
+	for slot, v := range l.config {
+		s.Config[slot.file+":"+slot.key] = v
 	}
 	return s
 }
@@ -58,22 +56,17 @@ func NewLinuxFromSnapshot(s Snapshot) *Linux {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for name, version := range s.Packages {
-		l.packages[name] = &Package{Name: name, Version: version, Installed: true}
+		l.packages[name] = pkgState{version: version, installed: true}
 	}
 	for name, active := range s.Services {
-		l.services[name] = &Service{Name: name, Enabled: active, Running: active}
+		l.services[name] = svcState{enabled: active, running: active}
 	}
 	for item, value := range s.Config {
 		file, key, ok := strings.Cut(item, ":")
 		if !ok || file == "" || key == "" {
 			continue
 		}
-		f := l.config[file]
-		if f == nil {
-			f = map[string]string{}
-			l.config[file] = f
-		}
-		f[key] = value
+		l.config[cfgSlot{file, key}] = value
 	}
 	l.log.Append("provision", fmt.Sprintf(
 		"%d packages, %d services, %d config keys",

@@ -45,7 +45,7 @@ func TestServiceEnforceFailsOnReadOnlyHost(t *testing.T) {
 	h := host.NewLinux()
 	h.EnableService("telnet")
 	h.SetReadOnly(true)
-	req := &UbuntuServicePattern{Finding: core.Finding{ID: "EXT-1"}, Host: h, ServiceName: "telnet"}
+	req := &UbuntuServicePattern{Finding: &core.Finding{ID: "EXT-1"}, Host: h, ServiceName: "telnet"}
 	if got := req.Enforce(); got != core.EnforceFailure {
 		t.Errorf("Enforce = %v, want FAILURE", got)
 	}

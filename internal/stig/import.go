@@ -129,6 +129,6 @@ func NewPackageRequirement(f core.Finding, h *host.Linux, pkg string, mustBeInst
 		return nil, fmt.Errorf("stig: %s: empty package name", f.ID)
 	}
 	return &UbuntuPackagePattern{
-		Finding: f, Host: h, PackageName: pkg, MustBeInstalled: mustBeInstalled,
+		Finding: &f, Host: h, PackageName: pkg, MustBeInstalled: mustBeInstalled,
 	}, nil
 }

@@ -34,12 +34,12 @@ func patternCases(l *host.Linux, w *host.Windows) []struct {
 	}{
 		{"package", stig.NewV219343(l), l, l.Log(), func() { l.Install("aide", "1") }},
 		{"config", stig.NewV219177(l), l, l.Log(), func() { l.SetConfig("/etc/login.defs", "ENCRYPT_METHOD", "MD5") }},
-		{"service", &stig.UbuntuServicePattern{Finding: core.Finding{ID: "T-1", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true},
+		{"service", &stig.UbuntuServicePattern{Finding: &core.Finding{ID: "T-1", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true},
 			l, l.Log(), func() { l.EnableService("auditd") }},
 		{"audit", stig.NewV63447(w), w, w.Log(), func() {
 			_ = w.SetAudit("User Account Management", host.AuditSetting{Failure: true})
 		}},
-		{"registry", &stig.RegistryRequirement{Finding: core.Finding{ID: "T-2", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"},
+		{"registry", &stig.RegistryRequirement{Finding: &core.Finding{ID: "T-2", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"},
 			w, w.Log(), func() { w.SetRegistry(`HKLM\X`, "1") }},
 	}
 }
@@ -120,8 +120,8 @@ func TestCatalogueReadsMatchDeclarations(t *testing.T) {
 // pattern surface.
 func patternCatalog(l *host.Linux, w *host.Windows) *core.Catalog {
 	cat := core.NewCatalog()
-	cat.MustRegister(&stig.UbuntuServicePattern{Finding: core.Finding{ID: "T-svc", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true})
-	cat.MustRegister(&stig.RegistryRequirement{Finding: core.Finding{ID: "T-reg", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"})
+	cat.MustRegister(&stig.UbuntuServicePattern{Finding: &core.Finding{ID: "T-svc", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true})
+	cat.MustRegister(&stig.RegistryRequirement{Finding: &core.Finding{ID: "T-reg", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"})
 	return cat
 }
 

@@ -50,8 +50,8 @@ type CatalogEntry struct {
 	Failure         bool   `json:"failure,omitempty"`
 }
 
-func (e CatalogEntry) finding() core.Finding {
-	return core.Finding{
+func (e CatalogEntry) finding() *core.Finding {
+	return &core.Finding{
 		ID: e.ID, Ver: e.Version, Sev: e.Severity, Guide: e.STIG,
 		Desc: e.Desc, CheckTxt: e.Check, FixTxt: e.Fix,
 	}

@@ -15,7 +15,7 @@ import (
 // UbuntuServicePattern requires a service to be active or inactive
 // ("systemctl is-active" style checks in STIG check texts).
 type UbuntuServicePattern struct {
-	core.Finding
+	*core.Finding
 	Host *host.Linux
 	// ServiceName is the systemd unit under requirement.
 	ServiceName string
@@ -67,7 +67,7 @@ func (u *UbuntuServicePattern) String() string {
 // RegistryRequirement requires a Windows registry value, the pattern
 // behind the large family of registry-based Windows 10 STIG findings.
 type RegistryRequirement struct {
-	core.Finding
+	*core.Finding
 	Host *host.Windows
 	// Key is the full registry path (hive\path\name form).
 	Key string

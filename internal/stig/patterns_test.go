@@ -12,7 +12,7 @@ func TestUbuntuServicePatternBanned(t *testing.T) {
 	h := host.NewLinux()
 	h.EnableService("telnet")
 	req := &UbuntuServicePattern{
-		Finding:     core.Finding{ID: "EXT-SVC-1", Sev: "high"},
+		Finding:     &core.Finding{ID: "EXT-SVC-1", Sev: "high"},
 		Host:        h,
 		ServiceName: "telnet",
 	}
@@ -33,7 +33,7 @@ func TestUbuntuServicePatternBanned(t *testing.T) {
 func TestUbuntuServicePatternRequired(t *testing.T) {
 	h := host.NewLinux()
 	req := &UbuntuServicePattern{
-		Finding:      core.Finding{ID: "EXT-SVC-2"},
+		Finding:      &core.Finding{ID: "EXT-SVC-2"},
 		Host:         h,
 		ServiceName:  "auditd",
 		MustBeActive: true,
@@ -60,7 +60,7 @@ func TestUbuntuServicePatternNilHost(t *testing.T) {
 func TestRegistryRequirement(t *testing.T) {
 	w := host.NewWindows10()
 	req := &RegistryRequirement{
-		Finding: core.Finding{ID: "EXT-REG-1"},
+		Finding: &core.Finding{ID: "EXT-REG-1"},
 		Host:    w,
 		Key:     `HKLM\SOFTWARE\Policies\Microsoft\Windows\System\EnableSmartScreen`,
 		Want:    "1",
@@ -92,10 +92,10 @@ func TestExtensionPatternsRegisterInCatalog(t *testing.T) {
 	w := host.NewWindows10()
 	cat := core.NewCatalog()
 	cat.MustRegister(&UbuntuServicePattern{
-		Finding: core.Finding{ID: "EXT-SVC-3"}, Host: h, ServiceName: "rlogin",
+		Finding: &core.Finding{ID: "EXT-SVC-3"}, Host: h, ServiceName: "rlogin",
 	})
 	cat.MustRegister(&RegistryRequirement{
-		Finding: core.Finding{ID: "EXT-REG-2"}, Host: w, Key: `HKLM\X`, Want: "1",
+		Finding: &core.Finding{ID: "EXT-REG-2"}, Host: w, Key: `HKLM\X`, Want: "1",
 	})
 	rep := cat.Run(core.CheckAndEnforce)
 	if rep.Compliance() != 1 {

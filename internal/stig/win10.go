@@ -13,7 +13,7 @@ import (
 // through the auditpol text interface (host.AuditPol), the Go analogue of
 // the reference implementation forking auditpol.exe.
 type AuditPolicyRequirement struct {
-	core.Finding
+	*core.Finding
 	AP host.AuditPol
 	// Category and Subcategory locate the policy in the auditpol taxonomy.
 	Category, Subcategory string
@@ -138,8 +138,10 @@ const win10Guide = "Windows 10 STIG"
 
 const auditTrailDesc = "Maintaining an audit trail of system activity logs can help identify configuration errors, troubleshoot service disruptions, and analyze compromises that have occurred, as well as detect attacks."
 
-func win10Finding(id, version string, sub, setting string) core.Finding {
-	return core.Finding{
+// win10Finding builds the metadata of one built-in Windows 10 finding,
+// once per finding at package initialisation (see ubuntuFinding).
+func win10Finding(id, version string, sub, setting string) *core.Finding {
+	return &core.Finding{
 		ID:        id,
 		Ver:       version,
 		Rule:      "SV-" + id[2:] + "r1_rule",
@@ -152,61 +154,73 @@ func win10Finding(id, version string, sub, setting string) core.Finding {
 	}
 }
 
+var v63447 = win10Finding("V-63447", "WN10-AU-000030", "User Account Management", "Success")
+
 // NewV63447 — audit User Account Management successes.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63447
 func NewV63447(w *host.Windows) *AuditPolicyRequirement {
 	r := newUserAccountManagement()
-	r.Finding = win10Finding("V-63447", "WN10-AU-000030", "User Account Management", "Success")
+	r.Finding = v63447
 	r.AP = host.AuditPol{W: w}
 	r.WantSuccess = true
 	return &r
 }
+
+var v63449 = win10Finding("V-63449", "WN10-AU-000035", "User Account Management", "Failure")
 
 // NewV63449 — audit User Account Management failures.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63449
 func NewV63449(w *host.Windows) *AuditPolicyRequirement {
 	r := newUserAccountManagement()
-	r.Finding = win10Finding("V-63449", "WN10-AU-000035", "User Account Management", "Failure")
+	r.Finding = v63449
 	r.AP = host.AuditPol{W: w}
 	r.WantFailure = true
 	return &r
 }
+
+var v63463 = win10Finding("V-63463", "WN10-AU-000075", "Logon", "Failure")
 
 // NewV63463 — audit Logon failures.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63463
 func NewV63463(w *host.Windows) *AuditPolicyRequirement {
 	r := newLogon()
-	r.Finding = win10Finding("V-63463", "WN10-AU-000075", "Logon", "Failure")
+	r.Finding = v63463
 	r.AP = host.AuditPol{W: w}
 	r.WantFailure = true
 	return &r
 }
+
+var v63467 = win10Finding("V-63467", "WN10-AU-000080", "Logon", "Success")
 
 // NewV63467 — audit Logon successes.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63467
 func NewV63467(w *host.Windows) *AuditPolicyRequirement {
 	r := newLogon()
-	r.Finding = win10Finding("V-63467", "WN10-AU-000080", "Logon", "Success")
+	r.Finding = v63467
 	r.AP = host.AuditPol{W: w}
 	r.WantSuccess = true
 	return &r
 }
 
+var v63483 = win10Finding("V-63483", "WN10-AU-000110", "Sensitive Privilege Use", "Failure")
+
 // NewV63483 — audit Sensitive Privilege Use failures.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63483
 func NewV63483(w *host.Windows) *AuditPolicyRequirement {
 	r := newSensitivePrivilegeUse()
-	r.Finding = win10Finding("V-63483", "WN10-AU-000110", "Sensitive Privilege Use", "Failure")
+	r.Finding = v63483
 	r.AP = host.AuditPol{W: w}
 	r.WantFailure = true
 	return &r
 }
 
+var v63487 = win10Finding("V-63487", "WN10-AU-000115", "Sensitive Privilege Use", "Success")
+
 // NewV63487 — audit Sensitive Privilege Use successes.
 // https://www.stigviewer.com/stig/windows_10/2016-10-28/finding/V-63487
 func NewV63487(w *host.Windows) *AuditPolicyRequirement {
 	r := newSensitivePrivilegeUse()
-	r.Finding = win10Finding("V-63487", "WN10-AU-000115", "Sensitive Privilege Use", "Success")
+	r.Finding = v63487
 	r.AP = host.AuditPol{W: w}
 	r.WantSuccess = true
 	return &r
