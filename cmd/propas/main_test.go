@@ -37,19 +37,34 @@ func TestFormulaParseError(t *testing.T) {
 }
 
 func TestSentenceMode(t *testing.T) {
-	code, out, _ := runCapture(t, "-sentence",
-		"Globally, it is always the case that if intrusion holds, then alarm eventually holds within 50 time units.")
-	if code != 0 {
-		t.Fatalf("exit = %d\n%s", code, out)
+	cases := []struct {
+		sentence string
+		want     []string
+	}{
+		{"Globally, it is always the case that if intrusion holds, then alarm eventually holds within 50 time units.", []string{
+			"template:  global-response-timed",
+			"pattern:   response/globally",
+			"formula:   intrusion -->[<=50] alarm",
+			"observer:  obs_response_intrusion_alarm",
+		}},
+		// A bounded invariant keeps its bound, and no unbounded observer
+		// is offered for it.
+		{"It is always the case that p holds during the first 50 time units.", []string{
+			"template:  global-universality-timed",
+			"pattern:   universality/globally",
+			"formula:   !(E<>[<=50] !p)",
+			"observer:  (not reachability-checkable: automata: bounded universality",
+		}},
 	}
-	for _, want := range []string{
-		"template:  global-response-timed",
-		"pattern:   response/globally",
-		"formula:   intrusion -->[<=50] alarm",
-		"observer:  obs_response_intrusion_alarm",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, c := range cases {
+		code, out, _ := runCapture(t, "-sentence", c.sentence)
+		if code != 0 {
+			t.Fatalf("exit = %d\n%s", code, out)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
 		}
 	}
 	if code, _, _ := runCapture(t, "-sentence", "gibberish"); code != 2 {

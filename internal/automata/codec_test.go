@@ -112,6 +112,8 @@ func TestFromPatternErrors(t *testing.T) {
 		{Behaviour: tctl.Absence, Scope: tctl.Globally},                                                                // missing P
 		{Behaviour: tctl.Response, Scope: tctl.Between, P: tctl.Prop{Name: "p"}, S: tctl.Prop{Name: "s"}},              // unsupported scope
 		{Behaviour: tctl.Absence, Scope: tctl.AfterUntil, P: tctl.Prop{Name: "p"}, Q: tctl.Prop{Name: "q"}},            // missing R
+		{Behaviour: tctl.Universality, Scope: tctl.Globally, P: tctl.Prop{Name: "p"}, B: tctl.Within(50)},              // bounded universality
+		{Behaviour: tctl.Absence, Scope: tctl.Globally, P: tctl.Prop{Name: "p"}, B: tctl.Within(50)},                   // bounded absence
 	}
 	for i, p := range bad {
 		if _, err := FromPattern(p); err == nil {

@@ -13,10 +13,10 @@ import (
 // labels.
 //
 // Observability restrictions, inherent to checking liveness as
-// reachability: global existence and response require a time bound, and
-// universality is observed through the complementary violation event
-// "<p>_viol" which the plant model must emit whenever the proposition
-// turns false.
+// reachability: global existence and response require a time bound,
+// global absence and universality must be unbounded, and universality is
+// observed through the complementary violation event "<p>_viol" which
+// the plant model must emit whenever the proposition turns false.
 func FromPattern(p tctl.Pattern) (*Automaton, error) {
 	name := func(f tctl.Formula, role string) (string, error) {
 		if f == nil {
@@ -36,9 +36,13 @@ func FromPattern(p tctl.Pattern) (*Automaton, error) {
 			return nil, err
 		}
 		switch p.Behaviour {
-		case tctl.Absence:
-			return AbsenceObserver(pn), nil
-		case tctl.Universality:
+		case tctl.Absence, tctl.Universality:
+			if p.B.Valid {
+				return nil, fmt.Errorf("automata: bounded %s has no observer template; the unbounded observer would check the whole run", p.Behaviour)
+			}
+			if p.Behaviour == tctl.Absence {
+				return AbsenceObserver(pn), nil
+			}
 			return UniversalityObserver(pn + "_viol"), nil
 		case tctl.Existence:
 			if !p.B.Valid {

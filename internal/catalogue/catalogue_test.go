@@ -1,6 +1,8 @@
 package catalogue
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,5 +64,19 @@ func TestFirstSentence(t *testing.T) {
 	}
 	if firstSentence("no terminator") != "no terminator" {
 		t.Error("firstSentence should pass through")
+	}
+}
+
+// TestCatalogueFileIsCurrent: the checked-in CATALOGUE.md is exactly
+// what the generator prints, so a change to a pattern's text or formula
+// shows up as a diff of the document (regenerate it with
+// go run ./cmd/catalogue > CATALOGUE.md).
+func TestCatalogueFileIsCurrent(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "CATALOGUE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Markdown(); got != string(want) {
+		t.Errorf("CATALOGUE.md differs from Markdown(); regenerate it with go run ./cmd/catalogue > CATALOGUE.md")
 	}
 }

@@ -3,9 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"runtime/debug"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,52 +216,122 @@ func TestTracedIncrementalAndDedupSweep(t *testing.T) {
 	}
 }
 
+// spanCounter is a telemetry sink that counts ended spans by name.
+type spanCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *spanCounter) Offer(sd telemetry.SpanData) {
+	c.mu.Lock()
+	c.n[sd.Name]++
+	c.mu.Unlock()
+}
+
+// sweepSpanBudget is the exact span count, by name, of a traced
+// one-shard sweep over fault-free hosts with checks requirements each:
+// the sweep and its shard, and per host evaluation one host span, one
+// check span per requirement and one attempt span per check.
+func sweepSpanBudget(hosts, checks int) map[string]int {
+	return map[string]int{
+		"sweep":   1,
+		"shard":   1,
+		"host":    hosts,
+		"check":   hosts * checks,
+		"attempt": hosts * checks,
+	}
+}
+
+// spanBudgetDiff lists every span name whose count differs from the
+// budget, missing and unbudgeted names included.
+func spanBudgetDiff(got, budget map[string]int) []string {
+	var out []string
+	for name, n := range got {
+		if n != budget[name] {
+			out = append(out, fmt.Sprintf("%s: %d spans, budget %d", name, n, budget[name]))
+		}
+	}
+	for name, n := range budget {
+		if _, ok := got[name]; !ok {
+			out = append(out, fmt.Sprintf("%s: 0 spans, budget %d", name, n))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// tracedSweepSpans sweeps targets once on one shard, traced into a
+// counting sink, and returns the span counts and the sweep's stats.
+func tracedSweepSpans(targets []Target) (map[string]int, FleetStats) {
+	c := &spanCounter{n: map[string]int{}}
+	tr := telemetry.New(io.Discard, telemetry.WithSink(c))
+	_, st := Sweep(targets, Options{Shards: 1, Workers: 2, Trace: tr})
+	tr.Flush()
+	return c.n, st
+}
+
 // TestTracingOverheadGate is the tracing-overhead regression gate (make
-// smoke-trace): on 16 hosts with a 100us probe round-trip, swept at 4
-// shards x 4 workers, the best of 5 sweeps traced as JSONL to a
-// discarding writer must stay within 25% of the best of 5 untraced
-// sweeps. The sweep is ~5ms of mostly sleep, so single-digit
-// percentages are noise on a loaded runner; 25% still catches the
-// 31-33% overhead the per-collector sharding removed.
+// smoke-trace). It counts instead of timing, so machine load cannot fail
+// it: a traced sweep of 16 hosts must emit exactly the spans of
+// sweepSpanBudget, and may allocate at most maxExtraAllocs objects more
+// than an untraced sweep. Spans and their tags are pooled, so what
+// tracing adds is a handful of per-sweep objects, independent of the
+// number of hosts; one extra allocation per host evaluation breaks the
+// bound. The relative wall-clock cost of tracing is
+// telemetry.overhead_pct in cmd/vdo-perf.
 func TestTracingOverheadGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the traced/untraced wall ratio; gate measured without -race")
-	}
 	const (
-		nHosts   = 16
-		runs     = 5
-		maxRatio = 0.25
+		nHosts         = 16
+		maxExtraAllocs = 16
 	)
-	sweep := func(traced bool) time.Duration {
-		targets, _ := LinuxFleet(nHosts)
-		for i := range targets {
-			targets[i] = WithProbeDelay(targets[i], 100*time.Microsecond)
-		}
-		opts := Options{Shards: 4, Workers: 4}
-		if traced {
-			opts.Trace = telemetry.New(io.Discard)
-		}
-		_, st := Sweep(targets, opts)
-		opts.Trace.Flush() // no-op when untraced
-		return st.Wall
+	targets, _ := LinuxFleet(nHosts)
+	checks := targets[0].Catalog.Len()
+	got, st := tracedSweepSpans(targets)
+	if st.Attempts != nHosts*checks {
+		t.Fatalf("attempts = %d, want %d: the fleet is not fault-free", st.Attempts, nHosts*checks)
 	}
-	// One unmeasured sweep of each kind warms the pools and the
-	// scheduler, then the runs alternate so drift in machine load hits
-	// both sides alike.
-	sweep(false)
-	sweep(true)
-	var off, on time.Duration
-	for run := 0; run < runs; run++ {
-		if w := sweep(false); run == 0 || w < off {
-			off = w
-		}
-		if w := sweep(true); run == 0 || w < on {
-			on = w
-		}
+	for _, e := range spanBudgetDiff(got, sweepSpanBudget(nHosts, checks)) {
+		t.Error(e)
 	}
-	overhead := float64(on-off) / float64(off)
-	t.Logf("4-shard spans overhead %.1f%% (untraced %v, traced %v, best of %d)", 100*overhead, off, on, runs)
-	if overhead > maxRatio {
-		t.Fatalf("4-shard spans overhead %.1f%% exceeds %.0f%%", 100*overhead, 100*maxRatio)
+
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation budget measured without -race")
+	}
+	// A collection empties the span pools, and refilling them would be
+	// counted as tracing cost; none runs while allocations are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	tr := telemetry.New(io.Discard, telemetry.WithSink(&spanCounter{n: map[string]int{}}))
+	allocs := func(trace *telemetry.Tracer) float64 {
+		return testing.AllocsPerRun(5, func() {
+			Sweep(targets, Options{Shards: 1, Workers: 2, Trace: trace})
+		})
+	}
+	off, on := allocs(nil), allocs(tr)
+	t.Logf("traced sweep of %d hosts: %.0f allocs, untraced %.0f", nHosts, on, off)
+	if on-off > maxExtraAllocs {
+		t.Fatalf("tracing adds %.0f allocs to a sweep of %d hosts, budget %d", on-off, nHosts, maxExtraAllocs)
+	}
+}
+
+// TestTracingOverheadGateCatchesExtraSpans seeds the regressions the
+// span budget exists for into the counts of a real traced sweep: one
+// extra child span per check, and one extra attempt per host.
+func TestTracingOverheadGateCatchesExtraSpans(t *testing.T) {
+	const nHosts = 4
+	targets, _ := LinuxFleet(nHosts)
+	checks := targets[0].Catalog.Len()
+	budget := sweepSpanBudget(nHosts, checks)
+	for name, seed := range map[string]func(map[string]int){
+		"extra child span per check": func(n map[string]int) { n["probe"] += n["check"] },
+		"extra attempt per host":     func(n map[string]int) { n["attempt"] += n["host"] },
+	} {
+		got, _ := tracedSweepSpans(targets)
+		if diff := spanBudgetDiff(got, budget); len(diff) != 0 {
+			t.Fatalf("unseeded sweep is already off budget: %v", diff)
+		}
+		seed(got)
+		if len(spanBudgetDiff(got, budget)) == 0 {
+			t.Errorf("%s: the span budget does not catch it", name)
+		}
 	}
 }

@@ -25,11 +25,14 @@ type svcState struct {
 	enabled, running bool
 }
 
-// cfgSlot names one key of one configuration file. A struct key keeps
+// ConfigSlot names one key of one configuration file. A struct key keeps
 // ("/a:b", "c") and ("/a", "b:c") apart, which a joined string would not.
-type cfgSlot struct {
-	file, key string
+type ConfigSlot struct {
+	File, Key string
 }
+
+// String renders the slot as "file:key", the form diffs print.
+func (s ConfigSlot) String() string { return s.File + ":" + s.Key }
 
 // Linux is a simulated Ubuntu host. The zero value is unusable; use
 // NewLinux or NewUbuntu1804. All methods are safe for concurrent use.
@@ -41,7 +44,7 @@ type Linux struct {
 	services map[string]svcState
 	// config maps (file path, key) -> value, modelling the key-value style
 	// configuration files STIG checks grep (sshd_config, login.defs, ...).
-	config map[cfgSlot]string
+	config map[ConfigSlot]string
 	log    *EventLog
 	// readOnly makes every mutation a logged no-op, modelling hosts where
 	// the enforcement agent lacks privileges — the failure-injection hook
@@ -152,7 +155,7 @@ func NewLinux() *Linux {
 	return &Linux{
 		packages: map[string]pkgState{},
 		services: map[string]svcState{},
-		config:   map[cfgSlot]string{},
+		config:   map[ConfigSlot]string{},
 		log:      NewEventLog(),
 	}
 }
@@ -297,7 +300,7 @@ func (l *Linux) SetConfig(file, key, value string) {
 	if l.denied("config.set", file+":"+key, ConfigKey(file, key)) {
 		return
 	}
-	l.config[cfgSlot{file, key}] = value
+	l.config[ConfigSlot{file, key}] = value
 	l.log.AppendKeyed("config.set", fmt.Sprintf("%s:%s=%s", file, key, value), ConfigKey(file, key))
 }
 
@@ -313,7 +316,7 @@ func (l *Linux) ConfigCtx(ctx context.Context, file, key string) (string, bool) 
 	defer l.mu.Unlock()
 	l.pingCtx(ctx)
 	l.rec.observe(ConfigKey(file, key))
-	v, ok := l.config[cfgSlot{file, key}]
+	v, ok := l.config[ConfigSlot{file, key}]
 	return v, ok
 }
 
@@ -325,6 +328,6 @@ func (l *Linux) UnsetConfig(file, key string) {
 	if l.denied("config.unset", file+":"+key, ConfigKey(file, key)) {
 		return
 	}
-	delete(l.config, cfgSlot{file, key})
+	delete(l.config, ConfigSlot{file, key})
 	l.log.AppendKeyed("config.unset", file+":"+key, ConfigKey(file, key))
 }

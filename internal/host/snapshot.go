@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -16,8 +17,8 @@ type Snapshot struct {
 	Packages map[string]string
 	// Services maps service name -> active.
 	Services map[string]bool
-	// Config maps "file:key" -> value.
-	Config map[string]string
+	// Config maps (file, key) -> value.
+	Config map[ConfigSlot]string
 }
 
 // Snapshot captures the current state.
@@ -27,7 +28,7 @@ func (l *Linux) Snapshot() Snapshot {
 	s := Snapshot{
 		Packages: map[string]string{},
 		Services: map[string]bool{},
-		Config:   map[string]string{},
+		Config:   make(map[ConfigSlot]string, len(l.config)),
 	}
 	for name, p := range l.packages {
 		if p.installed {
@@ -37,9 +38,7 @@ func (l *Linux) Snapshot() Snapshot {
 	for name, sv := range l.services {
 		s.Services[name] = sv.enabled && sv.running
 	}
-	for slot, v := range l.config {
-		s.Config[slot.file+":"+slot.key] = v
-	}
+	maps.Copy(s.Config, l.config)
 	return s
 }
 
@@ -49,8 +48,7 @@ func (l *Linux) Snapshot() Snapshot {
 // 10k–1M hosts: per-mutation construction would cost tens of event-log
 // entries per host, which at mega-fleet scale dominates both synthesis
 // time and memory. Services restore as enabled+running when active in
-// the snapshot and present-but-stopped otherwise; config keys with a
-// malformed "file:key" item are skipped.
+// the snapshot and present-but-stopped otherwise.
 func NewLinuxFromSnapshot(s Snapshot) *Linux {
 	l := NewLinux()
 	l.mu.Lock()
@@ -61,13 +59,7 @@ func NewLinuxFromSnapshot(s Snapshot) *Linux {
 	for name, active := range s.Services {
 		l.services[name] = svcState{enabled: active, running: active}
 	}
-	for item, value := range s.Config {
-		file, key, ok := strings.Cut(item, ":")
-		if !ok || file == "" || key == "" {
-			continue
-		}
-		l.config[cfgSlot{file, key}] = value
-	}
+	maps.Copy(l.config, s.Config)
 	l.log.Append("provision", fmt.Sprintf(
 		"%d packages, %d services, %d config keys",
 		len(s.Packages), len(s.Services), len(s.Config)))
@@ -92,30 +84,8 @@ func (c Change) String() string {
 
 // Diff lists the changes from old to new, sorted by kind then item.
 func Diff(old, new Snapshot) []Change {
-	var out []Change
-	diffMap := func(kind string, a, b map[string]string) {
-		keys := map[string]struct{}{}
-		for k := range a {
-			keys[k] = struct{}{}
-		}
-		for k := range b {
-			keys[k] = struct{}{}
-		}
-		for k := range keys {
-			av, aok := a[k]
-			bv, bok := b[k]
-			switch {
-			case aok && !bok:
-				out = append(out, Change{Kind: kind, Item: k, Before: av, After: "absent"})
-			case !aok && bok:
-				out = append(out, Change{Kind: kind, Item: k, Before: "absent", After: bv})
-			case av != bv:
-				out = append(out, Change{Kind: kind, Item: k, Before: av, After: bv})
-			}
-		}
-	}
-	diffMap("package", old.Packages, new.Packages)
-	diffMap("config", old.Config, new.Config)
+	out := diffMap(nil, "package", old.Packages, new.Packages, func(name string) string { return name })
+	out = diffMap(out, "config", old.Config, new.Config, ConfigSlot.String)
 
 	svc := map[string]struct{}{}
 	for k := range old.Services {
@@ -142,6 +112,31 @@ func Diff(old, new Snapshot) []Change {
 		}
 		return out[i].Item < out[j].Item
 	})
+	return out
+}
+
+// diffMap appends the changes from a to b of one kind of state, naming
+// each changed entity by item(key).
+func diffMap[K comparable](out []Change, kind string, a, b map[K]string, item func(K) string) []Change {
+	keys := map[K]struct{}{}
+	for k := range a {
+		keys[k] = struct{}{}
+	}
+	for k := range b {
+		keys[k] = struct{}{}
+	}
+	for k := range keys {
+		av, aok := a[k]
+		bv, bok := b[k]
+		switch {
+		case aok && !bok:
+			out = append(out, Change{Kind: kind, Item: item(k), Before: av, After: "absent"})
+		case !aok && bok:
+			out = append(out, Change{Kind: kind, Item: item(k), Before: "absent", After: bv})
+		case av != bv:
+			out = append(out, Change{Kind: kind, Item: item(k), Before: av, After: bv})
+		}
+	}
 	return out
 }
 

@@ -122,15 +122,3 @@ func TestNewLinuxFromSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("mutation after provision logged %d events, want 2", got.Log().Len())
 	}
 }
-
-func TestNewLinuxFromSnapshotSkipsMalformedConfigKeys(t *testing.T) {
-	l := NewLinuxFromSnapshot(Snapshot{
-		Config: map[string]string{"no-separator": "x", "/etc/f:k": "v", ":empty": "y", "/etc/g:": "z"},
-	})
-	if v, ok := l.Config("/etc/f", "k"); !ok || v != "v" {
-		t.Errorf("well-formed key lost: %q/%v", v, ok)
-	}
-	if _, ok := l.Config("no-separator", ""); ok {
-		t.Error("malformed config item must be skipped")
-	}
-}

@@ -46,7 +46,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.Install("nis", "2.0")
 				return l
 			},
-			snap:     Snapshot{Packages: map[string]string{"nis": "2.0"}, Services: map[string]bool{}, Config: map[string]string{}},
+			snap:     Snapshot{Packages: map[string]string{"nis": "2.0"}, Services: map[string]bool{}, Config: map[ConfigSlot]string{}},
 			packages: []string{"nis"},
 			pkgs:     []pkgProbe{{"nis", "2.0", true}},
 		},
@@ -59,7 +59,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.Remove("nis")
 				return l
 			},
-			snap:     Snapshot{Packages: map[string]string{"aide": "0.16"}, Services: map[string]bool{}, Config: map[string]string{}},
+			snap:     Snapshot{Packages: map[string]string{"aide": "0.16"}, Services: map[string]bool{}, Config: map[ConfigSlot]string{}},
 			packages: []string{"aide"},
 			pkgs:     []pkgProbe{{"nis", "", false}, {"aide", "0.16", true}},
 		},
@@ -70,7 +70,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.Remove("ghost")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[string]string{}},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{}},
 			pkgs: []pkgProbe{{"ghost", "", false}},
 		},
 		{
@@ -80,7 +80,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.DisableService("ghost")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[string]string{}},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{}},
 			svcs: []svcProbe{{"ghost", false}},
 		},
 		{
@@ -92,7 +92,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.DisableService("telnet")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{"auditd": true, "telnet": false}, Config: map[string]string{}},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{"auditd": true, "telnet": false}, Config: map[ConfigSlot]string{}},
 			svcs: []svcProbe{{"auditd", true}, {"telnet", false}},
 		},
 		{
@@ -107,9 +107,9 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.UnsetConfig("/etc/absent", "k")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[string]string{
-				"/etc/login.defs:ENCRYPT_METHOD":       "SHA512",
-				"/etc/ssh/sshd_config:PermitRootLogin": "no",
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{
+				{"/etc/login.defs", "ENCRYPT_METHOD"}:       "SHA512",
+				{"/etc/ssh/sshd_config", "PermitRootLogin"}: "no",
 			}},
 			cfgs: []cfgProbe{
 				{"/etc/login.defs", "ENCRYPT_METHOD", "SHA512", true},
@@ -125,8 +125,8 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.SetConfig("/etc/app:v2.conf", "mode", "strict")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[string]string{
-				"/etc/app:v2.conf:mode": "strict",
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{
+				{"/etc/app:v2.conf", "mode"}: "strict",
 			}},
 			cfgs: []cfgProbe{
 				{"/etc/app:v2.conf", "mode", "strict", true},
@@ -142,8 +142,51 @@ func TestLinuxStateSequences(t *testing.T) {
 				l.UnsetConfig("/a:b", "c")
 				return l
 			},
-			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[string]string{"/a:b:c": "2"}},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{{"/a", "b:c"}: "2"}},
 			cfgs: []cfgProbe{{"/a:b", "c", "", false}, {"/a", "b:c", "2", true}},
+		},
+		{
+			name: "a colon in a file path survives the snapshot round trip",
+			build: func() *Linux {
+				l := NewLinux()
+				l.SetConfig("/etc/app:v2.conf", "mode", "strict")
+				return roundTrip(l)
+			},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{
+				{"/etc/app:v2.conf", "mode"}: "strict",
+			}},
+			cfgs: []cfgProbe{
+				{"/etc/app:v2.conf", "mode", "strict", true},
+				{"/etc/app", "v2.conf:mode", "", false},
+			},
+		},
+		{
+			name: "colon-joined slots stay distinct through the snapshot round trip",
+			build: func() *Linux {
+				l := NewLinux()
+				l.SetConfig("/a:b", "c", "1")
+				l.SetConfig("/a", "b:c", "2")
+				return roundTrip(l)
+			},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{
+				{"/a:b", "c"}: "1",
+				{"/a", "b:c"}: "2",
+			}},
+			cfgs: []cfgProbe{{"/a:b", "c", "1", true}, {"/a", "b:c", "2", true}},
+		},
+		{
+			name: "empty file or key parts survive the snapshot round trip",
+			build: func() *Linux {
+				l := NewLinux()
+				l.SetConfig("", "empty-file", "x")
+				l.SetConfig("/etc/g", "", "y")
+				return roundTrip(l)
+			},
+			snap: Snapshot{Packages: map[string]string{}, Services: map[string]bool{}, Config: map[ConfigSlot]string{
+				{"", "empty-file"}: "x",
+				{"/etc/g", ""}:     "y",
+			}},
+			cfgs: []cfgProbe{{"", "empty-file", "x", true}, {"/etc/g", "", "y", true}},
 		},
 		{
 			name: "snapshot round trip",
@@ -161,7 +204,7 @@ func TestLinuxStateSequences(t *testing.T) {
 			snap: Snapshot{
 				Packages: map[string]string{"openssh-server": "7.6"},
 				Services: map[string]bool{"sshd": true, "telnet": false},
-				Config:   map[string]string{"/etc/login.defs:ENCRYPT_METHOD": "SHA512"},
+				Config:   map[ConfigSlot]string{{"/etc/login.defs", "ENCRYPT_METHOD"}: "SHA512"},
 			},
 			packages: []string{"openssh-server"},
 			pkgs:     []pkgProbe{{"openssh-server", "7.6", true}, {"nis", "", false}},
@@ -174,7 +217,7 @@ func TestLinuxStateSequences(t *testing.T) {
 				l := NewLinuxFromSnapshot(Snapshot{
 					Packages: map[string]string{"nis": "1.0", "aide": "0.16"},
 					Services: map[string]bool{"telnet": false},
-					Config:   map[string]string{"/etc/f:k": "v"},
+					Config:   map[ConfigSlot]string{{"/etc/f", "k"}: "v"},
 				})
 				l.Remove("nis")
 				l.Install("aide", "0.17")
@@ -186,7 +229,7 @@ func TestLinuxStateSequences(t *testing.T) {
 			snap: Snapshot{
 				Packages: map[string]string{"aide": "0.17"},
 				Services: map[string]bool{"telnet": true},
-				Config:   map[string]string{"/etc/f:j": "w"},
+				Config:   map[ConfigSlot]string{{"/etc/f", "j"}: "w"},
 			},
 			packages: []string{"aide"},
 			pkgs:     []pkgProbe{{"nis", "", false}, {"aide", "0.17", true}},

@@ -135,7 +135,7 @@ func (f *Fleet) joinClass(ci int) *Host {
 	snap := host.Snapshot{
 		Packages: make(map[string]string, len(base.Packages)+class.PackagesPerHost),
 		Services: make(map[string]bool, len(base.Services)+class.ServicesPerHost),
-		Config:   make(map[string]string, len(base.Config)+class.ConfigKeysPerHost),
+		Config:   make(map[host.ConfigSlot]string, len(base.Config)+class.ConfigKeysPerHost),
 	}
 	for k, v := range base.Packages {
 		snap.Packages[k] = v
@@ -169,8 +169,8 @@ func (f *Fleet) joinClass(ci int) *Host {
 		if keys < 1 {
 			keys = 1
 		}
-		item := fmt.Sprintf("%s:key-%02d", cf.Path, f.rng.Intn(keys))
-		snap.Config[item] = fmt.Sprintf("v%d", f.rng.Intn(100))
+		slot := host.ConfigSlot{File: cf.Path, Key: fmt.Sprintf("key-%02d", f.rng.Intn(keys))}
+		snap.Config[slot] = fmt.Sprintf("v%d", f.rng.Intn(100))
 	}
 
 	l := host.NewLinuxFromSnapshot(snap)

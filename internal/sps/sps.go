@@ -103,9 +103,9 @@ var templates = []struct {
 		"global-universality-timed",
 		regexp.MustCompile(`(?i)^it is always the case that (.+?) holds during the first (\d+) time units$`),
 		func(m []string) (tctl.Pattern, error) {
-			// The windowed invariant has no direct SPS cell; expose it as
-			// bounded absence of the negation (the dual used by the
-			// GlobalUniversalityTimed monitor's TCTL rendering).
+			// The windowed invariant is a bounded universality, which
+			// tctl compiles to its dual !(E<>[<=T] !P): the formula the
+			// GlobalUniversalityTimed monitor watches.
 			d, err := strconv.ParseInt(m[2], 10, 64)
 			if err != nil {
 				return tctl.Pattern{}, fmt.Errorf("sps: bad bound %q", m[2])

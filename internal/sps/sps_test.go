@@ -33,6 +33,8 @@ func TestParseCatalogueSentences(t *testing.T) {
 			"before-universality", tctl.Universality, tctl.Before},
 		{"Between q and r, it is never the case that p holds.",
 			"between-absence", tctl.Absence, tctl.Between},
+		{"It is always the case that p holds during the first 50 time units.",
+			"global-universality-timed", tctl.Universality, tctl.Globally},
 	}
 	for _, c := range cases {
 		res, err := Parse(c.sentence)
@@ -49,6 +51,12 @@ func TestParseCatalogueSentences(t *testing.T) {
 		}
 		if res.Formula == nil {
 			t.Errorf("%q: no formula", c.sentence)
+			continue
+		}
+		// The compiled formula keeps every part of the sentence: a
+		// bound the sentence states must appear in the formula.
+		if want := res.Pattern.B.String(); !strings.Contains(res.Formula.String(), want) {
+			t.Errorf("%q compiled to %q, which drops the bound %s", c.sentence, res.Formula, want)
 		}
 	}
 }
@@ -80,7 +88,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 // The temporal monitors' String() output parses back into equivalent
-// patterns: the catalogue's textual notation is executable.
+// patterns that compile to the very formula the monitor watches: the
+// catalogue's textual notation is executable, and the English, the TCTL
+// and the compiled formula cannot drift apart.
 func TestMonitorDescriptionsRoundTrip(t *testing.T) {
 	clk := temporal.NewSimClock()
 	opt := temporal.Options{Clock: clk, Period: 10, Boundary: 10}
@@ -109,6 +119,9 @@ func TestMonitorDescriptionsRoundTrip(t *testing.T) {
 		if res.Pattern.Behaviour != c.behaviour || res.Pattern.Scope != c.scope {
 			t.Errorf("%q -> %v/%v, want %v/%v", desc,
 				res.Pattern.Behaviour, res.Pattern.Scope, c.behaviour, c.scope)
+		}
+		if !tctl.Equal(res.Formula, c.monitor.Formula()) {
+			t.Errorf("%q compiles to %q, but the monitor watches %q", desc, res.Formula, c.monitor.Formula())
 		}
 	}
 }

@@ -57,6 +57,20 @@ func Eval(tr *trace.Trace, f Formula) Verdict {
 // Holds is a convenience wrapper returning only the boolean verdict.
 func Holds(tr *trace.Trace, f Formula) bool { return Eval(tr, f).Holds }
 
+// Vectors returns the change points of the trace and, for each formula,
+// its satisfaction vector over them: sat[k][i] reports whether fs[k]
+// holds at points[i]. The formulas are desugared and share one
+// evaluator, so a subformula they have in common is evaluated once; the
+// vectors may therefore share storage and must be treated as read-only.
+func Vectors(tr *trace.Trace, fs ...Formula) (points []trace.Time, sat [][]bool) {
+	e := newEvaluator(tr)
+	sat = make([][]bool, len(fs))
+	for k, f := range fs {
+		sat[k] = e.vec(Desugar(f))
+	}
+	return e.points, sat
+}
+
 type evaluator struct {
 	tr     *trace.Trace
 	points []trace.Time

@@ -2,6 +2,7 @@ package tctl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"veridevops/internal/trace"
@@ -215,5 +216,37 @@ func TestEvalMemoizationConsistency(t *testing.T) {
 	f := And{L: AG{Prop{"p"}}, R: Or{L: AG{Prop{"p"}}, R: Prop{"q"}}}
 	if !Holds(tr, f) {
 		t.Error("memoized duplicate subformula evaluated inconsistently")
+	}
+}
+
+// Vectors returns one satisfaction vector per formula over the trace's
+// change points, desugaring derived operators first.
+func TestVectors(t *testing.T) {
+	tr := mkTrace(100, obs{"p", 0, false}, obs{"p", 20, true}, obs{"p", 30, false}, obs{"q", 25, true})
+	points, sat := Vectors(tr, Prop{"p"}, Imply{L: Prop{"p"}, R: Prop{"q"}}, AF{F: Prop{"p"}, B: Within(10)})
+	wantPoints := []trace.Time{0, 20, 25, 30, 100}
+	want := [][]bool{
+		{false, true, true, false, false},
+		{true, false, true, true, true},
+		{false, true, true, false, false},
+	}
+	if !reflect.DeepEqual(points, wantPoints) || !reflect.DeepEqual(sat, want) {
+		t.Errorf("Vectors = %v, %v; want %v, %v", points, sat, wantPoints, want)
+	}
+}
+
+// A bounded universality constrains only its window: a violation after
+// the bound does not count.
+func TestBoundedUniversalitySemantics(t *testing.T) {
+	f := Pattern{Behaviour: Universality, Scope: Globally, P: Prop{"p"}, B: Within(50)}.MustCompile()
+	if !Holds(mkTrace(100, obs{"p", 0, true}, obs{"p", 60, false}), f) {
+		t.Error("p drops after the window: bounded universality should hold")
+	}
+	if Holds(mkTrace(100, obs{"p", 0, true}, obs{"p", 50, false}), f) {
+		t.Error("p drops at the bound: bounded universality should fail")
+	}
+	abs := Pattern{Behaviour: Absence, Scope: Globally, P: Prop{"p"}, B: Within(50)}.MustCompile()
+	if !Holds(mkTrace(100, obs{"p", 0, false}, obs{"p", 51, true}), abs) {
+		t.Error("p rises after the window: bounded absence should hold")
 	}
 }

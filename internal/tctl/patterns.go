@@ -77,7 +77,8 @@ func (b Behaviour) String() string {
 // Pattern is a fully instantiated specification pattern. P is the primary
 // proposition; S is the secondary one (response/precedence only); Q and R
 // delimit the scope where applicable; B optionally bounds the response
-// time.
+// or existence time, or the window a global absence or universality
+// covers.
 type Pattern struct {
 	Behaviour Behaviour
 	Scope     Scope
@@ -128,8 +129,17 @@ func (p Pattern) MustCompile() Formula {
 func (p Pattern) compileGlobal() (Formula, error) {
 	switch p.Behaviour {
 	case Absence:
+		if p.B.Valid {
+			// Bounded absence: P is not reachable within B.
+			return Not{EF{F: p.P, B: p.B}}, nil
+		}
 		return AG{F: Not{p.P}}, nil
 	case Universality:
+		if p.B.Valid {
+			// Bounded universality through its dual: !P is not
+			// reachable within B.
+			return Not{EF{F: Not{p.P}, B: p.B}}, nil
+		}
 		return AG{F: p.P}, nil
 	case Existence:
 		return AF{F: p.P, B: p.B}, nil
@@ -244,7 +254,7 @@ func GlobalResponseTimed(p, s string, t trace.Time) Formula {
 // GlobalResponseUntil is "Globally, if P holds then, unless R holds, Q
 // eventually holds".
 func GlobalResponseUntil(p, q, r string) Formula {
-	return LeadsTo{L: Prop{p}, R: Or{L: Prop{q}, R: Prop{r}}}
+	return Pattern{Behaviour: Response, Scope: Globally, P: Prop{p}, S: Or{L: Prop{q}, R: Prop{r}}}.MustCompile()
 }
 
 // AfterUntilUniversality is "After Q, it is always the case that P holds

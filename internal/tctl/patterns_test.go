@@ -11,6 +11,8 @@ func TestPatternCompileGlobal(t *testing.T) {
 	}{
 		{Pattern{Behaviour: Absence, Scope: Globally, P: Prop{"p"}}, "A[] !p"},
 		{Pattern{Behaviour: Universality, Scope: Globally, P: Prop{"p"}}, "A[] p"},
+		{Pattern{Behaviour: Absence, Scope: Globally, P: Prop{"p"}, B: Within(50)}, "!(E<>[<=50] p)"},
+		{Pattern{Behaviour: Universality, Scope: Globally, P: Prop{"p"}, B: Within(50)}, "!(E<>[<=50] !p)"},
 		{Pattern{Behaviour: Existence, Scope: Globally, P: Prop{"p"}}, "A<> p"},
 		{Pattern{Behaviour: Response, Scope: Globally, P: Prop{"p"}, S: Prop{"s"}}, "p --> s"},
 		{Pattern{Behaviour: Response, Scope: Globally, P: Prop{"p"}, S: Prop{"s"}, B: Within(4)}, "p -->[<=4] s"},

@@ -157,82 +157,32 @@ func (v Verdict) Passed() bool { return len(v.Violations) == 0 }
 // assertion gives no confidence.
 func (v Verdict) Vacuous() bool { return v.Activations == 0 }
 
-// evalAt evaluates a propositional formula at one instant.
-func evalAt(tr *trace.Trace, f tctl.Formula, t trace.Time) bool {
-	switch n := f.(type) {
-	case tctl.True:
-		return true
-	case tctl.False:
-		return false
-	case tctl.Prop:
-		return tr.BoolAt(n.Name, t)
-	case tctl.Cmp:
-		x := tr.NumAt(n.Signal, t)
-		switch n.Op {
-		case tctl.Lt:
-			return x < n.Value
-		case tctl.Le:
-			return x <= n.Value
-		case tctl.Gt:
-			return x > n.Value
-		case tctl.Ge:
-			return x >= n.Value
-		case tctl.Eq:
-			return x == n.Value
-		default:
-			return x != n.Value
-		}
-	case tctl.Not:
-		return !evalAt(tr, n.F, t)
-	case tctl.And:
-		return evalAt(tr, n.L, t) && evalAt(tr, n.R, t)
-	case tctl.Or:
-		return evalAt(tr, n.L, t) || evalAt(tr, n.R, t)
-	case tctl.Imply:
-		return !evalAt(tr, n.L, t) || evalAt(tr, n.R, t)
-	default:
-		panic(fmt.Sprintf("tears: non-propositional node %T", f))
-	}
-}
-
 // Evaluate checks one G/A against a log.
 //
 // Immediate G/As (Within == 0) require the assertion at every change point
 // where the guard holds. Windowed G/As are armed at every rising edge of
 // the guard and require some change point within the window (inclusive) at
-// which the assertion holds.
+// which the assertion holds: the bounded eventuality A<>[<=Within] Assert,
+// which tctl evaluates with one sliding window over the whole log.
 func Evaluate(tr *trace.Trace, ga GA) Verdict {
 	v := Verdict{GA: ga}
-	points := tr.ChangePoints()
-	if ga.Within == 0 {
-		for _, t := range points {
-			if !evalAt(tr, ga.Guard, t) {
-				continue
-			}
-			v.Activations++
-			if !evalAt(tr, ga.Assert, t) {
-				v.Violations = append(v.Violations, Violation{At: t, Deadline: t})
-			}
-		}
-		return v
+	served := ga.Assert
+	if ga.Within != 0 {
+		served = tctl.AF{F: ga.Assert, B: tctl.Within(ga.Within)}
 	}
+	points, sat := tctl.Vectors(tr, ga.Guard, served)
+	guard, ok := sat[0], sat[1]
 	prev := false
 	for i, t := range points {
-		g := evalAt(tr, ga.Guard, t)
-		if g && !prev {
-			v.Activations++
-			served := false
-			for j := i; j < len(points) && points[j] <= t+ga.Within; j++ {
-				if evalAt(tr, ga.Assert, points[j]) {
-					served = true
-					break
-				}
-			}
-			if !served {
-				v.Violations = append(v.Violations, Violation{At: t, Deadline: t + ga.Within})
-			}
+		armed := guard[i] && (ga.Within == 0 || !prev)
+		prev = guard[i]
+		if !armed {
+			continue
 		}
-		prev = g
+		v.Activations++
+		if !ok[i] {
+			v.Violations = append(v.Violations, Violation{At: t, Deadline: t + ga.Within})
+		}
 	}
 	return v
 }

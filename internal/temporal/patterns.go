@@ -3,6 +3,7 @@ package temporal
 import (
 	"fmt"
 
+	"veridevops/internal/tctl"
 	"veridevops/internal/trace"
 )
 
@@ -41,19 +42,17 @@ func (o Options) loop() *MonitoringLoop {
 // holds": the invariant pattern of D2.7.
 type GlobalUniversality struct {
 	*MonitoringLoop
+	watched
 	P Probe
 }
 
 // NewGlobalUniversality builds the monitor for probe p.
 func NewGlobalUniversality(p Probe, opt Options) *GlobalUniversality {
-	g := &GlobalUniversality{MonitoringLoop: opt.normalize().loop(), P: p}
+	g := &GlobalUniversality{MonitoringLoop: opt.normalize().loop(), watched: watched{tctl.GlobalUniversality(p.Name)}, P: p}
 	g.Inv = p.holds
 	g.Post = p.holds
 	return g
 }
-
-// TCTL renders the verified formula.
-func (g *GlobalUniversality) TCTL() string { return fmt.Sprintf("A[] %s", g.P.Name) }
 
 func (g *GlobalUniversality) String() string {
 	return fmt.Sprintf("Globally, it is always the case that %s holds.", g.P.Name)
@@ -62,19 +61,17 @@ func (g *GlobalUniversality) String() string {
 // Eventually monitors "P always eventually holds".
 type Eventually struct {
 	*MonitoringLoop
+	watched
 	P Probe
 }
 
 // NewEventually builds the monitor for probe p.
 func NewEventually(p Probe, opt Options) *Eventually {
-	e := &Eventually{MonitoringLoop: opt.normalize().loop(), P: p}
+	e := &Eventually{MonitoringLoop: opt.normalize().loop(), watched: watched{tctl.GlobalEventually(p.Name)}, P: p}
 	e.Exit = p.holds
 	e.Post = p.holds
 	return e
 }
-
-// TCTL renders the verified formula.
-func (e *Eventually) TCTL() string { return fmt.Sprintf("A<> %s", e.P.Name) }
 
 func (e *Eventually) String() string {
 	return fmt.Sprintf("%s eventually holds.", e.P.Name)
@@ -84,6 +81,7 @@ func (e *Eventually) String() string {
 // holds, then S eventually holds within T time units".
 type GlobalResponseTimed struct {
 	*MonitoringLoop
+	watched
 	// P is the trigger, S the required response (the s and r constructor
 	// parameters of the reference class).
 	P, S Probe
@@ -101,7 +99,7 @@ type GlobalResponseTimed struct {
 // NewGlobalResponseTimed builds the monitor: trigger p, response s,
 // deadline t ticks.
 func NewGlobalResponseTimed(p, s Probe, t trace.Time, opt Options) *GlobalResponseTimed {
-	g := &GlobalResponseTimed{MonitoringLoop: opt.normalize().loop(), P: p, S: s, T: t}
+	g := &GlobalResponseTimed{MonitoringLoop: opt.normalize().loop(), watched: watched{tctl.GlobalResponseTimed(p.Name, s.Name, t)}, P: p, S: s, T: t}
 	g.Inv = g.step
 	g.Post = func() bool { return g.step() && !g.pending }
 	return g
@@ -128,11 +126,6 @@ func (g *GlobalResponseTimed) step() bool {
 	return true
 }
 
-// TCTL renders the verified formula.
-func (g *GlobalResponseTimed) TCTL() string {
-	return fmt.Sprintf("%s -->[<=%d] %s", g.P.Name, g.T, g.S.Name)
-}
-
 func (g *GlobalResponseTimed) String() string {
 	return fmt.Sprintf("Globally, it is always the case that if %s holds, then %s eventually holds within %d time units.",
 		g.P.Name, g.S.Name, g.T)
@@ -142,6 +135,7 @@ func (g *GlobalResponseTimed) String() string {
 // holds then, unless R holds, Q will eventually hold".
 type GlobalResponseUntil struct {
 	*MonitoringLoop
+	watched
 	P, Q, R Probe
 
 	pending bool
@@ -150,7 +144,7 @@ type GlobalResponseUntil struct {
 // NewGlobalResponseUntil builds the monitor: trigger p, response q,
 // discharge r.
 func NewGlobalResponseUntil(p, q, r Probe, opt Options) *GlobalResponseUntil {
-	g := &GlobalResponseUntil{MonitoringLoop: opt.normalize().loop(), P: p, Q: q, R: r}
+	g := &GlobalResponseUntil{MonitoringLoop: opt.normalize().loop(), watched: watched{tctl.GlobalResponseUntil(p.Name, q.Name, r.Name)}, P: p, Q: q, R: r}
 	g.Inv = func() bool { g.step(); return true }
 	g.Post = func() bool { g.step(); return !g.pending }
 	return g
@@ -163,11 +157,6 @@ func (g *GlobalResponseUntil) step() {
 	if !g.pending && g.P.holds() && !g.Q.holds() && !g.R.holds() {
 		g.pending = true
 	}
-}
-
-// TCTL renders the verified formula.
-func (g *GlobalResponseUntil) TCTL() string {
-	return fmt.Sprintf("%s --> %s || %s", g.P.Name, g.Q.Name, g.R.Name)
 }
 
 func (g *GlobalResponseUntil) String() string {
@@ -197,16 +186,13 @@ func NewGlobalUniversalityTimed(p Probe, t trace.Time, opt Options) *GlobalUnive
 		iters = 1
 	}
 	opt.Boundary = iters
-	return &GlobalUniversalityTimed{
-		GlobalUniversality: NewGlobalUniversality(p, opt),
-		T:                  t,
-	}
-}
-
-// TCTL renders the verified formula; the bounded invariant is expressed
-// through its dual bounded-possibly form, which the tctl parser accepts.
-func (g *GlobalUniversalityTimed) TCTL() string {
-	return fmt.Sprintf("!(E<>[<=%d] !%s)", g.T, g.P.Name)
+	g := NewGlobalUniversality(p, opt)
+	// The bounded loop watches the bounded invariant, which tctl prints
+	// through its dual bounded-possibly form.
+	g.watched = watched{tctl.Pattern{
+		Behaviour: tctl.Universality, Scope: tctl.Globally, P: tctl.Prop{Name: p.Name}, B: tctl.Within(t),
+	}.MustCompile()}
+	return &GlobalUniversalityTimed{GlobalUniversality: g, T: t}
 }
 
 func (g *GlobalUniversalityTimed) String() string {
@@ -218,6 +204,7 @@ func (g *GlobalUniversalityTimed) String() string {
 // R discharge.
 type AfterUntilUniversality struct {
 	*MonitoringLoop
+	watched
 	Q, P, R Probe
 
 	armed bool
@@ -229,7 +216,7 @@ type AfterUntilUniversality struct {
 // and scope closer r (the constructor parameter order of the reference
 // class).
 func NewAfterUntilUniversality(q, p, r Probe, opt Options) *AfterUntilUniversality {
-	a := &AfterUntilUniversality{MonitoringLoop: opt.normalize().loop(), Q: q, P: p, R: r}
+	a := &AfterUntilUniversality{MonitoringLoop: opt.normalize().loop(), watched: watched{tctl.AfterUntilUniversality(q.Name, p.Name, r.Name)}, Q: q, P: p, R: r}
 	a.Inv = a.step
 	a.Post = a.step
 	return a
@@ -249,12 +236,6 @@ func (a *AfterUntilUniversality) step() bool {
 		return false
 	}
 	return true
-}
-
-// TCTL renders the verified formula.
-func (a *AfterUntilUniversality) TCTL() string {
-	return fmt.Sprintf("A[] (%s && !%s -> A[%s U %s] || A[] %s)",
-		a.Q.Name, a.R.Name, a.P.Name, a.R.Name, a.P.Name)
 }
 
 func (a *AfterUntilUniversality) String() string {

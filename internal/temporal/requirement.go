@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"veridevops/internal/core"
+	"veridevops/internal/tctl"
 )
 
 // Monitor is the interface every temporal pattern of this package
@@ -13,9 +14,21 @@ import (
 type Monitor interface {
 	core.Checkable
 	fmt.Stringer
-	// TCTL renders the formula the monitor verifies.
+	// Formula is the tctl formula the monitor verifies.
+	Formula() tctl.Formula
+	// TCTL renders that formula.
 	TCTL() string
 }
+
+// watched is the formula a monitor verifies. Every monitor embeds it, so
+// tctl alone builds and prints the formula of each pattern.
+type watched struct{ formula tctl.Formula }
+
+// Formula returns the formula the monitor verifies.
+func (w watched) Formula() tctl.Formula { return w.formula }
+
+// TCTL renders the verified formula.
+func (w watched) TCTL() string { return w.formula.String() }
 
 var (
 	_ Monitor = (*GlobalUniversality)(nil)
