@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
+.PHONY: check vet lint verify-reads sarif build test race alloc-gates fleet-race trace-race bench smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke tables loc
 
 # check runs every CI gate in one local command (CI runs each as its own
 # step): vet, the repository's own analyzers, build everything, then the
 # full test suite under the race detector (the engine, core and monitor
 # packages are concurrent by construction, so -race is not optional), the
-# dynamic declared-reads oracle, and finally the small-N load-harness
-# smoke replays in both sweep and push modes plus the tracing-overhead
-# gate, then the fleet-evaluation benchmark's own tests. fleet-race is
-# part of race via ./..., listed separately for a focused re-run.
-check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke
+# allocation and heap gates that -race skips, the dynamic declared-reads
+# oracle, and finally the small-N load-harness smoke replays in both
+# sweep and push modes plus the tracing-overhead gate, then the
+# fleet-evaluation benchmark's own tests. fleet-race is part of race via
+# ./..., listed separately for a focused re-run.
+check: vet lint build race alloc-gates verify-reads smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +50,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-gates runs, without the race detector, the allocation and heap
+# gates that skip themselves under -race because its instrumentation
+# inflates both: the retained heap of a primed fleet
+# (TestPrimedFleetHeapPerHost), the all-cached sweep's allocations per
+# host (TestCachedSweepAllocsPerHost) and the push replay's bytes per
+# event (TestReplayBytesPerEvent).
+alloc-gates:
+	$(GO) test -count=1 -run 'HeapPerHost|AllocsPerHost|BytesPerEvent' ./internal/fleet/ ./internal/loadgen/
 
 # fleet-race exercises just the concurrency-heavy fleet paths under the
 # race detector (already covered by race; this is the quick loop).

@@ -122,6 +122,33 @@ func TestFromPatternErrors(t *testing.T) {
 	}
 }
 
+// TestFromPatternBoundObservedOrRefused builds the observer of every
+// scope × behaviour with a bound. Only global existence and response
+// have timed observers; every other bounded pattern is refused, because
+// its unbounded observer would check the whole run instead of the
+// window.
+func TestFromPatternBoundObservedOrRefused(t *testing.T) {
+	scopes := []tctl.Scope{tctl.Globally, tctl.Before, tctl.After, tctl.Between, tctl.AfterUntil}
+	behaviours := []tctl.Behaviour{tctl.Absence, tctl.Universality, tctl.Existence, tctl.Response, tctl.Precedence}
+	timed := map[tctl.Behaviour]string{tctl.Existence: "obs_existence_p", tctl.Response: "obs_response_p_s"}
+	for _, sc := range scopes {
+		for _, b := range behaviours {
+			a, err := FromPattern(tctl.Pattern{Behaviour: b, Scope: sc,
+				P: tctl.Prop{Name: "p"}, S: tctl.Prop{Name: "s"}, Q: tctl.Prop{Name: "q"}, R: tctl.Prop{Name: "r"},
+				B: tctl.Within(5)})
+			want, ok := timed[b]
+			switch {
+			case sc == tctl.Globally && ok:
+				if err != nil || a.Name != want {
+					t.Errorf("bounded %s/%s = %v, %v; want observer %s", b, sc, a, err, want)
+				}
+			case err == nil:
+				t.Errorf("bounded %s/%s built observer %s, want the bound refused", b, sc, a.Name)
+			}
+		}
+	}
+}
+
 // End-to-end: boilerplate text -> pattern -> observer -> model check.
 func TestFromPatternEndToEnd(t *testing.T) {
 	pat := tctl.Pattern{

@@ -14,10 +14,15 @@ import (
 //
 // Observability restrictions, inherent to checking liveness as
 // reachability: global existence and response require a time bound,
-// global absence and universality must be unbounded, and universality is
-// observed through the complementary violation event "<p>_viol" which
-// the plant model must emit whenever the proposition turns false.
+// every other pattern must be unbounded (its observer would check the
+// whole run, not the bounded window), and universality is observed
+// through the complementary violation event "<p>_viol" which the plant
+// model must emit whenever the proposition turns false.
 func FromPattern(p tctl.Pattern) (*Automaton, error) {
+	timed := p.Scope == tctl.Globally && (p.Behaviour == tctl.Existence || p.Behaviour == tctl.Response)
+	if p.B.Valid && !timed {
+		return nil, fmt.Errorf("automata: bounded %s has no observer template in scope %s; the unbounded observer would check the whole run", p.Behaviour, p.Scope)
+	}
 	name := func(f tctl.Formula, role string) (string, error) {
 		if f == nil {
 			return "", fmt.Errorf("automata: pattern is missing %s", role)
@@ -37,9 +42,6 @@ func FromPattern(p tctl.Pattern) (*Automaton, error) {
 		}
 		switch p.Behaviour {
 		case tctl.Absence, tctl.Universality:
-			if p.B.Valid {
-				return nil, fmt.Errorf("automata: bounded %s has no observer template; the unbounded observer would check the whole run", p.Behaviour)
-			}
 			if p.Behaviour == tctl.Absence {
 				return AbsenceObserver(pn), nil
 			}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -91,6 +94,35 @@ func TestRunEngineOnlySubset(t *testing.T) {
 	rep, _ = c.RunEngine(RunOptions{})
 	if len(rep.Results) != 3 {
 		t.Errorf("nil Only ran %d requirements, want 3", len(rep.Results))
+	}
+}
+
+// TestRunEngineOnlyResultsInFindingIDOrder pins the order fleet's
+// report merge relies on: whatever order a catalogue was registered in,
+// whatever order Only names its subset in and however many workers run
+// it, a subset run returns exactly the named entries, sorted by finding
+// ID.
+func TestRunEngineOnlyResultsInFindingIDOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		c := NewCatalog()
+		for _, i := range rng.Perm(40) {
+			c.MustRegister(&keyedReq{Finding: Finding{ID: fmt.Sprintf("V-%03d", i)}, verdict: CheckPass})
+		}
+		var only []string
+		for _, i := range rng.Perm(40)[:1+rng.Intn(40)] {
+			only = append(only, fmt.Sprintf("V-%03d", i))
+		}
+		rep, _ := c.RunEngine(RunOptions{Only: only, Workers: 1 + rng.Intn(4)})
+		got := make([]string, len(rep.Results))
+		for i, r := range rep.Results {
+			got[i] = r.FindingID
+		}
+		want := slices.Clone(only)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Only %v ran %v, want %v", trial, only, got, want)
+		}
 	}
 }
 

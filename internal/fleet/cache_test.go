@@ -50,7 +50,7 @@ func TestSaveLoadCacheRestartResume(t *testing.T) {
 	}
 
 	// The persisted cost table seeds LPT scheduling on the new process.
-	costs := resumed.snapshotCosts(sweepJobs(targets))
+	costs := resumed.snapshotCosts(resumed.sweepJobs(targets))
 	nonzero := 0
 	for _, c := range costs {
 		if c > 0 {
@@ -147,7 +147,7 @@ func TestSaveLoadCacheCostOnlyHosts(t *testing.T) {
 		t.Errorf("restored %d cache entries, want 2 (cost-only record must not become one)",
 			restored.CachedHosts())
 	}
-	costs := restored.snapshotCosts(sweepJobs(targets))
+	costs := restored.snapshotCosts(restored.sweepJobs(targets))
 	for i, c := range costs {
 		if c <= 0 {
 			t.Errorf("restored cost for %s = %v, want > 0", targets[i].Name, c)
@@ -166,7 +166,7 @@ func TestSaveLoadCacheCostOnlyHosts(t *testing.T) {
 	if err := cold.LoadCache(path); !errors.Is(err, ErrCacheSchema) {
 		t.Fatalf("err = %v, want ErrCacheSchema", err)
 	}
-	for i, c := range cold.snapshotCosts(sweepJobs(targets)) {
+	for i, c := range cold.snapshotCosts(cold.sweepJobs(targets)) {
 		if c != 0 {
 			t.Errorf("schema-mismatch load kept cost for %s = %v, want 0", targets[i].Name, c)
 		}

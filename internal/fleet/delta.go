@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"veridevops/internal/core"
@@ -37,7 +38,7 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 	hr = HostResult{Target: t.Name, Shard: shard}
 	var version uint64
 	if t.Version != nil {
-		version = t.Version()
+		version = t.Version.Version()
 	}
 	var base cacheEntry
 	switch {
@@ -124,32 +125,49 @@ func (c *Coordinator) restamp(t Target, version uint64) (cacheEntry, bool) {
 // report: results present in partial replace the base entry of the same
 // finding, new findings are inserted, and the merged report keeps
 // finding-ID order. Neither input is mutated.
+//
+// Both inputs are in finding-ID order — a base is always a merged or
+// full report, and core.Catalog.RunEngine returns an Only run in ID order
+// too — so two-pointer walks merge them and the output slice is the only
+// allocation. It is sized exactly, because it becomes the host's cached
+// report. A partial out of order gets a sorted copy first, so there is
+// no second merge path.
 func mergeReport(base, partial core.Report) core.Report {
-	if len(partial.Results) == 0 {
-		out := core.Report{Results: make([]core.Result, len(base.Results))}
-		copy(out.Results, base.Results)
-		return out
+	b, p := base.Results, partial.Results
+	if !slices.IsSortedFunc(p, byFindingID) {
+		p = slices.Clone(p)
+		slices.SortFunc(p, byFindingID)
 	}
-	byID := make(map[string]core.Result, len(partial.Results))
-	for _, r := range partial.Results {
-		byID[r.FindingID] = r
-	}
-	out := core.Report{Results: make([]core.Result, 0, len(base.Results)+len(partial.Results))}
-	for _, r := range base.Results {
-		if fresh, ok := byID[r.FindingID]; ok {
-			out.Results = append(out.Results, fresh)
-			delete(byID, r.FindingID)
-			continue
+	shared := 0
+	for i, j := 0, 0; i < len(b) && j < len(p); {
+		c := byFindingID(b[i], p[j])
+		if c <= 0 {
+			i++
 		}
-		out.Results = append(out.Results, r)
-	}
-	if len(byID) > 0 {
-		for _, r := range byID {
-			out.Results = append(out.Results, r)
+		if c >= 0 {
+			j++
 		}
-		sort.Slice(out.Results, func(i, j int) bool {
-			return out.Results[i].FindingID < out.Results[j].FindingID
-		})
+		if c == 0 {
+			shared++
+		}
 	}
-	return out
+	out := make([]core.Result, 0, len(b)+len(p)-shared)
+	for len(b) > 0 && len(p) > 0 {
+		c := byFindingID(b[0], p[0])
+		if c < 0 {
+			out = append(out, b[0])
+		} else {
+			out = append(out, p[0])
+		}
+		if c <= 0 {
+			b = b[1:]
+		}
+		if c >= 0 {
+			p = p[1:]
+		}
+	}
+	return core.Report{Results: append(append(out, b...), p...)}
 }
+
+// byFindingID orders results by finding ID, the order of every report.
+func byFindingID(a, b core.Result) int { return strings.Compare(a.FindingID, b.FindingID) }

@@ -68,10 +68,17 @@ type Target struct {
 	Name string
 	// Catalog is the host's requirement catalogue.
 	Catalog *core.Catalog
-	// Version reports the host's monotonic state version (typically the
-	// host event log's Version method). nil disables incremental caching
-	// for this target: every sweep re-audits it.
-	Version func() uint64
+	// Version reports the host's monotonic state version; typically it is
+	// the host's *host.EventLog itself, so handing a target over builds no
+	// closure. nil disables incremental caching for this target: every
+	// sweep re-audits it.
+	Version Versioner
+}
+
+// Versioner reports a host's monotonic state version: it advances on
+// every state change and never decreases. *host.EventLog implements it.
+type Versioner interface {
+	Version() uint64
 }
 
 // Options configures one fleet sweep.
@@ -207,10 +214,20 @@ func newCacheEntry(version uint64, rep core.Report) cacheEntry {
 // with another Sweep or with the Flush of a Streamer over the same
 // coordinator, and one Streamer's Flush calls must not overlap each
 // other. The contract is enforced: an evaluation that enters while
-// another is in flight panics.
+// another is in flight panics, before it touches any shared state.
+//
+// Because evaluations never overlap, a Coordinator keeps its per-
+// evaluation bookkeeping (the job buffer, the cost snapshot and the
+// scheduler's queues) between calls instead of rebuilding it, so a
+// sweep or flush allocates per evaluated host, not per fleet member.
+// What an evaluation returns is never that scratch: every FleetReport's
+// Hosts (and every FlushResult's, see Streamer) is freshly allocated and
+// owned by the caller, and no later evaluation writes to it.
 type Coordinator struct {
-	// busy is set while a dispatch is in flight (the no-overlap guard).
-	busy atomic.Bool
+	// busy is set while an evaluation is in flight (the no-overlap
+	// guard); only its holder touches scratch.
+	busy    atomic.Bool
+	scratch scratch
 
 	mu    sync.Mutex
 	cache map[string]cacheEntry
@@ -264,15 +281,59 @@ func (c *Coordinator) store(name string, e cacheEntry) {
 	c.cache[name] = e
 }
 
+// scratch is the bookkeeping of one evaluation, kept on the Coordinator
+// and reused by the next: the job buffer Sweep and Streamer.Flush fill,
+// the cost snapshot the scheduler orders by, and the scheduler with its
+// queues. Only the evaluation holding the busy guard touches it, so
+// reuse needs no lock. Outside an evaluation jobs holds no references:
+// exit clears it, so a departed host's catalogue is not kept alive.
+type scratch struct {
+	jobs  []job
+	costs []time.Duration
+	sched stealScheduler
+}
+
+// enter claims the Coordinator for one evaluation. It panics if another
+// evaluation is in flight, which enforces the no-overlap contract before
+// the caller touches any scratch.
+func (c *Coordinator) enter() {
+	if !c.busy.CompareAndSwap(false, true) {
+		panic("fleet: overlapping evaluations on one Coordinator: a Sweep or Streamer.Flush entered while another was in flight")
+	}
+}
+
+// exit releases the Coordinator after an evaluation, dropping the job
+// buffer's references.
+func (c *Coordinator) exit() {
+	clear(c.scratch.jobs)
+	c.busy.Store(false)
+}
+
+// jobBuffer returns the scratch job buffer resized to n zero jobs.
+func (c *Coordinator) jobBuffer(n int) []job {
+	c.scratch.jobs = resize(c.scratch.jobs, n)
+	return c.scratch.jobs
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // snapshotCosts returns the observed audit cost of each job's host,
-// indexed like jobs; 0 for hosts never executed.
+// indexed like jobs; 0 for hosts never executed. The slice is scratch,
+// valid until the next snapshot.
 func (c *Coordinator) snapshotCosts(jobs []job) []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]time.Duration, len(jobs))
+	out := resize(c.scratch.costs, len(jobs))
 	for i, j := range jobs {
 		out[i] = c.costs[j.Name]
 	}
+	c.scratch.costs = out
 	return out
 }
 
@@ -317,73 +378,73 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 	if len(targets) == 0 {
 		return FleetReport{}, FleetStats{Shards: 0, Workers: opts.Workers}
 	}
+	c.enter()
+	defer c.exit()
 
-	jobs := sweepJobs(targets)
-	d := c.dispatch(jobs, opts, true)
+	jobs := c.sweepJobs(targets)
+	hosts := make([]HostResult, len(jobs))
+	d := c.dispatch(jobs, opts, true, func(i int) *HostResult { return &hosts[i] })
 
-	rep := FleetReport{Hosts: d.results}
-	st := aggregate(d.results, d.walls, d.pool, opts)
+	rep := FleetReport{Hosts: hosts}
+	st := aggregate(hosts, d.walls, d.pool, opts)
 	countLocalization(&st, jobs)
-	d.sched.apply(&st)
+	c.scratch.sched.apply(&st)
 	d.root.TagInt("steals", st.Steals).TagInt("cached_hosts", st.CachedHosts).End()
 	recordSweepMetrics(opts.Metrics, st)
 	return rep, st
 }
 
-// job is one host's work in a dispatch: the target and the check subset
-// the evaluator runs (nil: the whole catalogue; see evaluate). dispatch
-// overwrites only with the subset the evaluator actually ran.
+// job is one host's work in a dispatch: the target (the caller's, not a
+// copy) and the check subset the evaluator runs (nil: the whole
+// catalogue; see evaluate). dispatch overwrites only with the subset the
+// evaluator actually ran.
 type job struct {
-	Target
+	*Target
 	only []string
 }
 
-// sweepJobs turns targets into the name-sorted, whole-catalogue jobs of
-// a sweep.
-func sweepJobs(targets []Target) []job {
-	jobs := make([]job, len(targets))
-	for i, t := range targets {
-		jobs[i].Target = t
+// sweepJobs fills the scratch job buffer with the name-sorted,
+// whole-catalogue jobs of a sweep over targets.
+func (c *Coordinator) sweepJobs(targets []Target) []job {
+	jobs := c.jobBuffer(len(targets))
+	for i := range targets {
+		jobs[i].Target = &targets[i]
 	}
 	slices.SortFunc(jobs, func(a, b job) int { return strings.Compare(a.Name, b.Name) })
 	return jobs
 }
 
-// dispatched is the outcome of one dispatch: per-job results indexed
-// like the jobs, the shard goroutines' walls, pool telemetry, the
-// scheduler for placement accounting, and the root span (nil when
-// tracing is off), which the caller ends.
+// dispatched is the outcome of one dispatch: the shard goroutines'
+// walls, pool telemetry, and the root span (nil when tracing is off),
+// which the caller ends. The scheduler's placement accounting stays in
+// c.scratch until the next dispatch.
 type dispatched struct {
-	results []HostResult
-	walls   []time.Duration
-	pool    engine.PoolStats
-	sched   *stealScheduler
-	root    *telemetry.Span
+	walls []time.Duration
+	pool  engine.PoolStats
+	root  *telemetry.Span
 }
 
 // dispatch is the one evaluation path behind Sweep and Streamer.Flush:
 // it runs every job (in name order) through evaluate on opts.Shards
 // shard goroutines fed by the work-stealing scheduler, sharing one dedup
-// memo across the call. With opts.Trace set it opens the root span once
+// memo across the call, and writes job i's result to out(i), which the
+// caller owns. The caller holds the busy guard (enter) for the whole
+// evaluation, so dispatch reuses the scheduler and cost snapshot of
+// c.scratch. With opts.Trace set it opens the root span once
 // the scheduler is seeded and records one trace per host: a sweep
 // (sweep=true) roots at "sweep" and nests "host" spans (tagged host,
 // stolen, cached, degraded) below a "shard" span per active shard
 // goroutine; a flush roots at "flush" and hangs "delta" spans (tagged
 // host, full, checks) straight off it. Telemetry off allocates no span
-// bookkeeping. It panics if another dispatch on c is in flight, which
-// enforces the Coordinator's no-overlap contract.
-func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched {
-	if !c.busy.CompareAndSwap(false, true) {
-		panic("fleet: overlapping evaluations on one Coordinator: a Sweep or Streamer.Flush entered while another was in flight")
-	}
-	defer c.busy.Store(false)
+// bookkeeping.
+func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool, out func(i int) *HostResult) dispatched {
 	opts = opts.normalized(len(jobs))
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {
 		memo = core.NewCheckMemo()
 	}
-	d := dispatched{results: make([]HostResult, len(jobs))}
-	d.sched = newStealScheduler(len(jobs), opts.Shards,
+	sched := &c.scratch.sched
+	sched.reset(len(jobs), opts.Shards,
 		func(i int) int { return Affinity(jobs[i].Name, opts.Shards) },
 		c.snapshotCosts(jobs), opts.Scheduling == ScheduleStatic)
 
@@ -398,7 +459,6 @@ func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched 
 	default:
 		root = opts.Trace.Root("flush").TagInt("hosts", len(jobs))
 	}
-	d.root = root
 	run := func(shard, i int, stolen bool) {
 		j := &jobs[i]
 		var hs *telemetry.Span
@@ -412,7 +472,7 @@ func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched 
 				hs = root.ChildTrace("delta").Tag("host", j.Name)
 			}
 		}
-		hr, ran := c.evaluate(j.Target, j.only, shard, opts, memo, hs)
+		hr, ran := c.evaluate(*j.Target, j.only, shard, opts, memo, hs)
 		hr.Stolen = stolen
 		j.only = ran
 		if hs != nil {
@@ -426,13 +486,13 @@ func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched 
 			}
 			hs.End()
 		}
-		d.results[i] = hr
+		*out(i) = hr
 	}
 
 	// One reusable task per shard: the scheduler's pick is parked in
 	// picks[shard], which only that shard's goroutine reads and writes
 	// (engine.Pull calls next and the task on it), so handing out a host
-	// allocates nothing. results is written at distinct indices: the
+	// allocates nothing. out is written at distinct indices: the
 	// scheduler hands each job out exactly once.
 	type pick struct {
 		i      int
@@ -443,8 +503,8 @@ func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched 
 	for shard := range tasks {
 		tasks[shard] = func() { run(shard, picks[shard].i, picks[shard].stolen) }
 	}
-	d.walls, d.pool = engine.Pull(opts.Shards, func(shard int) (func(), bool) {
-		i, stolen, ok := d.sched.next(shard)
+	walls, pool := engine.Pull(opts.Shards, func(shard int) (func(), bool) {
+		i, stolen, ok := sched.next(shard)
 		if !ok {
 			if shardSpans != nil {
 				shardSpans[shard].End()
@@ -457,7 +517,7 @@ func (c *Coordinator) dispatch(jobs []job, opts Options, sweep bool) dispatched 
 		picks[shard] = pick{i, stolen}
 		return tasks[shard], true
 	})
-	return d
+	return dispatched{walls: walls, pool: pool, root: root}
 }
 
 // recordSweepMetrics folds one sweep's roll-up into the shared metrics

@@ -3,9 +3,11 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/host"
@@ -294,4 +296,107 @@ func TestOverlappingEvaluationsPanic(t *testing.T) {
 	<-done
 	armed.Store(false)
 	sequential()
+}
+
+// TestEvaluationResultsAreCallerOwned pins the contract that lets a
+// Coordinator reuse its scratch: results never alias it. Two consecutive
+// sweep reports, and two consecutive flush results, share no backing
+// array, so a caller may keep or edit one while the next evaluation
+// runs. And an overlapping evaluation panics before it touches the
+// scratch of the one in flight: the in-flight sweep keeps its jobs and
+// reports its own host, and an overlapping Flush leaves its Streamer's
+// dirty list for the next flush.
+func TestEvaluationResultsAreCallerOwned(t *testing.T) {
+	t.Run("sweep reports", func(t *testing.T) {
+		targets, _ := LinuxFleet(6)
+		coord := NewCoordinator()
+		opts := Options{Shards: 2, Workers: 1, Incremental: true}
+		first, _ := coord.Sweep(targets, opts)
+		second, _ := coord.Sweep(targets, opts) // all cached: only scratch is reused
+		for i := range second.Hosts {
+			second.Hosts[i].Target = "overwritten"
+		}
+		for i, hr := range first.Hosts {
+			if hr.Target != targets[i].Name {
+				t.Fatalf("first report host %d reads %q after the second report was edited, want %q", i, hr.Target, targets[i].Name)
+			}
+		}
+	})
+	t.Run("flush results", func(t *testing.T) {
+		s, _, hosts := streamFixture(t, 4)
+		s.Flush(0)
+		hosts[1].Remove("aide")
+		first := s.Flush(time.Second)
+		hosts[1].Install("aide", "1")
+		hosts[2].Remove("aide")
+		second := s.Flush(2 * time.Second)
+		if len(first.Hosts) != 1 || len(second.Hosts) != 2 || len(first.Alarms) != 1 || len(second.Alarms) != 1 {
+			t.Fatalf("flushes evaluated %d and %d hosts with %d and %d alarms, want 1/2 hosts and 1/1 alarms",
+				len(first.Hosts), len(second.Hosts), len(first.Alarms), len(second.Alarms))
+		}
+		for i := range second.Hosts {
+			second.Hosts[i].Host = "overwritten"
+		}
+		second.Alarms[0].Host = "overwritten"
+		if first.Hosts[0].Host != "host-01" || first.Alarms[0].Host != "host-01" {
+			t.Fatalf("first flush reads host %q, alarm %q after the second was edited, want host-01",
+				first.Hosts[0].Host, first.Alarms[0].Host)
+		}
+	})
+	t.Run("overlap touches no scratch", func(t *testing.T) {
+		var armed atomic.Bool
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		blocking := core.NewCatalog()
+		blocking.MustRegister(&plainReq{Finding: core.Finding{ID: "V-900100"}, CheckFunc: func() core.CheckStatus {
+			if armed.Load() {
+				entered <- struct{}{}
+				<-release
+			}
+			return core.CheckPass
+		}})
+		blocked := []Target{{Name: "blocked", Catalog: blocking}}
+		others, _ := LinuxFleet(3)
+		coord := NewCoordinator()
+		s := NewStreamer(coord, StreamOptions{})
+		s.Watch(others[0], nil)
+
+		armed.Store(true)
+		var rep FleetReport
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rep, _ = coord.Sweep(blocked, Options{})
+		}()
+		<-entered
+		jobs := slices.Clone(coord.scratch.jobs)
+		costs := slices.Clone(coord.scratch.costs)
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("overlapping %s did not panic", what)
+				}
+			}()
+			f()
+		}
+		mustPanic("Sweep", func() { coord.Sweep(others, Options{Shards: 2}) })
+		mustPanic("Streamer.Flush", func() { s.Flush(0) })
+		sameJob := func(a, b job) bool { return a.Target == b.Target && slices.Equal(a.only, b.only) }
+		if !slices.EqualFunc(coord.scratch.jobs, jobs, sameJob) || !slices.Equal(coord.scratch.costs, costs) {
+			t.Errorf("overlapping evaluations rewrote the in-flight scratch: jobs %v -> %v", jobs, coord.scratch.jobs)
+		}
+		if n := s.DirtyHosts(); n != 1 {
+			t.Errorf("overlapping Flush left %d dirty hosts, want the 1 it could not take", n)
+		}
+		close(release)
+		<-done
+		armed.Store(false)
+		if len(rep.Hosts) != 1 || rep.Hosts[0].Target != "blocked" {
+			t.Errorf("in-flight sweep reported %+v, want just host blocked", rep.Hosts)
+		}
+		if fr := s.Flush(0); len(fr.Hosts) != 1 || fr.Hosts[0].Host != others[0].Name {
+			t.Errorf("flush after the overlap evaluated %+v, want just %s", fr.Hosts, others[0].Name)
+		}
+	})
 }

@@ -51,7 +51,7 @@ func TestSweepReadLocalizationCounts(t *testing.T) {
 func TestStreamerStatsReadLocalizationGauges(t *testing.T) {
 	h := host.NewUbuntu1804()
 	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 1, Workers: 1})
-	s.Watch(Target{Name: "h0", Catalog: mixedCatalog(h), Version: h.Log().Version}, h.Log())
+	s.Watch(Target{Name: "h0", Catalog: mixedCatalog(h), Version: h.Log()}, h.Log())
 	st := s.Stats()
 	if st.IndexedChecks != 8 || st.UnindexedChecks != 1 {
 		t.Fatalf("indexed/unindexed = %d/%d, want 8/1", st.IndexedChecks, st.UnindexedChecks)

@@ -55,7 +55,7 @@ func leakyFixture(declareHidden bool) (*Streamer, Target, *host.Linux, *core.Cat
 		Hidden:        "hidden",
 		declareHidden: declareHidden,
 	})
-	tg := Target{Name: "h0", Catalog: cat, Version: h.Log().Version}
+	tg := Target{Name: "h0", Catalog: cat, Version: h.Log()}
 	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 1, Workers: 1})
 	s.Watch(tg, h.Log())
 	return s, tg, h, cat

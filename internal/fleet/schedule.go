@@ -36,14 +36,18 @@ type schedItem struct {
 // behind one mutex. Queues are seeded deterministically (affinity
 // placement, LPT order, name-order tiebreak); only the dynamic placement
 // — who ends up executing a stolen host — depends on runtime timing.
+// The Coordinator keeps one scheduler and reseeds it (reset) for every
+// evaluation, so its slices keep their backing arrays across calls.
 type stealScheduler struct {
 	mu    sync.Mutex
 	start time.Time
 	// static disables stealing: next serves only the shard's own queue.
 	static bool
-	// queues[s] is shard s's pending hosts, most expensive first; pop
-	// from the front.
+	// queues[s] is shard s's hosts, most expensive first; heads[s] is
+	// the position of its next pending host, so popping leaves the
+	// backing array in place for the next reset.
 	queues [][]schedItem
+	heads  []int
 	// remaining[s] is the summed estimated cost still queued on shard s,
 	// the victim-selection key.
 	remaining []time.Duration
@@ -54,11 +58,11 @@ type stealScheduler struct {
 	queueWait []time.Duration
 }
 
-// newStealScheduler seeds per-shard queues from the targets' affinity
-// homes. costs is indexed like ts; unknown hosts (zero cost) are assumed
+// reset seeds per-shard queues for n hosts from their affinity homes.
+// costs is indexed like the hosts; unknown hosts (zero cost) are assumed
 // to cost the mean of the known ones, so a cold coordinator still
 // balances by count.
-func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []time.Duration, static bool) *stealScheduler {
+func (s *stealScheduler) reset(n int, shards int, affinityOf func(i int) int, costs []time.Duration, static bool) {
 	var known time.Duration
 	knownN := 0
 	for _, c := range costs {
@@ -72,14 +76,19 @@ func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []ti
 		defaultCost = known / time.Duration(knownN)
 	}
 
-	s := &stealScheduler{
-		start:     time.Now(),
-		static:    static,
-		queues:    make([][]schedItem, shards),
-		remaining: make([]time.Duration, shards),
-		steals:    make([]int, shards),
-		queueWait: make([]time.Duration, shards),
+	s.start, s.static = time.Now(), static
+	// Keep every queue's backing array, the ones past shards included.
+	if grow := shards - cap(s.queues); grow > 0 {
+		s.queues = append(s.queues[:cap(s.queues)], make([][]schedItem, grow)...)
 	}
+	s.queues = s.queues[:shards]
+	for i := range s.queues {
+		s.queues[i] = s.queues[i][:0]
+	}
+	s.heads = resize(s.heads, shards)
+	s.remaining = resize(s.remaining, shards)
+	s.steals = resize(s.steals, shards)
+	s.queueWait = resize(s.queueWait, shards)
 	for i := 0; i < n; i++ {
 		cost := defaultCost
 		if i < len(costs) && costs[i] > 0 {
@@ -99,8 +108,11 @@ func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []ti
 			return cmp.Compare(a.idx, b.idx)
 		})
 	}
-	return s
 }
+
+// pending is how many hosts shard v's queue still holds; callers hold
+// s.mu.
+func (s *stealScheduler) pending(v int) int { return len(s.queues[v]) - s.heads[v] }
 
 // next hands shard its next host: from its own queue while one remains,
 // then (work-stealing only) the most expensive remaining host of the most
@@ -110,13 +122,13 @@ func (s *stealScheduler) next(shard int) (idx int, stolen bool, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	victim := shard
-	if len(s.queues[shard]) == 0 {
+	if s.pending(shard) == 0 {
 		if s.static {
 			return 0, false, false
 		}
 		victim = -1
 		for v := range s.queues {
-			if len(s.queues[v]) == 0 {
+			if s.pending(v) == 0 {
 				continue
 			}
 			if victim < 0 || s.remaining[v] > s.remaining[victim] {
@@ -129,8 +141,8 @@ func (s *stealScheduler) next(shard int) (idx int, stolen bool, ok bool) {
 		stolen = true
 		s.steals[shard]++
 	}
-	it := s.queues[victim][0]
-	s.queues[victim] = s.queues[victim][1:]
+	it := s.queues[victim][s.heads[victim]]
+	s.heads[victim]++
 	s.remaining[victim] -= it.cost
 	s.queueWait[shard] += time.Since(s.start)
 	return it.idx, stolen, true

@@ -3,7 +3,7 @@ package fleet
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -20,6 +20,13 @@ func drain(s *stealScheduler, shard int) (order []int, stolen []bool) {
 		order = append(order, i)
 		stolen = append(stolen, st)
 	}
+}
+
+// newStealScheduler returns a fresh scheduler seeded by reset.
+func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []time.Duration, static bool) *stealScheduler {
+	s := new(stealScheduler)
+	s.reset(n, shards, affinityOf, costs, static)
+	return s
 }
 
 func TestSchedulerLPTOrdersOwnQueue(t *testing.T) {
@@ -208,9 +215,12 @@ func TestLoadImbalanceBounds(t *testing.T) {
 // property: for seeded random fleets with heavily tied costs, the seeded
 // per-shard queues equal a reference built with the stable sort and the
 // (cost desc, idx asc) comparator the scheduler has always used, so
-// dispatch order, placement and Canonical() stats cannot drift.
+// dispatch order, placement and Canonical() stats cannot drift. One
+// scheduler is reset for every trial, as a Coordinator reuses its own,
+// so a reset that leaked a previous fleet's queues would show here.
 func TestSchedulerQueuesMatchStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var s stealScheduler
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
 		shards := 1 + rng.Intn(8)
@@ -226,7 +236,7 @@ func TestSchedulerQueuesMatchStableReference(t *testing.T) {
 		for i := range affinity {
 			affinity[i] = rng.Intn(shards)
 		}
-		s := newStealScheduler(n, shards, func(i int) int { return affinity[i] }, costs, false)
+		s.reset(n, shards, func(i int) int { return affinity[i] }, costs, false)
 
 		// The reference applies the scheduler's cost rule independently
 		// and feeds each queue to the stable sort in reverse index order,
@@ -258,8 +268,18 @@ func TestSchedulerQueuesMatchStableReference(t *testing.T) {
 				return r[a].idx < r[b].idx
 			})
 		}
-		if !reflect.DeepEqual(s.queues, ref) {
+		if !slices.EqualFunc(s.queues, ref, slices.Equal[[]schedItem]) {
 			t.Fatalf("trial %d (n=%d shards=%d): queues %v, stable reference %v", trial, n, shards, s.queues, ref)
+		}
+		// Each shard serves its own queue first, so draining shard by
+		// shard pops every host in reference order from the start of
+		// its queue: the previous trial's pops did not survive reset.
+		for sh, q := range ref {
+			for _, want := range q {
+				if idx, stolen, ok := s.next(sh); !ok || stolen || idx != want.idx {
+					t.Fatalf("trial %d: shard %d popped (%d, stolen %v, ok %v), want own host %d", trial, sh, idx, stolen, ok, want.idx)
+				}
+			}
 		}
 	}
 }

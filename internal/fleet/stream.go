@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,26 +21,42 @@ import (
 // fleet-compliance view that raises one alarm per violation episode.
 //
 // The coalescing window is the caller's flush cadence: event
-// notifications only mark hosts dirty (cheap, lock-one-map cheap), and
-// the actual evaluation happens when the owner calls Flush — the
-// loadgen driver's Replay ticks it on the virtual clock in vdo-load and
-// on the real clock in vdo-serve, tests whenever they like. Watch,
+// notifications only mark hosts dirty (a flag and an append under one
+// lock), and the actual evaluation happens when the owner calls Flush —
+// the loadgen driver's Replay ticks it on the virtual clock in vdo-load
+// and on the real clock in vdo-serve, tests whenever they like. Watch,
 // Unwatch and the read accessors are safe for concurrent use; Flush is
 // an evaluation on the coordinator and follows its no-overlap contract.
+//
+// A flush allocates per dirty host, not per watched one: the dirty list
+// is double-buffered and the event tail lands in one reused buffer,
+// alongside the coordinator's own scratch. Its result is not scratch:
+// every FlushResult's Hosts and Alarms are freshly allocated and owned
+// by the caller, so results of consecutive flushes never alias.
 type Streamer struct {
 	coord *Coordinator
 	opts  StreamOptions
 
 	mu    sync.Mutex
 	hosts map[string]*streamHost
-	dirty map[string]bool
-	stats StreamStats
-	view  *View
+	// dirty lists the watched hosts marked since the last flush, each
+	// once (streamHost.dirty). flushing is the list the last flush took;
+	// the next flush, which takes dirty, starts the new dirty list in it.
+	dirty    []*streamHost
+	flushing []*streamHost
+	stats    StreamStats
+	view     *View
 	// indexes interns the watched hosts' dependency indexes by
 	// declaration signature (declSignature): hosts whose catalogues make
 	// the same declarations share one index. An entry leaves when its
 	// last host is unwatched.
 	indexes map[string]*sharedIndex
+
+	// tail and keys are Flush's per-host scratch: the events tailed from
+	// one host's log and their state keys. Only the evaluation holding
+	// the coordinator's guard touches them.
+	tail []host.Event
+	keys []string
 }
 
 // sharedIndex is one interned DepIndex, its signature and the number of
@@ -107,6 +124,9 @@ type streamHost struct {
 	// runs the full catalogue, because there is no verdict baseline to
 	// delta against.
 	primed bool
+	// dirty marks the host as listed in Streamer.dirty; guarded by the
+	// Streamer's lock.
+	dirty bool
 }
 
 // StreamStats is the streamer's cumulative telemetry.
@@ -202,7 +222,6 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 		coord: coord,
 		opts:  opts.normalized(),
 		hosts: map[string]*streamHost{},
-		dirty: map[string]bool{},
 		view:  NewView(),
 
 		indexes: map[string]*sharedIndex{},
@@ -225,8 +244,7 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	sig := declSignature(decls)
 	sh := &streamHost{target: t, log: log}
 	if log != nil {
-		name := t.Name
-		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(name) })
+		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(sh) })
 		// Events already in the log are covered by the priming full run;
 		// the tail picks up strictly newer ones. An event landing between
 		// Subscribe and Len is both covered by the priming run and
@@ -246,7 +264,7 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 		s.detachLocked(old)
 	}
 	s.hosts[t.Name] = sh
-	s.dirty[t.Name] = true
+	s.markDirtyLocked(sh)
 }
 
 // Unwatch removes a target: its subscription is cancelled, its verdicts
@@ -258,7 +276,6 @@ func (s *Streamer) Unwatch(name string) {
 	if sh != nil {
 		s.detachLocked(sh)
 		delete(s.hosts, name)
-		delete(s.dirty, name)
 	}
 	s.mu.Unlock()
 	if sh != nil {
@@ -266,12 +283,17 @@ func (s *Streamer) Unwatch(name string) {
 	}
 }
 
-// detachLocked cancels a host's subscription, drops it from the live
-// view and releases its reference to the interned index; callers hold
-// s.mu. A flush already planned keeps using the index it read.
+// detachLocked cancels a host's subscription, takes it off the dirty
+// list, drops it from the live view and releases its reference to the
+// interned index; callers hold s.mu. A flush already planned keeps
+// using the index it read.
 func (s *Streamer) detachLocked(sh *streamHost) {
 	if sh.cancel != nil {
 		sh.cancel()
+	}
+	if sh.dirty {
+		s.dirty = slices.DeleteFunc(s.dirty, func(d *streamHost) bool { return d == sh })
+		sh.dirty = false
 	}
 	s.view.Drop(sh.target.Name)
 	if sh.index.refs--; sh.index.refs == 0 {
@@ -279,11 +301,23 @@ func (s *Streamer) detachLocked(sh *streamHost) {
 	}
 }
 
-func (s *Streamer) markDirty(name string) {
+// markDirty lists a watched host for the next flush. A notification
+// that races the host's Unwatch (or re-Watch) finds it detached and
+// does nothing.
+func (s *Streamer) markDirty(sh *streamHost) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.hosts[name]; ok {
-		s.dirty[name] = true
+	if s.hosts[sh.target.Name] == sh {
+		s.markDirtyLocked(sh)
+	}
+}
+
+// markDirtyLocked lists sh on the dirty list unless it already is;
+// callers hold s.mu.
+func (s *Streamer) markDirtyLocked(sh *streamHost) {
+	if !sh.dirty {
+		sh.dirty = true
+		s.dirty = append(s.dirty, sh)
 	}
 }
 
@@ -331,134 +365,91 @@ func (s *Streamer) Stats() StreamStats {
 	return st
 }
 
-// deltaPlan is one dirty host's tail for a flush, read under no locks;
-// the check subset it maps to travels in the matching dispatch job.
-type deltaPlan struct {
-	sh     *streamHost
-	events []host.Event
-	next   int
-}
-
 // Flush evaluates every host dirtied since the previous flush and folds
 // the fresh verdicts into the live view. now is the caller's timestamp
 // (virtual or real), recorded on the result and its alarms. Dirty hosts
 // are planned and folded in name order, so a given event history always
 // yields the same batches, the same verdict sequence and the same alarm
 // order regardless of goroutine interleaving; only the evaluation in
-// between is parallel.
+// between is parallel. The result, Hosts and Alarms included, belongs
+// to the caller.
 func (s *Streamer) Flush(now time.Duration) FlushResult {
 	t0 := time.Now()
 	fr := FlushResult{At: now}
+	c := s.coord
+	c.enter()
+	defer c.exit()
 
-	// Snapshot and clear the dirty set. Events arriving after the
-	// snapshot re-dirty their host and wait for the next flush; events
-	// arriving between a host's Tail below and the fold are re-delivered
-	// next flush too, because the cursor only advances to what was
-	// tailed.
+	// Take the dirty list and start a new one in the buffer the previous
+	// flush finished with. Events arriving after the swap re-dirty their
+	// host and wait for the next flush; events arriving between a host's
+	// Tail below and the fold are re-delivered next flush too, because
+	// the cursor only advances to what was tailed.
 	s.mu.Lock()
-	if len(s.dirty) == 0 {
+	list := s.dirty
+	if len(list) == 0 {
 		s.mu.Unlock()
 		return fr
 	}
-	names := make([]string, 0, len(s.dirty))
-	for name := range s.dirty {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	s.dirty = map[string]bool{}
-	plans := make([]deltaPlan, 0, len(names))
-	for _, name := range names {
-		if sh := s.hosts[name]; sh != nil {
-			plans = append(plans, deltaPlan{sh: sh})
-		}
+	s.dirty, s.flushing = s.flushing[:0], list
+	for _, sh := range list {
+		sh.dirty = false
 	}
 	s.mu.Unlock()
+	slices.SortFunc(list, func(a, b *streamHost) int { return strings.Compare(a.target.Name, b.target.Name) })
+	defer clear(list)
 
-	// Plan: tail each host's log and coalesce its dirty keys into the
-	// affected-check subset, the job's only. Sequential and
-	// allocation-light; the expensive part is the evaluation below.
-	jobs := make([]job, len(plans))
-	for i := range plans {
-		p := &plans[i]
-		sh := p.sh
-		jobs[i].Target = sh.target
-		if sh.log != nil {
-			p.events, p.next = sh.log.Tail(sh.cursor)
-		}
-		// Until a host is primed there is no verdict baseline to delta
-		// against: only stays nil and the whole catalogue runs.
-		full := !sh.primed
-		// keys may repeat and come in event order: Affected sorts and
-		// dedups its output whatever the input order.
-		var keys []string
-		for _, ev := range p.events {
-			// Unkeyed events (bulk provisioning, legacy appends) and
-			// connectivity flips touch the whole host.
-			if ev.Key.IsZero() || ev.Key.Kind == host.KeyNet {
-				full = true
-				break
-			}
-			keys = append(keys, ev.Key.String())
-		}
-		if !full {
-			jobs[i].only = sh.index.Affected(keys)
-			if jobs[i].only == nil {
-				// Distinguish "no affected checks" (a cache re-stamp) from
-				// the nil that means "run everything".
-				jobs[i].only = []string{}
-			}
-		}
+	// Plan each host into its job and, through dispatch, its slot of the
+	// result's Hosts: the results land in place, and the fold below
+	// compacts away hosts that left mid-flush.
+	hosts := make([]DeltaResult, len(list))
+	jobs := c.jobBuffer(len(list))
+	for i, sh := range list {
+		jobs[i].Target = &sh.target
+		hosts[i].Events, jobs[i].only = s.plan(sh)
 	}
-
-	out := s.coord.dispatch(jobs, s.opts.evalOptions(), false)
+	out := c.dispatch(jobs, s.opts.evalOptions(), false, func(i int) *HostResult { return &hosts[i].Result })
 	out.root.End()
 
-	// Fold: advance cursors, refresh the live view, open/close violation
-	// episodes — in plan (name) order, so alarms and counts are
-	// deterministic. Full and Checks report what the evaluator ran, which
-	// is the whole catalogue whenever a subset had no cached base.
-	// Sized up front: a DeltaResult carries a whole HostResult, and
-	// growing the slice by doubling was the largest allocation per event.
-	fr.Hosts = make([]DeltaResult, 0, len(out.results))
+	// Fold: refresh the live view, open/close violation episodes — in
+	// plan (name) order, so alarms and counts are deterministic. Full and
+	// Checks report what the evaluator ran, which is the whole catalogue
+	// whenever a subset had no cached base.
 	s.mu.Lock()
-	for i, hr := range out.results {
-		p := plans[i]
-		sh := p.sh
+	kept := 0
+	for i, sh := range list {
 		if s.hosts[sh.target.Name] != sh {
 			// Unwatched or re-watched mid-flush: drop the result;
 			// detachLocked already took the host out of the view.
 			continue
 		}
-		sh.cursor = p.next
 		sh.primed = true
-
-		ran := jobs[i].only
-		checks := evaluated(hr, ran)
-		executed := 0
-		if !hr.FromCache {
-			executed = hr.Stats.Requirements - hr.Stats.DedupHits
+		d := &hosts[kept]
+		if kept != i {
+			*d = hosts[i]
 		}
-		fr.Hosts = append(fr.Hosts, DeltaResult{
-			Host: sh.target.Name, Full: ran == nil, Events: len(p.events),
-			Checks: checks, Result: hr,
-		})
-		fr.Events += len(p.events)
-		fr.ChecksEvaluated += checks
-		fr.ChecksExecuted += executed
+		kept++
+		ran := jobs[i].only
+		d.Host, d.Full, d.Checks = sh.target.Name, ran == nil, evaluated(d.Result, ran)
+		if !d.Result.FromCache {
+			fr.ChecksExecuted += d.Result.Stats.Requirements - d.Result.Stats.DedupHits
+		}
+		fr.Events += d.Events
+		fr.ChecksEvaluated += d.Checks
+		if d.Full {
+			s.stats.FullAudits++
+		}
 		var repairs int
-		fr.Alarms, repairs = s.view.Fold(now, sh.target.Name, hr.Report, fr.Alarms)
+		fr.Alarms, repairs = s.view.Fold(now, sh.target.Name, d.Result.Report, fr.Alarms)
 		fr.Repairs += repairs
 	}
+	clear(hosts[kept:])
+	fr.Hosts = hosts[:kept]
 	fr.Wall = time.Since(t0)
 
 	s.stats.Flushes++
 	s.stats.Events += fr.Events
 	s.stats.DeltaHosts += len(fr.Hosts)
-	for _, d := range fr.Hosts {
-		if d.Full {
-			s.stats.FullAudits++
-		}
-	}
 	s.stats.ChecksEvaluated += fr.ChecksEvaluated
 	s.stats.ChecksExecuted += fr.ChecksExecuted
 	s.stats.Alarms += len(fr.Alarms)
@@ -468,6 +459,41 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 
 	recordFlushMetrics(s.opts.Metrics, fr, compliance)
 	return fr
+}
+
+// plan tails one dirty host's log into the flush's event buffer,
+// advances its cursor past what it read, and returns how many events it
+// consumed and the check subset they map to: nil (the whole catalogue)
+// for an unprimed host, an unkeyed event or a connectivity flip, else
+// the DepIndex's affected checks, possibly none. Sequential and
+// allocation-light; the expensive part is the evaluation.
+func (s *Streamer) plan(sh *streamHost) (events int, only []string) {
+	s.tail = s.tail[:0]
+	if sh.log != nil {
+		s.tail, sh.cursor = sh.log.Tail(sh.cursor, s.tail)
+	}
+	// Until a host is primed there is no verdict baseline to delta
+	// against: only stays nil and the whole catalogue runs.
+	if !sh.primed {
+		return len(s.tail), nil
+	}
+	// keys may repeat and come in event order: Affected sorts and dedups
+	// its output whatever the input order.
+	s.keys = s.keys[:0]
+	for _, ev := range s.tail {
+		// Unkeyed events (bulk provisioning, legacy appends) and
+		// connectivity flips touch the whole host.
+		if ev.Key.IsZero() || ev.Key.Kind == host.KeyNet {
+			return len(s.tail), nil
+		}
+		s.keys = append(s.keys, ev.Key.String())
+	}
+	if only = sh.index.Affected(s.keys); only == nil {
+		// Distinguish "no affected checks" (a cache re-stamp) from the
+		// nil that means "run everything".
+		only = []string{}
+	}
+	return len(s.tail), only
 }
 
 // recordFlushMetrics folds one flush into the shared metrics registry.

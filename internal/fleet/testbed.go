@@ -31,7 +31,7 @@ func LinuxFleet(n int) ([]Target, []*host.Linux) {
 		targets[i] = Target{
 			Name:    fmt.Sprintf("host-%02d", i),
 			Catalog: cat,
-			Version: h.Log().Version,
+			Version: h.Log(),
 		}
 	}
 	return targets, hosts

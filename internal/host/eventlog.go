@@ -185,15 +185,17 @@ func (l *EventLog) Len() int {
 }
 
 // Tail is the cursor-style read the fleet streamer consumes deltas
-// with: it returns the events with sequence >= from plus the cursor to
-// pass to the next call — the sequence number one past the last event
-// returned, i.e. the log's current length. The events are an immutable
-// snapshot: the slice is freshly allocated on every call and its Event
-// elements are plain values, so later Appends (and anything the caller
-// does to the slice) never alias the log's internal storage. A from at
-// or past the end returns (nil, Len): the caller's cursor never goes
-// backwards. A negative from reads from the beginning.
-func (l *EventLog) Tail(from int) (events []Event, next int) {
+// with: it appends the events with sequence >= from to buf and returns
+// the extended slice plus the cursor to pass to the next call — the
+// sequence number one past the last event returned, i.e. the log's
+// current length. The appended events are plain values copied out of
+// the log, so later Appends (and anything the caller does to the slice)
+// never alias the log's internal storage; a caller that tails many logs
+// passes one buffer, truncated to buf[:0], to every call. A from at or
+// past the end appends nothing and returns (buf, Len): the caller's
+// cursor never goes backwards. A negative from reads from the
+// beginning.
+func (l *EventLog) Tail(from int, buf []Event) (events []Event, next int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	next = len(l.events)
@@ -201,9 +203,7 @@ func (l *EventLog) Tail(from int) (events []Event, next int) {
 		from = 0
 	}
 	if from >= next {
-		return nil, next
+		return buf, next
 	}
-	events = make([]Event, next-from)
-	copy(events, l.events[from:])
-	return events, next
+	return append(buf, l.events[from:]...), next
 }

@@ -51,13 +51,13 @@ func TestEventLogTailSnapshotImmutable(t *testing.T) {
 	l := NewEventLog()
 	l.Append("a", "1")
 	l.Append("b", "2")
-	snap, _ := l.Tail(0)
+	snap, _ := l.Tail(0, nil)
 	if len(snap) != 2 {
 		t.Fatalf("Tail(0) = %d events, want 2", len(snap))
 	}
 	// Mutating the snapshot must not leak into the log...
 	snap[0].Action = "mutated"
-	if again, _ := l.Tail(0); again[0].Action != "a" {
+	if again, _ := l.Tail(0, nil); again[0].Action != "a" {
 		t.Errorf("log event mutated through snapshot: Action = %q, want %q", again[0].Action, "a")
 	}
 	// ...and appends after the snapshot must not grow or change it.
@@ -90,7 +90,7 @@ func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 			cursor := 0
 			for i := 0; i < per; i++ {
 				_ = l.Version()
-				old, _ := l.Tail(cursor / 2)
+				old, _ := l.Tail(cursor/2, nil)
 				for _, ev := range old {
 					if ev.Action != "op" || ev.Key.Kind != KeyPackage {
 						t.Errorf("torn event read: %+v", ev)
@@ -98,7 +98,7 @@ func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 					}
 				}
 				var evs []Event
-				evs, cursor = l.Tail(cursor)
+				evs, cursor = l.Tail(cursor, nil)
 				for _, ev := range evs {
 					// Mutate the snapshot: under -race this catches any
 					// aliasing of the log's backing array by a writer.
@@ -118,7 +118,7 @@ func TestEventLogTailCursor(t *testing.T) {
 	l := NewEventLog()
 
 	// Tail on an empty log: no events, cursor stays at 0.
-	evs, next := l.Tail(0)
+	evs, next := l.Tail(0, nil)
 	if evs != nil || next != 0 {
 		t.Fatalf("Tail(0) on empty log = (%v, %d), want (nil, 0)", evs, next)
 	}
@@ -128,7 +128,7 @@ func TestEventLogTailCursor(t *testing.T) {
 	l.Append("c", "3")
 
 	// Tail from 0 returns everything and a cursor at the end.
-	evs, next = l.Tail(0)
+	evs, next = l.Tail(0, nil)
 	if len(evs) != 3 || next != 3 {
 		t.Fatalf("Tail(0) = (%d events, %d), want (3, 3)", len(evs), next)
 	}
@@ -137,23 +137,23 @@ func TestEventLogTailCursor(t *testing.T) {
 	}
 
 	// Resuming from the returned cursor is empty until a new append.
-	evs, next = l.Tail(next)
+	evs, next = l.Tail(next, nil)
 	if evs != nil || next != 3 {
 		t.Fatalf("Tail(end) = (%v, %d), want (nil, 3)", evs, next)
 	}
 	l.Append("d", "4")
-	evs, next = l.Tail(next)
+	evs, next = l.Tail(next, nil)
 	if len(evs) != 1 || evs[0].Action != "d" || next != 4 {
 		t.Fatalf("Tail after append = (%v, %d), want ([d], 4)", evs, next)
 	}
 
 	// A cursor past the end must not go backwards or explode.
-	evs, next = l.Tail(99)
+	evs, next = l.Tail(99, nil)
 	if evs != nil || next != 4 {
 		t.Errorf("Tail(past end) = (%v, %d), want (nil, 4)", evs, next)
 	}
 	// A negative cursor reads from the beginning.
-	evs, next = l.Tail(-1)
+	evs, next = l.Tail(-1, nil)
 	if len(evs) != 4 || next != 4 {
 		t.Errorf("Tail(-1) = (%d events, %d), want (4, 4)", len(evs), next)
 	}
@@ -163,19 +163,42 @@ func TestEventLogTailCursor(t *testing.T) {
 // an empty log, a negative cursor, a cursor at the end and one past it.
 func TestEventLogSinceBounds(t *testing.T) {
 	l := NewEventLog()
-	if got, _ := l.Tail(0); got != nil {
+	if got, _ := l.Tail(0, nil); got != nil {
 		t.Errorf("Tail(0) on empty log = %v, want nil", got)
 	}
 	l.Append("a", "1")
 	l.Append("b", "2")
-	if got, _ := l.Tail(-3); len(got) != 2 {
+	if got, _ := l.Tail(-3, nil); len(got) != 2 {
 		t.Errorf("Tail(-3) = %d events, want 2 (negative clamps to 0)", len(got))
 	}
-	if got, _ := l.Tail(2); got != nil {
+	if got, _ := l.Tail(2, nil); got != nil {
 		t.Errorf("Tail(len) = %v, want nil", got)
 	}
-	if got, _ := l.Tail(99); got != nil {
+	if got, _ := l.Tail(99, nil); got != nil {
 		t.Errorf("Tail(past end) = %v, want nil", got)
+	}
+}
+
+// TestEventLogTailAppendsToBuffer pins the caller-buffer contract: Tail
+// appends after whatever the buffer holds, a buffer truncated to [:0]
+// with room left is reused without reallocation, and a read with
+// nothing new hands the buffer back unchanged.
+func TestEventLogTailAppendsToBuffer(t *testing.T) {
+	l := NewEventLog()
+	l.Append("a", "1")
+	l.Append("b", "2")
+	buf := make([]Event, 1, 8)
+	buf[0].Action = "kept"
+	got, next := l.Tail(1, buf)
+	if next != 2 || len(got) != 2 || got[0].Action != "kept" || got[1].Action != "b" {
+		t.Fatalf("Tail(1, [kept]) = (%v, %d), want ([kept b], 2)", got, next)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("Tail reallocated a buffer with room left")
+	}
+	again, next := l.Tail(next, got[:0])
+	if next != 2 || len(again) != 0 || cap(again) != cap(buf) {
+		t.Errorf("Tail(end, buf[:0]) = (%v, %d) with cap %d, want the empty buffer back", again, next, cap(again))
 	}
 }
 
@@ -299,7 +322,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
 		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
 	}
-	evs, _ := l.Log().Tail(0)
+	evs, _ := l.Log().Tail(0, nil)
 	if len(evs) != len(want) {
 		t.Fatalf("got %d events, want %d: %v", len(evs), len(want), evs)
 	}
@@ -312,7 +335,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 	// Denied mutations keep the key so push consumers still re-verify.
 	l.SetReadOnly(true)
 	l.Install("doas", "1")
-	evs, _ = l.Log().Tail(len(want))
+	evs, _ = l.Log().Tail(len(want), nil)
 	if len(evs) != 1 || evs[0].Action != "apt.install.denied" || evs[0].Key != PackageKey("doas") {
 		t.Errorf("denied install event = %v, want keyed apt.install.denied", evs)
 	}
@@ -323,7 +346,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetRegistry(`HKLM\X`, "1")
-	wevs, _ := w.Log().Tail(base)
+	wevs, _ := w.Log().Tail(base, nil)
 	if len(wevs) != 2 || wevs[0].Key != AuditKey("Logon") || wevs[1].Key != RegistryKey(`HKLM\X`) {
 		t.Errorf("windows events = %v, want audit + registry keys", wevs)
 	}
@@ -337,7 +360,7 @@ func TestSetUnreachableLogsTransitions(t *testing.T) {
 	l.SetUnreachable(true) // repeated flip must not re-log
 	l.SetUnreachable(false)
 
-	events, _ := l.Log().Tail(int(v0))
+	events, _ := l.Log().Tail(int(v0), nil)
 	if len(events) != 2 {
 		t.Fatalf("got %d net events, want 2: %v", len(events), events)
 	}

@@ -92,14 +92,14 @@ func TestEventLog(t *testing.T) {
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d,%d", s1, s2)
 	}
-	evs, _ := l.Tail(1)
+	evs, _ := l.Tail(1, nil)
 	if len(evs) != 1 || evs[0].Action != "b" {
 		t.Errorf("Tail(1) = %v", evs)
 	}
-	if got, _ := l.Tail(99); got != nil {
+	if got, _ := l.Tail(99, nil); got != nil {
 		t.Error("Tail past end should be nil")
 	}
-	if got, _ := l.Tail(-5); len(got) != 2 {
+	if got, _ := l.Tail(-5, nil); len(got) != 2 {
 		t.Errorf("Tail(-5) = %v", got)
 	}
 	if !strings.Contains(evs[0].String(), "b 2") {

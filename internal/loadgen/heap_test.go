@@ -3,6 +3,7 @@ package loadgen
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/fleet"
@@ -56,5 +57,58 @@ func TestPrimedFleetHeapPerHost(t *testing.T) {
 	t.Logf("primed fleet of %d hosts: %.0f live bytes per host", n, perHost)
 	if perHost > maxBytesPerHost {
 		t.Fatalf("live heap %.0f bytes per primed host, want <= %d", perHost, maxBytesPerHost)
+	}
+}
+
+// totalAlloc returns the cumulative bytes the process has allocated.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestReplayBytesPerEvent is the allocation-rate gate of the push path:
+// a primed 2,000-host push Replay under the default churn mix at 8,000
+// ev/s, flushed every 10ms with a 500ms fallback sweep, may allocate at
+// most maxBytesPerEvent heap bytes per applied event over 2s of virtual
+// time. The bytes allocated per event decide how often the collector
+// runs, and so the detection tail; per-host or per-flush bookkeeping
+// rebuilt on every evaluation pushes the figure past the bound. It is
+// the push-path counterpart of fleet's TestCachedSweepAllocsPerHost.
+func TestReplayBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocations")
+	}
+	const (
+		n                = 2000
+		maxBytesPerEvent = 2000
+	)
+	f, err := Synthesize(DefaultTopology(), n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DriverOptions{
+		SweepEvery: 500 * time.Millisecond,
+		Push:       true,
+		Window:     10 * time.Millisecond,
+		Rate:       8000,
+	}
+	r, err := NewReplay(f, NewChurn(f, DefaultMix(), 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	for now := opts.Window; now <= 2*time.Second; now += opts.Window {
+		r.Tick(now)
+	}
+	bytes := totalAlloc() - before
+	st := r.Stats()
+	if st.Events == 0 || st.Sweeps == 0 {
+		t.Fatalf("replay applied %d events and ran %d fallback sweeps, want both > 0", st.Events, st.Sweeps)
+	}
+	perEvent := float64(bytes) / float64(st.Events)
+	t.Logf("push replay of %d hosts: %d events, %d fallback sweeps, %.0f bytes per event", n, st.Events, st.Sweeps, perEvent)
+	if perEvent > maxBytesPerEvent {
+		t.Fatalf("push replay allocated %.0f bytes per event, want <= %d", perEvent, maxBytesPerEvent)
 	}
 }

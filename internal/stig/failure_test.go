@@ -58,7 +58,7 @@ func TestDeniedMutationsAreLogged(t *testing.T) {
 	h.Install("nis", "1")
 	h.Remove("nis")
 	h.SetConfig("/f", "k", "v")
-	evs, _ := h.Log().Tail(before)
+	evs, _ := h.Log().Tail(before, nil)
 	if len(evs) != 3 {
 		t.Fatalf("denied events = %d, want 3", len(evs))
 	}

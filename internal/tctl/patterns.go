@@ -77,8 +77,9 @@ func (b Behaviour) String() string {
 // Pattern is a fully instantiated specification pattern. P is the primary
 // proposition; S is the secondary one (response/precedence only); Q and R
 // delimit the scope where applicable; B optionally bounds the response
-// or existence time, or the window a global absence or universality
-// covers.
+// or existence time, or the window an absence or universality covers.
+// Compile refuses a bound the formula cannot carry (see boundEncodable)
+// instead of dropping it.
 type Pattern struct {
 	Behaviour Behaviour
 	Scope     Scope
@@ -98,7 +99,6 @@ func (p Pattern) Compile() (Formula, error) {
 	}
 	switch p.Scope {
 	case Globally:
-		return p.compileGlobal()
 	case Before:
 		if p.R == nil {
 			return nil, fmt.Errorf("tctl: scope %s requires R", p.Scope)
@@ -114,7 +114,29 @@ func (p Pattern) Compile() (Formula, error) {
 	default:
 		return nil, fmt.Errorf("tctl: unknown scope %d", int(p.Scope))
 	}
+	if p.B.Valid && !p.boundEncodable() {
+		return nil, fmt.Errorf("tctl: pattern %s/%s has no encoding of the bound %s", p.Behaviour, p.Scope, p.B)
+	}
+	if p.Scope == Globally {
+		return p.compileGlobal()
+	}
 	return p.compileScoped()
+}
+
+// boundEncodable reports whether the compiled formula of p's scope and
+// behaviour carries a bound. Global and after scopes bound every
+// behaviour but precedence, which orders events rather than timing
+// them; between and after-until bound only the response deadline, since
+// their other behaviours are untils and the formula language has no
+// bounded until; before bounds none, for the same reason.
+func (p Pattern) boundEncodable() bool {
+	switch p.Scope {
+	case Globally, After:
+		return p.Behaviour != Precedence
+	case Between, AfterUntil:
+		return p.Behaviour == Response
+	}
+	return false
 }
 
 // MustCompile is Compile that panics on error.

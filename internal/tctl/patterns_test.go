@@ -47,6 +47,56 @@ func TestPatternCompileValidation(t *testing.T) {
 	}
 }
 
+// TestPatternBoundKeptOrRefused compiles every scope × behaviour with a
+// bound: the formula either carries the bound or Compile refuses it, so
+// no bounded sentence silently becomes its unbounded formula.
+func TestPatternBoundKeptOrRefused(t *testing.T) {
+	cases := []struct {
+		scope     Scope
+		behaviour Behaviour
+		want      string // "" when the bound must be refused
+	}{
+		{Globally, Absence, "!(E<>[<=5] p)"},
+		{Globally, Universality, "!(E<>[<=5] !p)"},
+		{Globally, Existence, "A<>[<=5] p"},
+		{Globally, Response, "p -->[<=5] s"},
+		{Globally, Precedence, ""},
+		{Before, Absence, ""},
+		{Before, Universality, ""},
+		{Before, Existence, ""},
+		{Before, Response, ""},
+		{Before, Precedence, ""},
+		{After, Absence, "A[] (q -> !(E<>[<=5] p))"},
+		{After, Universality, "A[] (q -> !(E<>[<=5] !p))"},
+		{After, Existence, "A[] (q -> A<>[<=5] p)"},
+		{After, Response, "A[] (q -> (p -->[<=5] s))"},
+		{After, Precedence, ""},
+		{Between, Absence, ""},
+		{Between, Universality, ""},
+		{Between, Existence, ""},
+		{Between, Response, "A[] (q && !r -> A<> r -> A[p -> A<>[<=5] s U r])"},
+		{Between, Precedence, ""},
+		{AfterUntil, Absence, ""},
+		{AfterUntil, Universality, ""},
+		{AfterUntil, Existence, ""},
+		{AfterUntil, Response, "A[] (q && !r -> A[p -> A<>[<=5] s U r] || A[] (p -> A<>[<=5] s))"},
+		{AfterUntil, Precedence, ""},
+	}
+	for _, c := range cases {
+		p := Pattern{Behaviour: c.behaviour, Scope: c.scope,
+			P: Prop{"p"}, S: Prop{"s"}, Q: Prop{"q"}, R: Prop{"r"}, B: Within(5)}
+		f, err := p.Compile()
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("%s/%s with bound 5 compiled to %q, want the bound refused", c.behaviour, c.scope, f)
+		case c.want != "" && err != nil:
+			t.Errorf("%s/%s with bound 5: %v, want %q", c.behaviour, c.scope, err, c.want)
+		case c.want != "" && f.String() != c.want:
+			t.Errorf("%s/%s with bound 5 = %q, want %q", c.behaviour, c.scope, f, c.want)
+		}
+	}
+}
+
 func TestMustCompilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

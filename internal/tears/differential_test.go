@@ -80,12 +80,13 @@ func referenceEvaluate(tr *trace.Trace, ga GA) Verdict {
 }
 
 // randomLog builds a log over the signals of the seed G/As: up to
-// toggles random toggles for each boolean one (never more than the end
-// time leaves distinct instants for), random walks for the numeric ones.
+// toggles random toggles for each boolean one (GenRandomToggles caps
+// them at the end time's distinct instants), random walks for the
+// numeric ones.
 func randomLog(rng *rand.Rand, toggles int, end trace.Time) *trace.Trace {
 	tr := trace.New()
 	for _, name := range []string{"a", "b", "c", "d", "locked"} {
-		trace.GenRandomToggles(tr, name, min(rng.Intn(toggles+1), int(end)), end, rng)
+		trace.GenRandomToggles(tr, name, rng.Intn(toggles+1), end, rng)
 	}
 	step := end / trace.Time(toggles+1)
 	if step < 1 {

@@ -32,8 +32,12 @@ func GenPulse(tr *Trace, name string, at, width Time) {
 
 // GenRandomToggles flips the named boolean signal n times at strictly
 // increasing random instants in (0, end], starting from false at time 0.
+// Strictly increasing instants leave room for at most end toggles, so n
+// is capped at end: a larger n toggles at every instant of (0, end], and
+// an end <= 0 toggles never.
 func GenRandomToggles(tr *Trace, name string, n int, end Time, rng *rand.Rand) {
 	tr.SetBool(name, 0, false)
+	n = int(min(Time(n), end))
 	if n <= 0 {
 		tr.SetEnd(end)
 		return

@@ -194,6 +194,25 @@ func TestGenRandomTogglesAlternates(t *testing.T) {
 	}
 }
 
+// TestGenRandomTogglesCapsAtEnd pins the cap: asking for more toggles
+// than (0, end] has instants returns one toggle per instant instead of
+// drawing forever, and an empty interval draws nothing (rand.Int63n
+// would panic on it).
+func TestGenRandomTogglesCapsAtEnd(t *testing.T) {
+	tr := New()
+	GenRandomToggles(tr, "p", 40, 1, rand.New(rand.NewSource(1)))
+	if s := tr.Signal("p"); s.Len() != 2 || !s.Samples()[1].Bool || s.Samples()[1].At != 1 {
+		t.Fatalf("40 toggles over end 1 = %v, want the initial false and one toggle at 1", s.Samples())
+	}
+	for _, end := range []Time{0, -5} {
+		tr := New()
+		GenRandomToggles(tr, "p", 3, end, rand.New(rand.NewSource(1)))
+		if s := tr.Signal("p"); s.Len() != 1 {
+			t.Errorf("3 toggles over end %d = %v, want only the initial false", end, s.Samples())
+		}
+	}
+}
+
 func TestGenResponsePairsLatencyBound(t *testing.T) {
 	tr := New()
 	rng := rand.New(rand.NewSource(7))
