@@ -55,10 +55,13 @@ race:
 # gates that skip themselves under -race because its instrumentation
 # inflates both: the retained heap of a primed fleet
 # (TestPrimedFleetHeapPerHost), the all-cached sweep's allocations per
-# host (TestCachedSweepAllocsPerHost) and the push replay's bytes per
-# event (TestReplayBytesPerEvent).
+# host (TestCachedSweepAllocsPerHost), the push replay's bytes per
+# event (TestReplayBytesPerEvent), the allocations per keyed event of a
+# host mutation (TestWriteAllocsPerKeyedEvent) and of planning a flush
+# (TestFlushPlanAllocsPerKeyedEvent), and the allocation-free host read
+# (TestReadAllocsPerKey).
 alloc-gates:
-	$(GO) test -count=1 -run 'HeapPerHost|AllocsPerHost|BytesPerEvent' ./internal/fleet/ ./internal/loadgen/
+	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPerEvent' ./internal/host/ ./internal/fleet/ ./internal/loadgen/
 
 # fleet-race exercises just the concurrency-heavy fleet paths under the
 # race detector (already covered by race; this is the quick loop).

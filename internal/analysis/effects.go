@@ -32,23 +32,9 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-)
 
-// Key kinds, mirroring the host.Key* constants (internal/host/eventlog.go).
-const (
-	KindPackage  = "pkg"
-	KindService  = "svc"
-	KindConfig   = "cfg"
-	KindAudit    = "audit"
-	KindRegistry = "reg"
-	KindNet      = "net"
+	"veridevops/internal/host"
 )
-
-// KnownKinds is the set of valid StateKey kinds.
-var KnownKinds = map[string]bool{
-	KindPackage: true, KindService: true, KindConfig: true,
-	KindAudit: true, KindRegistry: true, KindNet: true,
-}
 
 // Part is one symbolic component of a key term.
 type Part struct {
@@ -226,17 +212,17 @@ type accessorSpec struct {
 // hostAccessors maps method name → candidate specs (names are unique
 // across host types today, but keep a slice for safety).
 var hostAccessors = map[string][]accessorSpec{
-	"Installed":        {{recv: "Linux", kind: KindPackage, args: []int{0}}},
-	"InstalledCtx":     {{recv: "Linux", kind: KindPackage, args: []int{1}}},
-	"Version":          {{recv: "Linux", kind: KindPackage, args: []int{0}}},
-	"Packages":         {{recv: "Linux", kind: KindPackage, whole: true}},
-	"ServiceActive":    {{recv: "Linux", kind: KindService, args: []int{0}}},
-	"ServiceActiveCtx": {{recv: "Linux", kind: KindService, args: []int{1}}},
-	"Config":           {{recv: "Linux", kind: KindConfig, args: []int{0, 1}}},
-	"ConfigCtx":        {{recv: "Linux", kind: KindConfig, args: []int{1, 2}}},
-	"GetAudit":         {{recv: "Windows", kind: KindAudit, args: []int{0}}},
-	"Subcategories":    {{recv: "Windows", kind: KindAudit, whole: true}},
-	"Registry":         {{recv: "Windows", kind: KindRegistry, args: []int{0}}},
+	"Installed":        {{recv: "Linux", kind: host.KeyPackage, args: []int{0}}},
+	"InstalledCtx":     {{recv: "Linux", kind: host.KeyPackage, args: []int{1}}},
+	"Version":          {{recv: "Linux", kind: host.KeyPackage, args: []int{0}}},
+	"Packages":         {{recv: "Linux", kind: host.KeyPackage, whole: true}},
+	"ServiceActive":    {{recv: "Linux", kind: host.KeyService, args: []int{0}}},
+	"ServiceActiveCtx": {{recv: "Linux", kind: host.KeyService, args: []int{1}}},
+	"Config":           {{recv: "Linux", kind: host.KeyConfig, args: []int{0, 1}}},
+	"ConfigCtx":        {{recv: "Linux", kind: host.KeyConfig, args: []int{1, 2}}},
+	"GetAudit":         {{recv: "Windows", kind: host.KeyAudit, args: []int{0}}},
+	"Subcategories":    {{recv: "Windows", kind: host.KeyAudit, whole: true}},
+	"Registry":         {{recv: "Windows", kind: host.KeyRegistry, args: []int{0}}},
 }
 
 // hostTypeNames are the named types through which host state is
@@ -415,7 +401,7 @@ func (s *Summarizer) hostCall(call *ast.CallExpr, callee *types.Func, fr *Frame,
 // "/subcategory:..." string or a fmt.Sprintf("/subcategory:%q|%s", x)
 // call; anything else is an opaque audit read.
 func (s *Summarizer) auditPolRun(call *ast.CallExpr, fr *Frame) Read {
-	r := Read{Kind: KindAudit, Pos: call.Pos()}
+	r := Read{Kind: host.KeyAudit, Pos: call.Pos()}
 	for _, arg := range call.Args {
 		if c, ok := s.constString(arg); ok {
 			if rest, found := strings.CutPrefix(c, "/subcategory:"); found {

@@ -4,6 +4,8 @@ import (
 	"go/token"
 	"go/types"
 	"testing"
+
+	"veridevops/internal/host"
 )
 
 func TestNormalizePartsMergesConstants(t *testing.T) {
@@ -17,12 +19,12 @@ func TestNormalizePartsMergesConstants(t *testing.T) {
 }
 
 func TestReadMatchesFoldsConcatenation(t *testing.T) {
-	a := Read{Kind: KindConfig, Parts: []Part{ConstPart("/etc/ssh"), ConstPart(":"), ConstPart("PermitRootLogin")}}
-	b := Read{Kind: KindConfig, Parts: []Part{ConstPart("/etc/ssh:PermitRootLogin")}}
+	a := Read{Kind: host.KeyConfig, Parts: []Part{ConstPart("/etc/ssh"), ConstPart(":"), ConstPart("PermitRootLogin")}}
+	b := Read{Kind: host.KeyConfig, Parts: []Part{ConstPart("/etc/ssh:PermitRootLogin")}}
 	if !a.Matches(b) || !b.Matches(a) {
 		t.Fatalf("folded constants should match: %s vs %s", a.Key(), b.Key())
 	}
-	c := Read{Kind: KindService, Parts: []Part{ConstPart("/etc/ssh:PermitRootLogin")}}
+	c := Read{Kind: host.KeyService, Parts: []Part{ConstPart("/etc/ssh:PermitRootLogin")}}
 	if a.Matches(c) {
 		t.Fatalf("kinds differ, must not match")
 	}
@@ -31,9 +33,9 @@ func TestReadMatchesFoldsConcatenation(t *testing.T) {
 func TestReadMatchesFieldPathsByIdentity(t *testing.T) {
 	f1 := types.NewField(token.NoPos, nil, "Name", types.Typ[types.String], false)
 	f2 := types.NewField(token.NoPos, nil, "Name", types.Typ[types.String], false)
-	a := Read{Kind: KindPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f1}}}}
-	same := Read{Kind: KindPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f1}}}}
-	other := Read{Kind: KindPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f2}}}}
+	a := Read{Kind: host.KeyPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f1}}}}
+	same := Read{Kind: host.KeyPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f1}}}}
+	other := Read{Kind: host.KeyPackage, Parts: []Part{{Param: -1, Fields: []*types.Var{f2}}}}
 	if !a.Matches(same) {
 		t.Fatalf("identical field objects should match")
 	}
@@ -46,15 +48,15 @@ func TestReadMatchesFieldPathsByIdentity(t *testing.T) {
 }
 
 func TestReadResolvedAndKey(t *testing.T) {
-	whole := Read{Kind: KindPackage, Whole: true}
+	whole := Read{Kind: host.KeyPackage, Whole: true}
 	if whole.Resolved() || whole.Key() != "pkg:*" {
 		t.Fatalf("whole read: resolved=%v key=%q", whole.Resolved(), whole.Key())
 	}
-	opaque := Read{Kind: KindAudit, Opaque: true}
+	opaque := Read{Kind: host.KeyAudit, Opaque: true}
 	if opaque.Resolved() || opaque.Key() != "audit:<?>" {
 		t.Fatalf("opaque read: resolved=%v key=%q", opaque.Resolved(), opaque.Key())
 	}
-	param := Read{Kind: KindService, Parts: []Part{{Param: 1}}}
+	param := Read{Kind: host.KeyService, Parts: []Part{{Param: 1}}}
 	if param.Resolved() {
 		t.Fatalf("parameter-rooted term is not resolved at the top frame")
 	}

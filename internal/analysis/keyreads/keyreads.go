@@ -13,9 +13,11 @@
 // of Check/CheckCtx (analysis.Summarizer: host accessor calls with
 // symbolic key terms, helper indirection inlined bottom-up over the
 // intra-package call graph) against the key terms CheckStateKeys
-// returns (composite literals of "kind:name" constants or
-// host.XxxKey(...).String() constructor chains, same-package helper
-// returns followed with argument substitution). Verdicts:
+// returns. A declared key has one form, a host key-constructor call
+// (host.PackageKey(name), host.ConfigKey(file, key), host.NetKey(), …),
+// found in composite literals, locals built with append, and
+// same-package helper returns followed with argument substitution.
+// Verdicts:
 //
 //   - a provable read no declared key covers → ERROR (push-mode
 //     unsoundness);
@@ -45,6 +47,7 @@ import (
 	"strings"
 
 	"veridevops/internal/analysis"
+	"veridevops/internal/host"
 )
 
 // Analyzer is the keyreads pass.
@@ -54,17 +57,20 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// keyCtors maps host key-constructor names to kinds and arity.
+// keyCtors maps host key-constructor names to the kind they build and
+// their arity. A constructor's arguments, joined with ":", form the
+// key's name; name is the fixed name of a constructor without any.
 var keyCtors = map[string]struct {
 	kind string
 	args int
+	name string
 }{
-	"PackageKey":  {analysis.KindPackage, 1},
-	"ServiceKey":  {analysis.KindService, 1},
-	"ConfigKey":   {analysis.KindConfig, 2},
-	"AuditKey":    {analysis.KindAudit, 1},
-	"RegistryKey": {analysis.KindRegistry, 1},
-	"NetKey":      {analysis.KindNet, 1},
+	"PackageKey":  {host.KeyPackage, 1, ""},
+	"ServiceKey":  {host.KeyService, 1, ""},
+	"ConfigKey":   {host.KeyConfig, 2, ""},
+	"AuditKey":    {host.KeyAudit, 1, ""},
+	"RegistryKey": {host.KeyRegistry, 1, ""},
+	"NetKey":      {host.KeyNet, 0, host.NetKey().Name},
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -251,8 +257,8 @@ const maxDeclDepth = 3
 // declaredKeys parses the key terms a CheckStateKeys body returns:
 // composite literals (directly, via a local built with append, or via a
 // same-package helper call with arguments substituted), each element a
-// constant "kind:name" string or a host.XxxKey(...).String() chain.
-// Unparseable shapes degrade to opaque terms, never to silence.
+// host key-constructor call. Unparseable shapes degrade to opaque
+// terms, never to silence.
 func declaredKeys(pass *analysis.Pass, sum *analysis.Summarizer, fd *ast.FuncDecl, depth int) []analysis.Read {
 	fr := analysis.NewFrame(pass.TypesInfo, fd)
 	var out []analysis.Read
@@ -366,36 +372,24 @@ func localSliceTerms(pass *analysis.Pass, sum *analysis.Summarizer, fd *ast.Func
 	return out, true
 }
 
-// keyTerm parses one declared key expression.
+// keyTerm parses one declared key: a host key-constructor call whose
+// arguments become the parts of the key's name. Any other expression is
+// an opaque term.
 func keyTerm(pass *analysis.Pass, sum *analysis.Summarizer, fr *analysis.Frame, e ast.Expr) analysis.Read {
 	e = ast.Unparen(e)
-	// Constant "kind:name" string (possibly via concatenation the
-	// type-checker folds).
-	if parts := sum.ExprTerm(e, fr); len(parts) == 1 && parts[0].Resolved() && len(parts[0].Fields) == 0 {
-		kind, rest, ok := strings.Cut(parts[0].Const, ":")
-		if ok && analysis.KnownKinds[kind] {
-			return analysis.Read{Kind: kind, Parts: []analysis.Part{analysis.ConstPart(rest)}, Pos: e.Pos()}
-		}
-		return analysis.Read{Opaque: true, Pos: e.Pos()}
-	}
-	// host.XxxKey(args...).String()
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 0 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "String" {
-			if inner, ok := ast.Unparen(sel.X).(*ast.CallExpr); ok {
-				if ctor := analysis.CalleeFunc(pass.TypesInfo, inner); ctor != nil &&
-					ctor.Pkg() != nil && ctor.Pkg().Path() == analysis.HostPath {
-					if spec, ok := keyCtors[ctor.Name()]; ok && len(inner.Args) == spec.args {
-						r := analysis.Read{Kind: spec.kind, Pos: e.Pos()}
-						for i, arg := range inner.Args {
-							if i > 0 {
-								r.Parts = append(r.Parts, analysis.ConstPart(":"))
-							}
-							r.Parts = append(r.Parts, sum.ExprTerm(arg, fr)...)
-						}
-						r.Parts = analysis.NormalizeParts(r.Parts)
-						return r
+	if call, ok := e.(*ast.CallExpr); ok {
+		if ctor := analysis.CalleeFunc(pass.TypesInfo, call); ctor != nil &&
+			ctor.Pkg() != nil && ctor.Pkg().Path() == analysis.HostPath {
+			if spec, ok := keyCtors[ctor.Name()]; ok && len(call.Args) == spec.args {
+				r := analysis.Read{Kind: spec.kind, Parts: []analysis.Part{analysis.ConstPart(spec.name)}, Pos: e.Pos()}
+				for i, arg := range call.Args {
+					if i > 0 {
+						r.Parts = append(r.Parts, analysis.ConstPart(":"))
 					}
+					r.Parts = append(r.Parts, sum.ExprTerm(arg, fr)...)
 				}
+				r.Parts = analysis.NormalizeParts(r.Parts)
+				return r
 			}
 		}
 	}

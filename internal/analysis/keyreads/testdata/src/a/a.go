@@ -24,8 +24,8 @@ func (u *UnderDeclared) Check() core.CheckStatus {
 	return core.CheckBool(u.H.Installed("auditd")) // want `UnderDeclared reads pkg:auditd but CheckStateKeys does not declare it`
 }
 
-func (u *UnderDeclared) CheckStateKeys() []string {
-	return []string{host.PackageKey(u.Name).String()}
+func (u *UnderDeclared) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.PackageKey(u.Name)}
 }
 
 // OverDeclared declares a service slot its body never reads.
@@ -35,10 +35,10 @@ func (o *OverDeclared) Check() core.CheckStatus {
 	return core.CheckBool(o.H.ServiceActive("sshd"))
 }
 
-func (o *OverDeclared) CheckStateKeys() []string {
-	return []string{
-		host.ServiceKey("sshd").String(),
-		host.ServiceKey("telnetd").String(), // want `OverDeclared declares svc:telnetd which Check never reads`
+func (o *OverDeclared) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{
+		host.ServiceKey("sshd"),
+		host.ServiceKey("telnetd"), // want `OverDeclared declares svc:telnetd which Check never reads`
 	}
 }
 
@@ -56,8 +56,8 @@ func (v *ViaHelper) Check() core.CheckStatus {
 
 func (v *ViaHelper) lookup() (string, bool) { return v.H.Config(v.File, v.Setting) }
 
-func (v *ViaHelper) CheckStateKeys() []string {
-	return []string{host.ConfigKey(v.File, v.Setting).String()}
+func (v *ViaHelper) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.ConfigKey(v.File, v.Setting)}
 }
 
 // HelperLeak hides an undeclared service read behind a helper, and
@@ -70,8 +70,8 @@ func (h *HelperLeak) Check() core.CheckStatus {
 
 func (h *HelperLeak) probe() bool { return h.H.ServiceActive("cron") }
 
-func (h *HelperLeak) CheckStateKeys() []string {
-	return []string{"pkg:cron"} // want `HelperLeak declares pkg:cron which Check never reads`
+func (h *HelperLeak) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.PackageKey("cron")} // want `HelperLeak declares pkg:cron which Check never reads`
 }
 
 // DynamicKey reads a package whose name is computed at runtime: the
@@ -85,7 +85,7 @@ func (d *DynamicKey) Check() core.CheckStatus {
 
 func pick() string { return "x" }
 
-func (d *DynamicKey) CheckStateKeys() []string { return []string{"pkg:x"} }
+func (d *DynamicKey) CheckStateKeys() []host.StateKey { return []host.StateKey{host.PackageKey("x")} }
 
 // DeferRead reads inside a deferred closure; the read still happens
 // during Check and must be declared.
@@ -99,7 +99,7 @@ func (d *DeferRead) Check() core.CheckStatus {
 	return core.CheckBool(ok)
 }
 
-func (d *DeferRead) CheckStateKeys() []string { return nil }
+func (d *DeferRead) CheckStateKeys() []host.StateKey { return nil }
 
 // Inventory reads the whole package inventory: no per-key declaration
 // can make push mode sound for it.
@@ -109,7 +109,7 @@ func (i *Inventory) Check() core.CheckStatus {
 	return core.CheckBool(len(i.H.Packages()) > 0) // want `Inventory reads the whole "pkg" inventory`
 }
 
-func (i *Inventory) CheckStateKeys() []string { return []string{"pkg:bash"} }
+func (i *Inventory) CheckStateKeys() []host.StateKey { return []host.StateKey{host.PackageKey("bash")} }
 
 // Escapes hands its host to a function value the analyzer cannot
 // follow.
@@ -122,7 +122,7 @@ func (e *Escapes) Check() core.CheckStatus {
 	return core.CheckBool(e.Probe(e.H)) // want `Escapes may read host state through a call the analyzer cannot follow`
 }
 
-func (e *Escapes) CheckStateKeys() []string { return []string{"pkg:bash"} }
+func (e *Escapes) CheckStateKeys() []host.StateKey { return []host.StateKey{host.PackageKey("bash")} }
 
 // Waived carries a recorded suppression: the undeclared read is
 // acknowledged, so no finding surfaces.
@@ -133,7 +133,7 @@ func (wv *Waived) Check() core.CheckStatus {
 	return core.CheckBool(wv.H.Installed("ntp"))
 }
 
-func (wv *Waived) CheckStateKeys() []string { return nil }
+func (wv *Waived) CheckStateKeys() []host.StateKey { return nil }
 
 // NoDecl reads host state but implements no KeyReader at all: push
 // mode must conservatively re-run it on every event.
@@ -155,7 +155,7 @@ func (a *AuditCheck) Check() core.CheckStatus {
 	return core.CheckBool(err == nil && out != "")
 }
 
-func (a *AuditCheck) CheckStateKeys() []string { return []string{host.AuditKey(a.Sub).String()} }
+func (a *AuditCheck) CheckStateKeys() []host.StateKey { return []host.StateKey{host.AuditKey(a.Sub)} }
 
 // Clean delegates Check to CheckCtx; the merged summary matches the
 // declaration exactly. Clean.
@@ -170,7 +170,35 @@ func (c *Clean) CheckCtx(ctx context.Context) core.CheckStatus {
 	return core.CheckBool(c.H.InstalledCtx(ctx, c.Pkg))
 }
 
-func (c *Clean) CheckStateKeys() []string { return []string{host.PackageKey(c.Pkg).String()} }
+func (c *Clean) CheckStateKeys() []host.StateKey { return []host.StateKey{host.PackageKey(c.Pkg)} }
+
+// NetDeclared declares the connectivity key next to its package read:
+// NetKey takes no argument and resolves to net:transport, a slot no
+// accessor reads.
+type NetDeclared struct{ H *host.Linux }
+
+func (n *NetDeclared) Check() core.CheckStatus {
+	return core.CheckBool(n.H.Installed("ufw"))
+}
+
+func (n *NetDeclared) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{
+		host.PackageKey("ufw"),
+		host.NetKey(), // want `NetDeclared declares net:transport which Check never reads`
+	}
+}
+
+// LiteralKey builds its key as a struct literal instead of calling a
+// host key constructor: the analyzer resolves constructor calls only.
+type LiteralKey struct{ H *host.Linux }
+
+func (l *LiteralKey) Check() core.CheckStatus {
+	return core.CheckBool(l.H.Installed("ufw")) // want `LiteralKey reads pkg:ufw which no resolvable declared key covers`
+}
+
+func (l *LiteralKey) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{{Kind: host.KeyPackage, Name: "ufw"}} // want `LiteralKey declares a state key the analyzer cannot resolve`
+}
 
 // NoReads performs no host access at all; implementing no KeyReader is
 // fine. Clean.

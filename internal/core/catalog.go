@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -118,13 +119,33 @@ func (c *Catalog) All() []CheckableEnforceableRequirement {
 	return c.allLocked(c.sortedLocked())
 }
 
-// allLocked materialises the requirements for ids; callers hold c.mu.
+// allLocked materialises the registered requirements among the sorted
+// ids, each once, skipping unknown ones; callers hold c.mu.
 func (c *Catalog) allLocked(ids []string) []CheckableEnforceableRequirement {
 	out := make([]CheckableEnforceableRequirement, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.byID[id])
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			continue
+		}
+		if r, ok := c.byID[id]; ok {
+			out = append(out, r)
+		}
 	}
 	return out
+}
+
+// subset returns the registered requirements named by ids, each once,
+// in finding-ID order; unknown IDs are skipped. Subsets arrive sorted
+// from DepIndex.Affected, so ids is copied and sorted only when it is
+// not sorted already, and the walk costs the subset, not the catalogue.
+func (c *Catalog) subset(ids []string) []CheckableEnforceableRequirement {
+	if !slices.IsSorted(ids) {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.allLocked(ids)
 }
 
 // KeyDeclarations reports how many registered requirements declare their

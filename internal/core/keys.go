@@ -1,5 +1,7 @@
 package core
 
+import "veridevops/internal/host"
+
 // Push-based incremental evaluation needs to know, before running a
 // check, which host-state slots the check reads — so that when a host
 // event names the slot it touched (host.StateKey), the fleet streamer
@@ -10,20 +12,23 @@ package core
 // the state's *identity* for indexing).
 
 // KeyReader is an optional extension of Checkable for requirements that
-// can enumerate the host-state keys their Check reads, in the canonical
-// "kind:name" form of host.StateKey.String (e.g. "pkg:telnetd",
-// "cfg:/etc/login.defs:ENCRYPT_METHOD", "audit:Logon"). The declaration
-// must be static and complete: if Check reads a slot the requirement
-// does not declare, a change to that slot will not re-trigger the check
-// under push evaluation. Requirements that cannot enumerate their reads
-// simply don't implement the interface and fall back to full re-audits
-// (and the daemon's periodic fallback sweep). Because declarations are
-// static, consumers read them once per catalogue state: DepIndex when it
-// is built, and Catalog.KeyDeclarations until the next Register. A
-// declaration that changed afterwards would go unseen by both.
+// can enumerate the host-state slots their Check reads, each built with
+// the host key constructor of its kind (host.PackageKey("telnetd"),
+// host.ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
+// host.AuditKey("Logon")) — the same typed identity the host's
+// mutators log, so index lookups compare keys, not strings. The
+// declaration must be static and complete: if Check reads a slot the
+// requirement does not declare, a change to that slot will not
+// re-trigger the check under push evaluation. Requirements that cannot
+// enumerate their reads simply don't implement the interface and fall
+// back to full re-audits (and the daemon's periodic fallback sweep).
+// Because declarations are static, consumers read them once per
+// catalogue state: DepIndex when it is built, and
+// Catalog.KeyDeclarations until the next Register. A declaration that
+// changed afterwards would go unseen by both.
 type KeyReader interface {
-	// CheckStateKeys returns the canonical state keys the Check reads.
-	CheckStateKeys() []string
+	// CheckStateKeys returns the state keys the Check reads.
+	CheckStateKeys() []host.StateKey
 }
 
 // CheckKeys returns the state keys a requirement declares it reads, and
@@ -33,7 +38,7 @@ type KeyReader interface {
 // every change of its host. Mirrors CheckFingerprint's panic absorption
 // so one misbehaving declaration degrades to full re-audits instead of
 // crashing the indexer.
-func CheckKeys(req Requirement) (keys []string, ok bool) {
+func CheckKeys(req Requirement) (keys []host.StateKey, ok bool) {
 	kr, is := req.(KeyReader)
 	if !is {
 		return nil, false

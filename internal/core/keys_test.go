@@ -7,13 +7,15 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+
+	"veridevops/internal/host"
 )
 
 // keyedReq is a test requirement declaring the state keys its Check
 // reads, with an execution counter for subset-run assertions.
 type keyedReq struct {
 	Finding
-	keys    []string
+	keys    []host.StateKey
 	verdict CheckStatus
 	calls   *atomic.Int64
 }
@@ -27,12 +29,12 @@ func (k *keyedReq) Check() CheckStatus {
 
 func (k *keyedReq) Enforce() EnforcementStatus { return EnforceSuccess }
 
-func (k *keyedReq) CheckStateKeys() []string { return k.keys }
+func (k *keyedReq) CheckStateKeys() []host.StateKey { return k.keys }
 
 func TestCheckKeys(t *testing.T) {
-	r := &keyedReq{Finding: Finding{ID: "V-1"}, keys: []string{"pkg:telnetd"}}
+	r := &keyedReq{Finding: Finding{ID: "V-1"}, keys: []host.StateKey{host.PackageKey("telnetd")}}
 	keys, ok := CheckKeys(r)
-	if !ok || !reflect.DeepEqual(keys, []string{"pkg:telnetd"}) {
+	if !ok || !reflect.DeepEqual(keys, []host.StateKey{host.PackageKey("telnetd")}) {
 		t.Errorf("CheckKeys = (%v, %v), want ([pkg:telnetd], true)", keys, ok)
 	}
 	// An empty declaration is the same as no declaration.
@@ -59,7 +61,7 @@ type panicKeyReader struct {
 	EnforceFunc
 }
 
-func (panicKeyReader) CheckStateKeys() []string { panic("broken declaration") }
+func (panicKeyReader) CheckStateKeys() []host.StateKey { panic("broken declaration") }
 
 func TestCheckKeysAbsorbsPanic(t *testing.T) {
 	if _, ok := CheckKeys(&panicKeyReader{Finding: Finding{ID: "V-3"}}); ok {
@@ -94,6 +96,24 @@ func TestRunEngineOnlySubset(t *testing.T) {
 	rep, _ = c.RunEngine(RunOptions{})
 	if len(rep.Results) != 3 {
 		t.Errorf("nil Only ran %d requirements, want 3", len(rep.Results))
+	}
+}
+
+// TestRunEngineOnlyRunsEachIDOnce names one entry three times, sorted
+// and unsorted: it runs and reports once either way.
+func TestRunEngineOnlyRunsEachIDOnce(t *testing.T) {
+	c := NewCatalog()
+	var a, b atomic.Int64
+	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-1"}, verdict: CheckPass, calls: &a})
+	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-2"}, verdict: CheckPass, calls: &b})
+	for _, only := range [][]string{{"V-1", "V-1", "V-1", "V-2"}, {"V-1", "V-2", "V-1", "V-1"}} {
+		a.Store(0)
+		b.Store(0)
+		rep, _ := c.RunEngine(RunOptions{Only: only})
+		if a.Load() != 1 || b.Load() != 1 || len(rep.Results) != 2 ||
+			rep.Results[0].FindingID != "V-1" || rep.Results[1].FindingID != "V-2" {
+			t.Errorf("Only %v: calls V-1:%d V-2:%d, results %v; want each once, in ID order", only, a.Load(), b.Load(), rep.Results)
+		}
 	}
 }
 
@@ -136,10 +156,10 @@ type countingKeyReader struct {
 	calls *atomic.Int64
 }
 
-func (r *countingKeyReader) CheckStateKeys() []string {
+func (r *countingKeyReader) CheckStateKeys() []host.StateKey {
 	r.calls.Add(1)
 	r.cat.Len() // must not deadlock: declarations run outside the lock
-	return []string{"pkg:" + r.ID}
+	return []host.StateKey{host.PackageKey(r.ID)}
 }
 
 func TestCatalogKeyDeclarationsRecomputedAfterRegister(t *testing.T) {
@@ -161,7 +181,7 @@ func TestCatalogKeyDeclarationsRecomputedAfterRegister(t *testing.T) {
 	}
 	c.MustRegister(&panicKeyReader{Finding: Finding{ID: "V-3"}})
 	want(1, 2)
-	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-4"}, keys: []string{"cfg:x"}})
+	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-4"}, keys: []host.StateKey{host.ConfigKey("/etc/x", "k")}})
 	want(2, 2)
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("declaration read %d times over three catalogue states, want 3", n)

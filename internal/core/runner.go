@@ -51,9 +51,10 @@ type RunOptions struct {
 	// Only, when non-nil, restricts the run to the catalogue entries whose
 	// finding ID is in the set — the subset path of push-based incremental
 	// evaluation, where a host-state delta maps through fleet.DepIndex to
-	// the handful of affected checks. Unknown IDs are ignored; the report
-	// keeps finding-ID order; an empty non-nil slice runs nothing. nil
-	// (the default) runs the whole catalogue.
+	// the handful of affected checks. Unknown IDs are ignored and a
+	// repeated ID runs once; the report keeps finding-ID order; an empty
+	// non-nil slice runs nothing. nil (the default) runs the whole
+	// catalogue.
 	Only []string
 }
 
@@ -251,21 +252,11 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 // order), which is how delta evaluation re-checks just the requirements
 // affected by a host-state change.
 func (c *Catalog) RunEngine(opts RunOptions) (Report, RunStats) {
-	reqs := c.All()
-	if opts.Only != nil {
-		want := make(map[string]bool, len(opts.Only))
-		for _, id := range opts.Only {
-			want[id] = true
-		}
-		// All() returns a fresh sorted slice, so filtering in place keeps
-		// finding-ID order and touches no shared state.
-		kept := reqs[:0]
-		for _, req := range reqs {
-			if want[req.FindingID()] {
-				kept = append(kept, req)
-			}
-		}
-		reqs = kept
+	var reqs []CheckableEnforceableRequirement
+	if opts.Only == nil {
+		reqs = c.All()
+	} else {
+		reqs = c.subset(opts.Only)
 	}
 	outs, ps := engine.Map(reqs, opts.Workers,
 		func(i int, req CheckableEnforceableRequirement) engineOutcome {

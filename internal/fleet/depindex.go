@@ -5,10 +5,11 @@ import (
 	"strconv"
 
 	"veridevops/internal/core"
+	"veridevops/internal/host"
 )
 
 // DepIndex is the reverse dependency index of one catalogue: host-state
-// key (host.StateKey canonical form, "pkg:nis") → the finding IDs of the
+// key (host.StateKey, host.PackageKey("nis")) → the finding IDs of the
 // checks that read that slot (core.KeyReader). It is what turns a host
 // event delta into the exact set of checks to re-run — O(changed keys)
 // instead of O(requirements) — for the push-based streaming evaluator.
@@ -23,7 +24,7 @@ import (
 // watched host whose catalogue makes the same declarations (see
 // Streamer.Watch).
 type DepIndex struct {
-	byKey     map[string][]string
+	byKey     map[host.StateKey][]string
 	indexed   []string
 	unindexed []string
 	findings  int
@@ -40,7 +41,7 @@ func BuildDepIndex(c *core.Catalog) *DepIndex { return buildDepIndex(declaration
 // what core.CheckKeys reports for it.
 type keyDecl struct {
 	id   string
-	keys []string
+	keys []host.StateKey
 	ok   bool
 }
 
@@ -59,14 +60,13 @@ func declarations(c *core.Catalog) []keyDecl {
 	return out
 }
 
-// declSignature encodes declarations as one string: each finding ID,
-// then "-" for an undeclared read set or "+<count>;" and the keys, with
-// every ID and key length-prefixed ("<len>:<bytes>"). The encoding is
-// unambiguous, so catalogues with equal signatures get equal indexes
-// from BuildDepIndex: the signature is the key the Streamer interns
-// indexes under.
-func declSignature(decls []keyDecl) string {
-	var b []byte
+// appendDeclSignature appends the encoding of declarations to b: each
+// finding ID, then "-" for an undeclared read set or "+<count>;" and the
+// keys, with every ID and every key's kind and name length-prefixed
+// ("<len>:<bytes>"). The encoding is unambiguous, so catalogues with
+// equal signatures get equal indexes from BuildDepIndex: the signature
+// is the key the Streamer interns indexes under.
+func appendDeclSignature(b []byte, decls []keyDecl) []byte {
 	field := func(s string) {
 		b = strconv.AppendInt(b, int64(len(s)), 10)
 		b = append(b, ':')
@@ -81,16 +81,17 @@ func declSignature(decls []keyDecl) string {
 		b = strconv.AppendInt(append(b, '+'), int64(len(d.keys)), 10)
 		b = append(b, ';')
 		for _, k := range d.keys {
-			field(k)
+			field(k.Kind)
+			field(k.Name)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // buildDepIndex builds the index of a declaration list in finding-ID
 // order.
 func buildDepIndex(decls []keyDecl) *DepIndex {
-	x := &DepIndex{byKey: map[string][]string{}}
+	x := &DepIndex{byKey: map[host.StateKey][]string{}}
 	for _, d := range decls {
 		x.findings++
 		if !d.ok {
@@ -125,22 +126,26 @@ func dedupSorted(ids []string) []string {
 // Lookup returns the finding IDs reading exactly this key (unindexed
 // findings excluded), sorted. The returned slice is shared; callers must
 // not mutate it.
-func (x *DepIndex) Lookup(key string) []string { return x.byKey[key] }
+func (x *DepIndex) Lookup(key host.StateKey) []string { return x.byKey[key] }
 
 // Affected maps a set of changed state keys to the sorted, deduplicated
 // finding IDs that must be re-checked: every check reading one of the
 // keys, plus every unindexed check (their reads are unknown, so any
 // change might concern them). Keys no check reads contribute nothing —
 // Affected of an irrelevant change on a fully-indexed catalogue is
-// empty.
-func (x *DepIndex) Affected(keys []string) []string {
-	var out []string
-	out = append(out, x.unindexed...)
+// empty. The result is the one allocation, sized before it is filled,
+// however many keys there are.
+func (x *DepIndex) Affected(keys []host.StateKey) []string {
+	n := len(x.unindexed)
+	for _, k := range keys {
+		n += len(x.byKey[k])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := append(make([]string, 0, n), x.unindexed...)
 	for _, k := range keys {
 		out = append(out, x.byKey[k]...)
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	sort.Strings(out)
 	return dedupSorted(out)

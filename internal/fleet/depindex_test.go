@@ -18,15 +18,15 @@ func TestBuildDepIndexCoversUbuntuCatalog(t *testing.T) {
 	if len(x.Unindexed()) != 0 {
 		t.Errorf("Unindexed = %v, want none (every stig pattern declares keys)", x.Unindexed())
 	}
-	if got := x.Lookup("pkg:nis"); !reflect.DeepEqual(got, []string{"V-219157"}) {
+	if got := x.Lookup(host.PackageKey("nis")); !reflect.DeepEqual(got, []string{"V-219157"}) {
 		t.Errorf("Lookup(pkg:nis) = %v, want [V-219157]", got)
 	}
-	got := x.Affected([]string{"pkg:aide", "cfg:/etc/login.defs:ENCRYPT_METHOD"})
+	got := x.Affected([]host.StateKey{host.PackageKey("aide"), host.ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")})
 	if !reflect.DeepEqual(got, []string{"V-219177", "V-219343"}) {
 		t.Errorf("Affected = %v, want [V-219177 V-219343]", got)
 	}
 	// A key nothing reads affects nothing on a fully-indexed catalogue.
-	if got := x.Affected([]string{"cfg:/etc/motd:banner"}); got != nil {
+	if got := x.Affected([]host.StateKey{host.ConfigKey("/etc/motd", "banner")}); got != nil {
 		t.Errorf("Affected(irrelevant) = %v, want nil", got)
 	}
 	if got := x.Affected(nil); got != nil {
@@ -52,11 +52,28 @@ func TestDepIndexUnindexedAlwaysAffected(t *testing.T) {
 	}
 	// The unindexed check rides along with every delta, even an
 	// irrelevant one: its reads are unknown.
-	if got := x.Affected([]string{"cfg:/etc/motd:banner"}); !reflect.DeepEqual(got, []string{"V-000001"}) {
+	if got := x.Affected([]host.StateKey{host.ConfigKey("/etc/motd", "banner")}); !reflect.DeepEqual(got, []string{"V-000001"}) {
 		t.Errorf("Affected(irrelevant) = %v, want [V-000001]", got)
 	}
-	if got := x.Affected([]string{"pkg:aide"}); !reflect.DeepEqual(got, []string{"V-000001", "V-219343"}) {
+	if got := x.Affected([]host.StateKey{host.PackageKey("aide")}); !reflect.DeepEqual(got, []string{"V-000001", "V-219343"}) {
 		t.Errorf("Affected(pkg:aide) = %v, want [V-000001 V-219343]", got)
+	}
+}
+
+// TestDeclSignatureSeparatesKindAndName pins that a key's kind and name
+// are encoded apart: two keys whose rendered "kind:name" forms coincide
+// must not share an interned index.
+func TestDeclSignatureSeparatesKindAndName(t *testing.T) {
+	decl := func(k host.StateKey) []keyDecl {
+		return []keyDecl{{id: "V-1", keys: []host.StateKey{k}, ok: true}}
+	}
+	a := host.StateKey{Kind: "pkg", Name: "x:y"}
+	b := host.StateKey{Kind: "pkg:x", Name: "y"}
+	if a.String() != b.String() {
+		t.Fatalf("fixture keys render differently: %s, %s", a, b)
+	}
+	if sa, sb := appendDeclSignature(nil, decl(a)), appendDeclSignature(nil, decl(b)); string(sa) == string(sb) {
+		t.Errorf("keys %+v and %+v share the signature %q", a, b, sa)
 	}
 }
 

@@ -35,10 +35,10 @@ func (c *leakyCheck) Check() core.CheckStatus {
 
 func (c *leakyCheck) Enforce() core.EnforcementStatus { return core.EnforceSuccess }
 
-func (c *leakyCheck) CheckStateKeys() []string {
-	keys := []string{host.PackageKey(c.Declared).String()}
+func (c *leakyCheck) CheckStateKeys() []host.StateKey {
+	keys := []host.StateKey{host.PackageKey(c.Declared)}
 	if c.declareHidden {
-		keys = append(keys, host.PackageKey(c.Hidden).String())
+		keys = append(keys, host.PackageKey(c.Hidden))
 	}
 	return keys
 }
@@ -88,7 +88,7 @@ func TestUnderDeclaredReadDivergesSweepVsPush(t *testing.T) {
 	if len(vs) != 1 || vs[0].Finding != "LEAK-1" || vs[0].Kind != ViolationUndeclared {
 		t.Fatalf("VerifyReads fatal violations = %v, want one undeclared on LEAK-1", vs)
 	}
-	if len(vs[0].Keys) != 1 || vs[0].Keys[0] != "pkg:hidden" {
+	if len(vs[0].Keys) != 1 || vs[0].Keys[0] != host.PackageKey("hidden") {
 		t.Fatalf("violation keys = %v, want [pkg:hidden]", vs[0].Keys)
 	}
 }

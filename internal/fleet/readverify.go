@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"veridevops/internal/core"
@@ -46,10 +47,10 @@ type ReadViolation struct {
 	Kind string
 	// Keys are the offending state keys (recorded-but-undeclared, or
 	// declared-but-unread), sorted.
-	Keys []string
+	Keys []host.StateKey
 	// Declared and Read are the full key sets, sorted, for diagnostics.
-	Declared []string
-	Read     []string
+	Declared []host.StateKey
+	Read     []host.StateKey
 }
 
 func (v ReadViolation) String() string {
@@ -91,47 +92,20 @@ func VerifyReads(cat *core.Catalog, hosts ...Recordable) []ReadViolation {
 		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1, Only: []string{req.FindingID()}})
 		read := rec.Keys()
 		declared, localized := core.CheckKeys(req)
-		sort.Strings(declared)
-
-		if !localized {
-			if len(read) > 0 {
-				out = append(out, ReadViolation{
-					Finding: req.FindingID(), Kind: ViolationUnlocalized,
-					Keys: read, Declared: declared, Read: read,
-				})
+		// Sorted in a copy: the slice may be the requirement's own.
+		declared = slices.Clone(declared)
+		slices.SortFunc(declared, host.CompareKeys)
+		add := func(kind string, keys []host.StateKey) {
+			if len(keys) > 0 {
+				out = append(out, ReadViolation{Finding: req.FindingID(), Kind: kind, Keys: keys, Declared: declared, Read: read})
 			}
+		}
+		if !localized {
+			add(ViolationUnlocalized, read)
 			continue
 		}
-		declSet := make(map[string]bool, len(declared))
-		for _, k := range declared {
-			declSet[k] = true
-		}
-		readSet := make(map[string]bool, len(read))
-		var undeclared []string
-		for _, k := range read {
-			readSet[k] = true
-			if !declSet[k] {
-				undeclared = append(undeclared, k)
-			}
-		}
-		var unread []string
-		for _, k := range declared {
-			if !readSet[k] {
-				unread = append(unread, k)
-			}
-		}
-		if len(undeclared) > 0 {
-			out = append(out, ReadViolation{
-				Finding: req.FindingID(), Kind: ViolationUndeclared,
-				Keys: undeclared, Declared: declared, Read: read,
-			})
-		}
-		if len(unread) > 0 {
-			out = append(out, ReadViolation{
-				Finding: req.FindingID(), Kind: ViolationOverdeclared,
-				Keys: unread, Declared: declared, Read: read,
-			})
-		}
+		add(ViolationUndeclared, missing(read, declared))
+		add(ViolationOverdeclared, missing(declared, read))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Finding != out[j].Finding {
@@ -139,6 +113,17 @@ func VerifyReads(cat *core.Catalog, hosts ...Recordable) []ReadViolation {
 		}
 		return out[i].Kind < out[j].Kind
 	})
+	return out
+}
+
+// missing returns, in order, the keys of a that b does not contain.
+func missing(a, b []host.StateKey) []host.StateKey {
+	var out []host.StateKey
+	for _, k := range a {
+		if !slices.Contains(b, k) {
+			out = append(out, k)
+		}
+	}
 	return out
 }
 

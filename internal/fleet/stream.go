@@ -47,16 +47,20 @@ type Streamer struct {
 	stats    StreamStats
 	view     *View
 	// indexes interns the watched hosts' dependency indexes by
-	// declaration signature (declSignature): hosts whose catalogues make
-	// the same declarations share one index. An entry leaves when its
-	// last host is unwatched.
+	// declaration signature (appendDeclSignature): hosts whose
+	// catalogues make the same declarations share one index. An entry
+	// leaves when its last host is unwatched.
 	indexes map[string]*sharedIndex
+	// sig is Watch's signature buffer, guarded by mu. Looking a
+	// signature up in indexes allocates nothing, so only a new index
+	// pays for its key.
+	sig []byte
 
 	// tail and keys are Flush's per-host scratch: the events tailed from
 	// one host's log and their state keys. Only the evaluation holding
 	// the coordinator's guard touches them.
 	tail []host.Event
-	keys []string
+	keys []host.StateKey
 }
 
 // sharedIndex is one interned DepIndex, its signature and the number of
@@ -241,7 +245,6 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // holds one index. The declarations are read once, at Watch.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	decls := declarations(t.Catalog)
-	sig := declSignature(decls)
 	sh := &streamHost{target: t, log: log}
 	if log != nil {
 		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(sh) })
@@ -253,10 +256,11 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ix := s.indexes[sig]
+	s.sig = appendDeclSignature(s.sig[:0], decls)
+	ix := s.indexes[string(s.sig)]
 	if ix == nil {
-		ix = &sharedIndex{DepIndex: buildDepIndex(decls), sig: sig}
-		s.indexes[sig] = ix
+		ix = &sharedIndex{DepIndex: buildDepIndex(decls), sig: string(s.sig)}
+		s.indexes[ix.sig] = ix
 	}
 	ix.refs++
 	sh.index = ix
@@ -486,7 +490,7 @@ func (s *Streamer) plan(sh *streamHost) (events int, only []string) {
 		if ev.Key.IsZero() || ev.Key.Kind == host.KeyNet {
 			return len(s.tail), nil
 		}
-		s.keys = append(s.keys, ev.Key.String())
+		s.keys = append(s.keys, ev.Key)
 	}
 	if only = sh.index.Affected(s.keys); only == nil {
 		// Distinguish "no affected checks" (a cache re-stamp) from the

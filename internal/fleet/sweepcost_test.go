@@ -14,10 +14,10 @@ type declReq struct {
 	core.Finding
 	core.CheckFunc
 	core.EnforceFunc
-	keys func() []string
+	keys func() []host.StateKey
 }
 
-func (r *declReq) CheckStateKeys() []string { return r.keys() }
+func (r *declReq) CheckStateKeys() []host.StateKey { return r.keys() }
 
 // perRequirementLocalization is the unmemoised reference count: one
 // core.CheckKeys call per catalogue entry per target.
@@ -43,9 +43,9 @@ func TestSweepLocalizationMatchesPerRequirementCount(t *testing.T) {
 	mixed := stig.UbuntuCatalog(h)
 	mixed.MustRegister(&plainReq{Finding: core.Finding{ID: "V-900001"}, CheckFunc: pass})
 	mixed.MustRegister(&declReq{Finding: core.Finding{ID: "V-900002"}, CheckFunc: pass,
-		keys: func() []string { return nil }})
+		keys: func() []host.StateKey { return nil }})
 	mixed.MustRegister(&declReq{Finding: core.Finding{ID: "V-900003"}, CheckFunc: pass,
-		keys: func() []string { panic("broken declaration") }})
+		keys: func() []host.StateKey { panic("broken declaration") }})
 	linux, _ := LinuxFleet(6)
 	fleets := map[string][]Target{
 		"LinuxFleet": linux,
@@ -139,5 +139,40 @@ func TestCachedSweepAllocsPerHost(t *testing.T) {
 	}
 	if slope > maxAllocsPerAddedHost {
 		t.Fatalf("all-cached sweep allocs per added host = %.3f; want <= %.2f", slope, maxAllocsPerAddedHost)
+	}
+}
+
+// TestFlushPlanAllocsPerKeyedEvent pins the per-event cost of planning a
+// delta: Streamer.plan tails a primed host's keyed events into the
+// flush's reused buffers and looks their keys up as they are, so
+// planning 256 events allocates no more than planning one. Only the
+// affected subset, one slice per host, is allocated. A per-event
+// allocation (a rendered key, a grown buffer) would add 255.
+func TestFlushPlanAllocsPerKeyedEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	targets, hosts := LinuxFleet(1)
+	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 1, Workers: 1})
+	s.Watch(targets[0], hosts[0].Log())
+	s.Flush(0) // prime
+	sh := s.hosts[targets[0].Name]
+	allocs := func(n int) float64 {
+		from := hosts[0].Log().Len()
+		for i := 0; i < n; i++ {
+			hosts[0].Install(host.BannedPackages[i%len(host.BannedPackages)], "1")
+		}
+		return testing.AllocsPerRun(100, func() {
+			sh.cursor = from
+			if events, only := s.plan(sh); events != n || len(only) == 0 {
+				t.Fatalf("plan = (%d events, %v), want %d events and a subset", events, only, n)
+			}
+		})
+	}
+	allocs(256) // grow the flush's buffers once
+	one, many := allocs(1), allocs(256)
+	t.Logf("plan: %.0f allocs for 1 keyed event, %.0f for 256", one, many)
+	if many > one {
+		t.Fatalf("plan allocates %.0f times for 256 keyed events but %.0f for one; want no allocation per event", many, one)
 	}
 }

@@ -1,8 +1,10 @@
 package host
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -44,10 +46,16 @@ type StateKey struct {
 // IsZero reports whether the key is the unkeyed sentinel.
 func (k StateKey) IsZero() bool { return k.Kind == "" && k.Name == "" }
 
-// String renders the canonical "kind:name" form — the exact strings
-// requirement checks declare via core.KeyReader, so index lookups are
-// plain string equality.
+// String renders the key as "kind:name" for display: event logs,
+// diagnostics and reports. Declarations, indexes and recorders compare
+// the typed key itself.
 func (k StateKey) String() string { return k.Kind + ":" + k.Name }
+
+// CompareKeys orders keys by kind, then name. No kind is a prefix of
+// another, so this is also the order of the rendered "kind:name" forms.
+func CompareKeys(a, b StateKey) int {
+	return cmp.Or(strings.Compare(a.Kind, b.Kind), strings.Compare(a.Name, b.Name))
+}
 
 // PackageKey returns the state key of a package's installed state.
 func PackageKey(name string) StateKey { return StateKey{Kind: KeyPackage, Name: name} }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,53 +303,102 @@ func TestStateKeyForms(t *testing.T) {
 	if !(StateKey{}).IsZero() {
 		t.Error("zero StateKey.IsZero() = false")
 	}
-}
-
-// TestMutatorsEmitKeys pins the key every mutator attaches to its event:
-// the reverse dependency index depends on these exact strings.
-func TestMutatorsEmitKeys(t *testing.T) {
-	l := NewLinux()
-	l.Install("aide", "1")
-	l.Remove("telnetd")
-	l.EnableService("auditd")
-	l.DisableService("rsh.socket")
-	l.SetConfig("/etc/login.defs", "ENCRYPT_METHOD", "SHA512")
-	l.UnsetConfig("/etc/login.defs", "ENCRYPT_METHOD")
-	want := []StateKey{
-		PackageKey("aide"),
-		PackageKey("telnetd"),
-		ServiceKey("auditd"),
-		ServiceKey("rsh.socket"),
-		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
-		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
+	// CompareKeys orders keys as their rendered forms sort.
+	keys := []StateKey{wildcard(KeyPackage), wildcard(KeyAudit), PackageKey("a"), ConfigKey("a", "b")}
+	for _, c := range cases {
+		keys = append(keys, c.key)
 	}
-	evs, _ := l.Log().Tail(0, nil)
-	if len(evs) != len(want) {
-		t.Fatalf("got %d events, want %d: %v", len(evs), len(want), evs)
-	}
-	for i, ev := range evs {
-		if ev.Key != want[i] {
-			t.Errorf("event %d (%s) key = %v, want %v", i, ev.Action, ev.Key, want[i])
+	for _, a := range keys {
+		for _, b := range keys {
+			if got, want := CompareKeys(a, b), strings.Compare(a.String(), b.String()); got != want {
+				t.Errorf("CompareKeys(%s, %s) = %d, want %d", a, b, got, want)
+			}
 		}
 	}
+}
 
-	// Denied mutations keep the key so push consumers still re-verify.
+// TestMutatorsEmitKeys pins the (action, detail, key) triple every
+// mutator logs, on a writable and on a read-only host: the reverse
+// dependency index looks up these exact keys, and operators read the
+// details. Denied mutations keep the key so push consumers still
+// re-verify the slot.
+func TestMutatorsEmitKeys(t *testing.T) {
+	type logged struct {
+		action, detail string
+		key            StateKey
+	}
+	tail := func(log *EventLog, from int) []logged {
+		evs, _ := log.Tail(from, nil)
+		out := make([]logged, len(evs))
+		for i, ev := range evs {
+			out[i] = logged{ev.Action, ev.Detail, ev.Key}
+		}
+		return out
+	}
+	mutate := func(l *Linux) {
+		l.Install("aide", "0.16")
+		l.Remove("telnetd")
+		l.EnableService("auditd")
+		l.DisableService("rsh.socket")
+		l.SetConfig("/etc/login.defs", "ENCRYPT_METHOD", "SHA512")
+		l.SetConfig("/etc/app:v2.conf", "mode", "")
+		l.UnsetConfig("/etc/login.defs", "ENCRYPT_METHOD")
+	}
+	writable := []logged{
+		{"apt.install", "aide", PackageKey("aide")},
+		{"apt.remove", "telnetd", PackageKey("telnetd")},
+		{"systemctl.enable", "auditd", ServiceKey("auditd")},
+		{"systemctl.disable", "rsh.socket", ServiceKey("rsh.socket")},
+		{"config.set", "/etc/login.defs:ENCRYPT_METHOD=SHA512", ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")},
+		{"config.set", "/etc/app:v2.conf:mode=", ConfigKey("/etc/app:v2.conf", "mode")},
+		{"config.unset", "/etc/login.defs:ENCRYPT_METHOD", ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")},
+	}
+	l := NewLinux()
+	mutate(l)
+	if got := tail(l.Log(), 0); !reflect.DeepEqual(got, writable) {
+		t.Errorf("writable events =\n%v\nwant\n%v", got, writable)
+	}
+
+	var denied []logged
+	for _, w := range writable {
+		denied = append(denied, logged{w.action + ".denied", w.key.Name, w.key})
+	}
 	l.SetReadOnly(true)
-	l.Install("doas", "1")
-	evs, _ = l.Log().Tail(len(want), nil)
-	if len(evs) != 1 || evs[0].Action != "apt.install.denied" || evs[0].Key != PackageKey("doas") {
-		t.Errorf("denied install event = %v, want keyed apt.install.denied", evs)
+	base := l.Log().Len()
+	mutate(l)
+	if got := tail(l.Log(), base); !reflect.DeepEqual(got, denied) {
+		t.Errorf("read-only events =\n%v\nwant\n%v", got, denied)
+	}
+	// A read-only host still records connectivity flips, and a flip to
+	// the state the host is already in records nothing.
+	base = l.Log().Len()
+	l.SetUnreachable(true)
+	l.SetUnreachable(true)
+	l.SetUnreachable(false)
+	l.SetUnreachable(false)
+	net := []logged{
+		{"net.down", "transport lost", NetKey()},
+		{"net.up", "transport restored", NetKey()},
+	}
+	if got := tail(l.Log(), base); !reflect.DeepEqual(got, net) {
+		t.Errorf("net events =\n%v\nwant\n%v", got, net)
 	}
 
 	w := NewWindows10()
-	base := w.Log().Len()
+	base = w.Log().Len()
 	if err := w.SetAudit("Logon", AuditSetting{Success: true, Failure: true}); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.SetAudit("No Such Subcategory", AuditSetting{}); err == nil {
+		t.Error("SetAudit of an unknown subcategory succeeded")
+	}
 	w.SetRegistry(`HKLM\X`, "1")
-	wevs, _ := w.Log().Tail(base, nil)
-	if len(wevs) != 2 || wevs[0].Key != AuditKey("Logon") || wevs[1].Key != RegistryKey(`HKLM\X`) {
-		t.Errorf("windows events = %v, want audit + registry keys", wevs)
+	wantWin := []logged{
+		{"auditpol.set", "Logon=Success and Failure", AuditKey("Logon")},
+		{"reg.set", `HKLM\X=1`, RegistryKey(`HKLM\X`)},
+	}
+	if got := tail(w.Log(), base); !reflect.DeepEqual(got, wantWin) {
+		t.Errorf("windows events =\n%v\nwant\n%v", got, wantWin)
 	}
 }
 

@@ -9,7 +9,6 @@ package host
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -97,17 +96,11 @@ var ErrCanceled error = &probeError{"host: probe canceled"}
 // when the transport was lost and regained — and so the fleet auditor's
 // version-keyed cache re-audits the host after an outage.
 func (l *Linux) SetUnreachable(down bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.unreachable == down {
-		return
-	}
-	l.unreachable = down
+	action, detail := "net.up", "transport restored"
 	if down {
-		l.log.AppendKeyed("net.down", "transport lost", NetKey())
-	} else {
-		l.log.AppendKeyed("net.up", "transport restored", NetKey())
+		action, detail = "net.down", "transport lost"
 	}
+	l.write(NetKey(), action, detail, func() { l.unreachable = down })
 }
 
 // ping panics when the host is unreachable; callers hold l.mu (every
@@ -138,16 +131,28 @@ func (l *Linux) SetReadOnly(ro bool) {
 	l.readOnly = ro
 }
 
-// denied logs and reports a blocked mutation; callers hold l.mu. The
-// denied event keeps the mutation's state key: the slot did not change,
-// but streaming consumers re-verify it so a blocked enforcement still
-// produces a fresh verdict.
-func (l *Linux) denied(action, detail string, key StateKey) bool {
-	if !l.readOnly {
-		return false
+// write is the one path by which a Linux host's state changes: a
+// mutator passes the key of the slot it changes, the event to log, and
+// change, which mutates the slot. Under the host's lock write pings,
+// then applies change and logs the event — or, on a read-only host,
+// logs action+".denied" with the slot's name as detail, keeping the key
+// so streaming consumers still re-verify the slot after a blocked
+// enforcement. A connectivity flip (NetKey) is neither pinged nor
+// denied, and logs nothing when the host already was in that state.
+func (l *Linux) write(key StateKey, action, detail string, change func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if key.Kind == KeyNet {
+		was := l.unreachable
+		if change(); l.unreachable == was {
+			return
+		}
+	} else if l.ping(); l.readOnly {
+		action, detail = action+".denied", key.Name
+	} else {
+		change()
 	}
-	l.log.AppendKeyed(action+".denied", detail, key)
-	return true
+	l.log.AppendKeyed(action, detail, key)
 }
 
 // NewLinux returns an empty Linux host.
@@ -179,30 +184,20 @@ func (l *Linux) Log() *EventLog { return l.log }
 
 // Install marks a package installed (apt-get install).
 func (l *Linux) Install(name, version string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("apt.install", name, PackageKey(name)) {
-		return
-	}
-	l.packages[name] = pkgState{version: version, installed: true}
-	l.log.AppendKeyed("apt.install", name, PackageKey(name))
+	l.write(PackageKey(name), "apt.install", name, func() {
+		l.packages[name] = pkgState{version: version, installed: true}
+	})
 }
 
 // Remove marks a package uninstalled (apt-get remove). Removing an unknown
 // package is a no-op, matching apt semantics with --ignore-missing.
 func (l *Linux) Remove(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("apt.remove", name, PackageKey(name)) {
-		return
-	}
-	if p, ok := l.packages[name]; ok {
-		p.installed = false
-		l.packages[name] = p
-	}
-	l.log.AppendKeyed("apt.remove", name, PackageKey(name))
+	l.write(PackageKey(name), "apt.remove", name, func() {
+		if p, ok := l.packages[name]; ok {
+			p.installed = false
+			l.packages[name] = p
+		}
+	})
 }
 
 // Version returns the installed version of the named package, empty when
@@ -252,28 +247,18 @@ func (l *Linux) Packages() []string {
 
 // EnableService enables and starts a service (systemctl enable --now).
 func (l *Linux) EnableService(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("systemctl.enable", name, ServiceKey(name)) {
-		return
-	}
-	l.services[name] = svcState{enabled: true, running: true}
-	l.log.AppendKeyed("systemctl.enable", name, ServiceKey(name))
+	l.write(ServiceKey(name), "systemctl.enable", name, func() {
+		l.services[name] = svcState{enabled: true, running: true}
+	})
 }
 
 // DisableService disables and stops a service.
 func (l *Linux) DisableService(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("systemctl.disable", name, ServiceKey(name)) {
-		return
-	}
-	if _, ok := l.services[name]; ok {
-		l.services[name] = svcState{}
-	}
-	l.log.AppendKeyed("systemctl.disable", name, ServiceKey(name))
+	l.write(ServiceKey(name), "systemctl.disable", name, func() {
+		if _, ok := l.services[name]; ok {
+			l.services[name] = svcState{}
+		}
+	})
 }
 
 // ServiceActive reports whether the service is enabled and running.
@@ -294,14 +279,10 @@ func (l *Linux) ServiceActiveCtx(ctx context.Context, name string) bool {
 
 // SetConfig sets key=value in the given configuration file.
 func (l *Linux) SetConfig(file, key, value string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("config.set", file+":"+key, ConfigKey(file, key)) {
-		return
-	}
-	l.config[ConfigSlot{file, key}] = value
-	l.log.AppendKeyed("config.set", fmt.Sprintf("%s:%s=%s", file, key, value), ConfigKey(file, key))
+	k := ConfigKey(file, key)
+	l.write(k, "config.set", k.Name+"="+value, func() {
+		l.config[ConfigSlot{file, key}] = value
+	})
 }
 
 // Config returns the value of key in file, with ok=false when unset.
@@ -322,12 +303,8 @@ func (l *Linux) ConfigCtx(ctx context.Context, file, key string) (string, bool) 
 
 // UnsetConfig removes a key from a configuration file.
 func (l *Linux) UnsetConfig(file, key string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ping()
-	if l.denied("config.unset", file+":"+key, ConfigKey(file, key)) {
-		return
-	}
-	delete(l.config, ConfigSlot{file, key})
-	l.log.AppendKeyed("config.unset", file+":"+key, ConfigKey(file, key))
+	k := ConfigKey(file, key)
+	l.write(k, "config.unset", k.Name, func() {
+		delete(l.config, ConfigSlot{file, key})
+	})
 }

@@ -1,21 +1,23 @@
 package host
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
 // ReadRecorder captures which state slots a host's read accessors were
-// asked for, as canonical StateKey strings. It is the dynamic
-// counterpart of the static keyreads analyzer: attach one to a host
-// (SetRecorder), run a check, and compare Keys() against the check's
-// CheckStateKeys() declaration — any recorded key the declaration does
-// not cover is a push-mode soundness hole the dependency index cannot
-// see (fleet.VerifyReads automates the comparison over a catalogue).
+// asked for, as StateKeys. It is the dynamic counterpart of the static
+// keyreads analyzer: attach one to a host (SetRecorder), run a check,
+// and compare Keys() against the check's CheckStateKeys() declaration —
+// any recorded key the declaration does not cover is a push-mode
+// soundness hole the dependency index cannot see (fleet.VerifyReads
+// automates the comparison over a catalogue).
 //
 // Whole-inventory accessors (Linux.Packages, Windows.Subcategories)
-// record the wildcard key "<kind>:*", which no per-key declaration can
-// cover — such checks are inherently non-localizable.
+// record the wildcard key of their kind (name "*", rendered
+// "<kind>:*"), which no per-key declaration can cover — such checks are
+// inherently non-localizable.
 //
 // A recorder may be shared by several hosts and is safe for concurrent
 // use; recording costs one mutex acquisition per read, so recorders are
@@ -23,42 +25,45 @@ import (
 // without a recorder pay a single nil check).
 type ReadRecorder struct {
 	mu   sync.Mutex
-	keys map[string]int
+	keys map[StateKey]int
 }
 
 // NewReadRecorder returns an empty recorder.
 func NewReadRecorder() *ReadRecorder {
-	return &ReadRecorder{keys: map[string]int{}}
+	return &ReadRecorder{keys: map[StateKey]int{}}
 }
 
 // observe records one read. Nil receivers are no-ops so host accessors
-// can call it unconditionally.
+// can call it unconditionally. The map stores a copy of the key's
+// strings: storing the caller's would make them escape, and every read
+// of a host without a recorder would then allocate the name a
+// ConfigKey concatenates.
 func (r *ReadRecorder) observe(key StateKey) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.keys[key.String()]++
+	r.keys[StateKey{strings.Clone(key.Kind), strings.Clone(key.Name)}]++
 	r.mu.Unlock()
 }
 
 // wildcard builds the whole-inventory key of a kind.
 func wildcard(kind string) StateKey { return StateKey{Kind: kind, Name: "*"} }
 
-// Keys returns the distinct recorded keys, sorted.
-func (r *ReadRecorder) Keys() []string {
+// Keys returns the distinct recorded keys, sorted (CompareKeys).
+func (r *ReadRecorder) Keys() []StateKey {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.keys))
+	out := make([]StateKey, 0, len(r.keys))
 	for k := range r.keys {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.SortFunc(out, CompareKeys)
 	return out
 }
 
 // Count returns how many times the given key was read.
-func (r *ReadRecorder) Count(key string) int {
+func (r *ReadRecorder) Count(key StateKey) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.keys[key]

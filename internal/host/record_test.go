@@ -17,17 +17,17 @@ func TestReadRecorderCapturesLinuxReads(t *testing.T) {
 	l.Config("/etc/login.defs", "ENCRYPT_METHOD")
 	l.Packages()
 
-	want := []string{
-		"cfg:/etc/login.defs:ENCRYPT_METHOD",
-		"pkg:*",
-		"pkg:apt",
-		"pkg:sudo",
-		"svc:sshd",
+	want := []StateKey{
+		ConfigKey("/etc/login.defs", "ENCRYPT_METHOD"),
+		wildcard(KeyPackage),
+		PackageKey("apt"),
+		PackageKey("sudo"),
+		ServiceKey("sshd"),
 	}
 	if got := rec.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded keys = %v, want %v", got, want)
 	}
-	if n := rec.Count("pkg:sudo"); n != 2 {
+	if n := rec.Count(PackageKey("sudo")); n != 2 {
 		t.Fatalf("pkg:sudo read count = %d, want 2", n)
 	}
 	rec.Reset()
@@ -59,11 +59,11 @@ func TestReadRecorderCapturesWindowsReads(t *testing.T) {
 		t.Fatalf("auditpol /get: %v", err)
 	}
 
-	want := []string{
-		"audit:*",
-		"audit:Account Lockout",
-		"audit:Logon",
-		`reg:HKLM\Software\Policies\X`,
+	want := []StateKey{
+		wildcard(KeyAudit),
+		AuditKey("Account Lockout"),
+		AuditKey("Logon"),
+		RegistryKey(`HKLM\Software\Policies\X`),
 	}
 	if got := rec.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded keys = %v, want %v", got, want)
@@ -85,5 +85,26 @@ func TestReadRecorderUnreachableRecordsNothing(t *testing.T) {
 	}()
 	if got := rec.Keys(); len(got) != 0 {
 		t.Fatalf("unreachable probe recorded %v, want nothing", got)
+	}
+}
+
+// TestReadAllocsPerKey pins that a read of a host without a recorder
+// allocates nothing: the key it hands the recorder stays on the stack,
+// including a ConfigKey name short enough for the runtime's stack
+// buffer. A recorder that kept the caller's key strings would make them
+// escape, and every configuration read would allocate.
+func TestReadAllocsPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation counts")
+	}
+	l := NewUbuntu1804()
+	for name, read := range map[string]func(){
+		"Installed":     func() { l.Installed("sudo") },
+		"ServiceActive": func() { l.ServiceActive("sshd") },
+		"Config":        func() { l.Config("/etc/login.defs", "ENCRYPT_METHOD") },
+	} {
+		if got := testing.AllocsPerRun(100, read); got != 0 {
+			t.Errorf("%s allocates %.0f times per read, want 0", name, got)
+		}
 	}
 }

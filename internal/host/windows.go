@@ -102,15 +102,15 @@ func (w *Windows) GetAudit(subcategory string) (AuditSetting, error) {
 	return s, nil
 }
 
-// SetAudit sets the audit setting of a subcategory.
+// SetAudit sets the audit setting of a subcategory. An unknown one is
+// an error and logs nothing.
 func (w *Windows) SetAudit(subcategory string, s AuditSetting) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.audit[subcategory]; !ok {
-		return fmt.Errorf("host: unknown audit subcategory %q", subcategory)
+	if _, err := w.Category(subcategory); err != nil {
+		return err
 	}
-	w.audit[subcategory] = s
-	w.log.AppendKeyed("auditpol.set", subcategory+"="+s.String(), AuditKey(subcategory))
+	w.write(AuditKey(subcategory), "auditpol.set", subcategory+"="+s.String(), func() {
+		w.audit[subcategory] = s
+	})
 	return nil
 }
 
@@ -129,10 +129,17 @@ func (w *Windows) Subcategories() []string {
 
 // SetRegistry sets a registry value (path\name form).
 func (w *Windows) SetRegistry(key, value string) {
+	w.write(RegistryKey(key), "reg.set", key+"="+value, func() { w.registry[key] = value })
+}
+
+// write is the one path by which a Windows host's state changes: under
+// the host's lock it applies change, which mutates the slot named by
+// key, and logs the keyed event.
+func (w *Windows) write(key StateKey, action, detail string, change func()) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.registry[key] = value
-	w.log.AppendKeyed("reg.set", key+"="+value, RegistryKey(key))
+	change()
+	w.log.AppendKeyed(action, detail, key)
 }
 
 // Registry returns a registry value.

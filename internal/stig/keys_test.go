@@ -58,7 +58,7 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 		c.rec.SetRecorder(rec)
 		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1})
 		c.rec.SetRecorder(nil)
-		read := map[string]bool{}
+		read := map[host.StateKey]bool{}
 		for _, k := range rec.Keys() {
 			read[k] = true
 		}
@@ -66,7 +66,7 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 			t.Errorf("%s: check recorded no reads", c.name)
 			continue
 		}
-		declared := map[string]bool{}
+		declared := map[host.StateKey]bool{}
 		keys, ok := core.CheckKeys(c.req)
 		if !ok {
 			t.Errorf("%s: declares no state keys", c.name)
@@ -82,12 +82,12 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 			t.Errorf("%s: mutation logged %d events, want 1", c.name, len(evs))
 			continue
 		}
-		key := evs[0].Key.String()
+		key := evs[0].Key
 		if !read[key] {
-			t.Errorf("%s: mutator key %q was not among recorded reads %v", c.name, key, rec.Keys())
+			t.Errorf("%s: mutator key %s was not among recorded reads %v", c.name, key, rec.Keys())
 		}
 		if !declared[key] {
-			t.Errorf("%s: mutator key %q not declared in %v", c.name, key, keys)
+			t.Errorf("%s: mutator key %s not declared in %v", c.name, key, keys)
 		}
 	}
 }

@@ -50,8 +50,8 @@ func (u *UbuntuServicePattern) Enforce() core.EnforcementStatus {
 
 // CheckStateKeys declares the single service slot the check reads (see
 // core.KeyReader).
-func (u *UbuntuServicePattern) CheckStateKeys() []string {
-	return []string{host.ServiceKey(u.ServiceName).String()}
+func (u *UbuntuServicePattern) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.ServiceKey(u.ServiceName)}
 }
 
 // String renders the requirement.
@@ -95,8 +95,8 @@ func (r *RegistryRequirement) Enforce() core.EnforcementStatus {
 
 // CheckStateKeys declares the single registry slot the check reads (see
 // core.KeyReader).
-func (r *RegistryRequirement) CheckStateKeys() []string {
-	return []string{host.RegistryKey(r.Key).String()}
+func (r *RegistryRequirement) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.RegistryKey(r.Key)}
 }
 
 // String renders the requirement.

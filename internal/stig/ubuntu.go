@@ -55,11 +55,11 @@ func (u *UbuntuPackagePattern) CheckStateDigest() (string, bool) {
 }
 
 // CheckStateKeys declares the single state slot the check reads — the
-// package's installed flag — in host.StateKey canonical form, so the
+// package's installed flag — as its typed host.StateKey, so the
 // fleet's reverse dependency index can re-run exactly this check when a
 // pkg event for the package arrives (see core.KeyReader).
-func (u *UbuntuPackagePattern) CheckStateKeys() []string {
-	return []string{host.PackageKey(u.PackageName).String()}
+func (u *UbuntuPackagePattern) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.PackageKey(u.PackageName)}
 }
 
 // Enforce installs or removes the package to satisfy the requirement and
@@ -130,8 +130,8 @@ func (u *UbuntuConfigPattern) CheckStateDigest() (string, bool) {
 
 // CheckStateKeys declares the single configuration slot the check reads
 // (see core.KeyReader).
-func (u *UbuntuConfigPattern) CheckStateKeys() []string {
-	return []string{host.ConfigKey(u.File, u.Key).String()}
+func (u *UbuntuConfigPattern) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.ConfigKey(u.File, u.Key)}
 }
 
 // Enforce writes the required value and verifies it took effect.

@@ -77,8 +77,8 @@ func (r *AuditPolicyRequirement) Check() core.CheckStatus {
 
 // CheckStateKeys declares the single audit-policy subcategory the check
 // reads (see core.KeyReader).
-func (r *AuditPolicyRequirement) CheckStateKeys() []string {
-	return []string{host.AuditKey(r.Subcategory).String()}
+func (r *AuditPolicyRequirement) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.AuditKey(r.Subcategory)}
 }
 
 // Enforce runs auditpol /set enabling the required flags, preserving flags

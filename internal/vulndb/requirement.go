@@ -63,8 +63,8 @@ func (r *PatchRequirement) Check() core.CheckStatus {
 // re-evaluates the advisory only when its package changes. (Found by
 // the keyreads analyzer: before PR 10 this type was unindexed and every
 // host event conservatively re-ran the whole advisory catalogue.)
-func (r *PatchRequirement) CheckStateKeys() []string {
-	return []string{host.PackageKey(r.Advisory.Package).String()}
+func (r *PatchRequirement) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.PackageKey(r.Advisory.Package)}
 }
 
 // Enforce upgrades the package to the fixed version, or removes it when no

@@ -27,7 +27,7 @@ func TestPatchRequirementDeclaredReads(t *testing.T) {
 	for _, a := range []vulndb.Advisory{vulnerable, absent} {
 		req := vulndb.NewPatchRequirement(h, a)
 		keys, ok := core.CheckKeys(req)
-		if !ok || len(keys) != 1 || keys[0] != host.PackageKey(a.Package).String() {
+		if !ok || len(keys) != 1 || keys[0] != host.PackageKey(a.Package) {
 			t.Fatalf("%s: CheckKeys = (%v, %v), want [%s]", a.ID, keys, ok, host.PackageKey(a.Package))
 		}
 		cat.MustRegister(req)
