@@ -7,10 +7,10 @@ GO ?= go
 # full test suite under the race detector (the engine, core and monitor
 # packages are concurrent by construction, so -race is not optional), the
 # allocation and heap gates that -race skips, the dynamic declared-reads
-# oracle, and finally the small-N load-harness smoke replays in both
-# sweep and push modes plus the tracing-overhead gate, then the
-# fleet-evaluation benchmark's own tests. fleet-race is part of race via
-# ./..., listed separately for a focused re-run.
+# oracle, the small-N load-harness smoke replays in both sweep and push
+# modes, the tracing-overhead gate and the scenario corpus and fuzzer,
+# then the fleet-evaluation benchmark's own tests. fleet-race is part of
+# race via ./..., listed separately for a focused re-run.
 check: vet lint build race alloc-gates verify-reads smoke-load smoke-serve smoke-trace smoke-scenario perf-smoke
 
 vet:
@@ -30,11 +30,11 @@ lint:
 # verify-reads is the dynamic counterpart of the keyreads analyzer: it
 # executes every shipped catalogue entry on fresh simulated hosts with a
 # read recorder attached and fails on any mismatch between recorded and
-# declared state keys, then replays the scenario corpus in both modes
-# with the same oracle over each fleet's final catalogues.
+# declared state keys, then replays the scenario corpus with the same
+# oracle over each fleet's final catalogues.
 verify-reads:
 	$(GO) run ./cmd/vdolint -dynamic
-	$(GO) run ./cmd/vdo-scenario -run examples/scenarios -both -verify-reads
+	$(GO) run ./cmd/vdo-scenario -run examples/scenarios -verify-reads
 
 # sarif writes the static findings as a SARIF 2.1.0 log for
 # code-scanning upload; the exit code is ignored here (the lint target
@@ -100,14 +100,14 @@ smoke-load:
 smoke-serve:
 	$(GO) run -race ./cmd/vdo-load -hosts 500 -duration 2s -push -window 50ms -sweep-every 500ms -rate 200 -shards 4 -workers 2 -seed 1 -assert-p99 500ms
 
-# smoke-scenario replays the timed incident-scenario corpus in both
-# evaluation modes — every scenario must pass its assertions and the
-# sweep/push final verdicts must agree — then fuzzes 25 random
-# mutation-grammar walks (pinned seed) through the same cross-mode
-# equivalence oracle, and fuzzes the TEARS G/A evaluator against its
-# brute-force reference for 10 s (FuzzEvaluateGA).
+# smoke-scenario replays the timed incident-scenario corpus — every
+# scenario must pass its assertions, and each run's push-evaluated final
+# verdicts must equal a fresh full sweep of its final fleet — then fuzzes
+# 25 random mutation-grammar walks (pinned seed) through the same truth
+# check, and fuzzes the TEARS G/A evaluator against its brute-force
+# reference for 10 s (FuzzEvaluateGA).
 smoke-scenario:
-	$(GO) run ./cmd/vdo-scenario -run examples/scenarios -both
+	$(GO) run ./cmd/vdo-scenario -run examples/scenarios
 	$(GO) run ./cmd/vdo-scenario -fuzz 25 -seed 1
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateGA$$' -fuzztime 10s ./internal/tears/
 

@@ -30,10 +30,10 @@ func writeSpec(t *testing.T, body string) string {
 
 func TestUsageErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"push with both": {"-run", corpusSpec, "-push", "-both"},
-		"missing path":   {"-run", filepath.Join(t.TempDir(), "absent.json")},
-		"malformed spec": {"-run", writeSpec(t, `{"name": "x", "hosts": `)},
-		"bad flag":       {"-definitely-not-a-flag"},
+		"retired mode flag": {"-run", corpusSpec, "-push"},
+		"missing path":      {"-run", filepath.Join(t.TempDir(), "absent.json")},
+		"malformed spec":    {"-run", writeSpec(t, `{"name": "x", "hosts": `)},
+		"bad flag":          {"-definitely-not-a-flag"},
 	} {
 		if code, out, errb := runCapture(t, args...); code != 2 {
 			t.Errorf("%s: exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", name, code, out, errb)
@@ -41,13 +41,13 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-func TestCorpusSpecPassesInBothModes(t *testing.T) {
-	code, out, errb := runCapture(t, "-run", corpusSpec, "-both")
+func TestCorpusSpecPasses(t *testing.T) {
+	code, out, errb := runCapture(t, "-run", corpusSpec)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
 	for _, want := range []string{
-		"scenario flapping-service: sweep and push agree on all final verdicts",
+		"scenario flapping-service: PASS",
 		"1 scenario(s), 0 failure(s)",
 	} {
 		if !strings.Contains(out, want) {
@@ -68,16 +68,17 @@ func TestFailingExpectExitsOne(t *testing.T) {
 	}
 }
 
-// TestSlowestUnderBothShowsEachMode: -both runs sweep and push, so
-// -slowest prints the N slowest host audits and the N slowest deltas.
-func TestSlowestUnderBothShowsEachMode(t *testing.T) {
-	code, out, errb := runCapture(t, "-run", corpusSpec, "-both", "-slowest", "2")
+// TestSlowestShowsDeltas: -slowest prints the N slowest host deltas of
+// the flushes; the reference sweep is not traced, so no host audits.
+func TestSlowestShowsDeltas(t *testing.T) {
+	code, out, errb := runCapture(t, "-run", corpusSpec, "-slowest", "2")
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
-	for _, want := range []string{"name=host | slowest 2", "name=delta | slowest 2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing the %q query:\n%s", want, out)
-		}
+	if !strings.Contains(out, "name=delta | slowest 2") {
+		t.Errorf("output missing the delta query:\n%s", out)
+	}
+	if strings.Contains(out, "name=host") {
+		t.Errorf("output queries host audits:\n%s", out)
 	}
 }

@@ -123,11 +123,6 @@ func dedupSorted(ids []string) []string {
 	return out
 }
 
-// Lookup returns the finding IDs reading exactly this key (unindexed
-// findings excluded), sorted. The returned slice is shared; callers must
-// not mutate it.
-func (x *DepIndex) Lookup(key host.StateKey) []string { return x.byKey[key] }
-
 // Affected maps a set of changed state keys to the sorted, deduplicated
 // finding IDs that must be re-checked: every check reading one of the
 // keys, plus every unindexed check (their reads are unknown, so any

@@ -18,8 +18,8 @@ func TestBuildDepIndexCoversUbuntuCatalog(t *testing.T) {
 	if len(x.Unindexed()) != 0 {
 		t.Errorf("Unindexed = %v, want none (every stig pattern declares keys)", x.Unindexed())
 	}
-	if got := x.Lookup(host.PackageKey("nis")); !reflect.DeepEqual(got, []string{"V-219157"}) {
-		t.Errorf("Lookup(pkg:nis) = %v, want [V-219157]", got)
+	if got := x.Affected([]host.StateKey{host.PackageKey("nis")}); !reflect.DeepEqual(got, []string{"V-219157"}) {
+		t.Errorf("Affected(pkg:nis) = %v, want [V-219157]", got)
 	}
 	got := x.Affected([]host.StateKey{host.PackageKey("aide"), host.ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")})
 	if !reflect.DeepEqual(got, []string{"V-219177", "V-219343"}) {

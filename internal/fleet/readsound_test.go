@@ -13,8 +13,8 @@ import (
 // dependency index never re-triggers the check when the hidden slot
 // changes), the dynamic oracle (VerifyReads) catches exactly that hole,
 // and once the read is declared the two modes agree again — the same
-// equivalence property the scenario fuzzer's sweep-vs-push oracle
-// enforces over the shipped catalogues.
+// property every scenario run's truth check (push-evaluated final view
+// against a fresh sweep) enforces over the shipped catalogues.
 
 // leakyCheck reads two package slots unconditionally but declares the
 // second only when declareHidden is set.

@@ -17,7 +17,7 @@ import (
 // entering non-PASS opens one episode (one Alarm) and does not alarm
 // again until it has passed in between, which closes the episode (one
 // repair). The Streamer and the scenario executor both track verdicts
-// through a View, so sweep and push evaluation share one accounting.
+// through a View, so they share one accounting.
 //
 // The zero value is not usable; call NewView. A View is not safe for
 // concurrent use.

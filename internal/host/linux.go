@@ -296,7 +296,9 @@ func (l *Linux) ConfigCtx(ctx context.Context, file, key string) (string, bool) 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.pingCtx(ctx)
-	l.rec.observe(ConfigKey(file, key))
+	if l.rec != nil {
+		l.rec.observe(ConfigKey(file, key))
+	}
 	v, ok := l.config[ConfigSlot{file, key}]
 	return v, ok
 }

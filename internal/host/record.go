@@ -25,25 +25,24 @@ import (
 // without a recorder pay a single nil check).
 type ReadRecorder struct {
 	mu   sync.Mutex
-	keys map[StateKey]int
+	keys map[StateKey]struct{}
 }
 
 // NewReadRecorder returns an empty recorder.
 func NewReadRecorder() *ReadRecorder {
-	return &ReadRecorder{keys: map[StateKey]int{}}
+	return &ReadRecorder{keys: map[StateKey]struct{}{}}
 }
 
 // observe records one read. Nil receivers are no-ops so host accessors
-// can call it unconditionally. The map stores a copy of the key's
-// strings: storing the caller's would make them escape, and every read
-// of a host without a recorder would then allocate the name a
-// ConfigKey concatenates.
+// can call it unconditionally. The set stores a copy of the key's
+// strings: storing the caller's would make them escape, so reads would
+// heap-allocate the names they build even with no recorder attached.
 func (r *ReadRecorder) observe(key StateKey) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.keys[StateKey{strings.Clone(key.Kind), strings.Clone(key.Name)}]++
+	r.keys[StateKey{strings.Clone(key.Kind), strings.Clone(key.Name)}] = struct{}{}
 	r.mu.Unlock()
 }
 
@@ -60,13 +59,6 @@ func (r *ReadRecorder) Keys() []StateKey {
 	}
 	slices.SortFunc(out, CompareKeys)
 	return out
-}
-
-// Count returns how many times the given key was read.
-func (r *ReadRecorder) Count(key StateKey) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.keys[key]
 }
 
 // Reset clears the recording.

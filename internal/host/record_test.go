@@ -27,9 +27,6 @@ func TestReadRecorderCapturesLinuxReads(t *testing.T) {
 	if got := rec.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded keys = %v, want %v", got, want)
 	}
-	if n := rec.Count(PackageKey("sudo")); n != 2 {
-		t.Fatalf("pkg:sudo read count = %d, want 2", n)
-	}
 	rec.Reset()
 	if got := rec.Keys(); len(got) != 0 {
 		t.Fatalf("keys after Reset = %v, want empty", got)
@@ -89,10 +86,11 @@ func TestReadRecorderUnreachableRecordsNothing(t *testing.T) {
 }
 
 // TestReadAllocsPerKey pins that a read of a host without a recorder
-// allocates nothing: the key it hands the recorder stays on the stack,
-// including a ConfigKey name short enough for the runtime's stack
-// buffer. A recorder that kept the caller's key strings would make them
-// escape, and every configuration read would allocate.
+// allocates nothing. A configuration read builds its ConfigKey only for
+// an attached recorder, so a name longer than the runtime's 32-byte
+// stack buffer (sshd_config:PermitEmptyPasswords) costs nothing either.
+// A recorder that kept the caller's key strings would make them escape,
+// and reads would allocate.
 func TestReadAllocsPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes allocation counts")
@@ -102,6 +100,7 @@ func TestReadAllocsPerKey(t *testing.T) {
 		"Installed":     func() { l.Installed("sudo") },
 		"ServiceActive": func() { l.ServiceActive("sshd") },
 		"Config":        func() { l.Config("/etc/login.defs", "ENCRYPT_METHOD") },
+		"Config long":   func() { l.Config("/etc/ssh/sshd_config", "PermitEmptyPasswords") },
 	} {
 		if got := testing.AllocsPerRun(100, read); got != 0 {
 			t.Errorf("%s allocates %.0f times per read, want 0", name, got)

@@ -23,9 +23,6 @@ import (
 
 // Options configures one scenario execution.
 type Options struct {
-	// Push evaluates through a fleet.Streamer (dependency-index deltas on
-	// a flush cadence) instead of batch incremental sweeps.
-	Push bool
 	// Shards and Workers size the fleet evaluation pools.
 	Shards, Workers int
 	// VerifyReads runs the dynamic declared-reads oracle
@@ -34,7 +31,7 @@ type Options struct {
 	// unsoundness observed on this very fleet), overdeclared and
 	// unlocalized findings are recorded as advisory.
 	VerifyReads bool
-	// Trace, when non-nil, records the underlying sweep/flush span trees.
+	// Trace, when non-nil, records the streamer's flush span trees.
 	Trace *telemetry.Tracer
 }
 
@@ -48,21 +45,19 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// executor is the per-run state: the fleet under mutation, the evaluator
-// (coordinator or streamer), and the executor-owned compliance view.
+// executor is the per-run state: the fleet under mutation, the push
+// evaluator (a fleet.Streamer over every member's event log), and the
+// executor-owned compliance view.
 //
 // Verdict state and alarm/repair episodes are tracked in the executor's
-// own fleet.View, folded from the full merged per-host reports both
-// evaluators return — not read from the streamer's view — so the two
-// modes expose one comparable accounting, immune to the episode resets
-// a re-Watch causes in the streamer.
+// own fleet.View, folded from the full merged per-host reports each
+// flush returns — not read from the streamer's view — so the accounting
+// is immune to the episode resets a re-Watch causes in the streamer.
 type executor struct {
 	spec Spec
 	opts Options
-	mode string
 
 	fleet *loadgen.Fleet
-	coord *fleet.Coordinator
 	str   *fleet.Streamer
 	churn *loadgen.Churn
 
@@ -80,13 +75,17 @@ type executor struct {
 }
 
 // Run executes one scenario spec and returns its structured result. The
-// run is deterministic in (spec, opts.Push): identical inputs yield
+// run is deterministic in the spec: identical inputs yield
 // byte-identical Report() renderings and Schedule logs.
+//
+// Every mutation is evaluated by push: a flush on each tick re-runs the
+// checks whose declared state keys the host logged. After the horizon
+// the final view is checked against a fresh full sweep of the final
+// fleet (see truthCheck); any difference fails the result.
 func Run(sp Spec, opts Options) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.normalized()
 	top := loadgen.DefaultTopology()
 	if sp.Topology != nil {
 		top = *sp.Topology
@@ -95,32 +94,37 @@ func Run(sp Spec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
+	return newExecutor(sp, opts, f).run()
+}
 
+// newExecutor prepares a run of sp over fleet f, watching every member.
+func newExecutor(sp Spec, opts Options, f *loadgen.Fleet) *executor {
+	opts = opts.normalized()
 	ex := &executor{
 		spec:  sp,
 		opts:  opts,
-		mode:  "sweep",
 		fleet: f,
-		coord: fleet.NewCoordinator(),
-		view:  fleet.NewView(),
-		tr:    trace.New(),
-	}
-	if opts.Push {
-		ex.mode = "push"
-		ex.str = fleet.NewStreamer(ex.coord, fleet.StreamOptions{
+		str: fleet.NewStreamer(fleet.NewCoordinator(), fleet.StreamOptions{
 			Mode:    core.CheckOnly,
 			Shards:  opts.Shards,
 			Workers: opts.Workers,
 			Dedup:   true,
 			Trace:   opts.Trace,
-		})
-		for _, h := range f.Hosts() {
-			ex.str.Watch(h.Target(), h.Linux.Log())
-		}
+		}),
+		view: fleet.NewView(),
+		tr:   trace.New(),
+		res:  &Result{Spec: sp},
 	}
-	ex.res = &Result{Spec: sp, Mode: ex.mode}
+	for _, h := range f.Hosts() {
+		ex.str.Watch(h.Target(), h.Linux.Log())
+	}
+	return ex
+}
 
-	cadence := sp.cadence(opts.Push)
+// run executes the spec's steps against the prepared fleet.
+func (ex *executor) run() (*Result, error) {
+	sp := ex.spec
+	cadence := sp.cadence()
 	horizon := sp.horizon(cadence)
 
 	// Deferred TEARS assertions: evaluated over the completed trace.
@@ -158,14 +162,13 @@ func Run(sp Spec, opts Options) (*Result, error) {
 	for _, d := range deferred {
 		ex.evalGAs(d.index, d.gas)
 	}
-	if opts.VerifyReads {
-		ex.verifyReads()
-	}
-
-	ex.res.Ticks = len(ex.res.Schedule) - len(ex.res.Steps)
 	ex.res.Alarms, ex.res.Repairs = ex.alarms, ex.repairs
 	ex.res.FinalCompliance = ex.view.Compliance()
 	ex.res.FinalState = ex.view.Lines()
+	ex.truthCheck()
+	if ex.opts.VerifyReads {
+		ex.verifyReads()
+	}
 	ex.res.Trace = ex.tr
 	sort.Slice(ex.res.Steps, func(a, b int) bool { return ex.res.Steps[a].Index < ex.res.Steps[b].Index })
 	return ex.res, nil
@@ -194,27 +197,13 @@ func stepGAs(st Step) ([]tears.GA, error) {
 	return gas, nil
 }
 
-// tick runs one evaluation pass at virtual instant now, folds the fresh
+// tick flushes the streamer at virtual instant now, folds the fresh
 // reports into the live view and samples the compliance signals.
 func (ex *executor) tick(now time.Duration) {
 	ex.opened, ex.closed = 0, 0
-	if ex.str != nil {
-		fr := ex.str.Flush(now)
-		for _, d := range fr.Hosts {
-			ex.fold(now, d.Host, d.Result.Report)
-		}
-	} else {
-		rep, _ := ex.coord.Sweep(ex.fleet.Targets(), fleet.Options{
-			Mode:        core.CheckOnly,
-			Shards:      ex.opts.Shards,
-			Workers:     ex.opts.Workers,
-			Incremental: true,
-			Dedup:       true,
-			Trace:       ex.opts.Trace,
-		})
-		for _, hr := range rep.Hosts {
-			ex.fold(now, hr.Target, hr.Report)
-		}
+	ex.res.Ticks++
+	for _, d := range ex.str.Flush(now).Hosts {
+		ex.fold(now, d.Host, d.Result.Report)
 	}
 
 	t := ms(now)
@@ -233,13 +222,66 @@ func (ex *executor) tick(now time.Duration) {
 
 // fold merges one host report into the live view and counts the
 // violation episodes it opened and closed — the monitor package's dedup
-// discipline, applied identically in both modes.
+// discipline.
 func (ex *executor) fold(now time.Duration, name string, rep core.Report) {
 	alarms, repairs := ex.view.Fold(now, name, rep, nil)
 	ex.alarms += len(alarms)
 	ex.opened += len(alarms)
 	ex.repairs += repairs
 	ex.closed += repairs
+}
+
+// truthCheck sweeps the final fleet once on a fresh coordinator — no
+// cache, dedup, trace or metrics — and records every (host, finding)
+// whose verdict in FinalState differs from that sweep's. FinalCompliance
+// comes from the view's incremental counts, not from its lines, so it
+// is compared too. Mutations after the last tick would never be
+// evaluated, which is why Validate rejects them.
+func (ex *executor) truthCheck() {
+	rep, _ := fleet.Sweep(ex.fleet.Targets(), fleet.Options{
+		Mode:    core.CheckOnly,
+		Shards:  ex.opts.Shards,
+		Workers: ex.opts.Workers,
+	})
+	truth := fleet.NewView()
+	for _, hr := range rep.Hosts {
+		truth.Fold(0, hr.Target, hr.Report, nil)
+	}
+	ex.res.Divergences = divergences(ex.res.FinalState, truth.Lines())
+	if got, want := ex.res.FinalCompliance, rep.Compliance(); !cmp(got, "==", want) {
+		ex.res.Divergences = append(ex.res.Divergences,
+			fmt.Sprintf("compliance: view %.6f, sweep %.6f", got, want))
+	}
+}
+
+// divergences pairs the "host finding status" lines of the final view
+// and of the reference sweep by host and finding, and describes each
+// pair whose status differs or that only one side holds, sorted.
+func divergences(view, sweep []string) []string {
+	split := func(line string) (string, string) {
+		cut := strings.LastIndexByte(line, ' ')
+		return line[:cut], line[cut+1:]
+	}
+	got := make(map[string]string, len(view))
+	for _, line := range view {
+		k, st := split(line)
+		got[k] = st
+	}
+	var out []string
+	for _, line := range sweep {
+		k, want := split(line)
+		if st, ok := got[k]; !ok {
+			out = append(out, fmt.Sprintf("%s: view has no verdict, sweep %s", k, want))
+		} else if st != want {
+			out = append(out, fmt.Sprintf("%s: view %s, sweep %s", k, st, want))
+		}
+		delete(got, k)
+	}
+	for k, st := range got {
+		out = append(out, fmt.Sprintf("%s: view %s, sweep has no verdict", k, st))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // verifyReads runs the dynamic declared-reads oracle over the fleet's
@@ -429,9 +471,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			sr.Detail = fmt.Sprintf("no class %q in topology", st.Class)
 			return
 		}
-		if ex.str != nil {
-			ex.str.Watch(h.Target(), h.Linux.Log())
-		}
+		ex.str.Watch(h.Target(), h.Linux.Log())
 		sr.Target = h.Name
 		sr.Detail = fmt.Sprintf("joined %s (class %s), fleet now %d", h.Name, h.Class, ex.fleet.Size())
 	case "leave":
@@ -448,9 +488,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			}
 			name := h.Name
 			ex.fleet.Leave(name)
-			if ex.str != nil {
-				ex.str.Unwatch(name)
-			}
+			ex.str.Unwatch(name)
 			ex.view.Drop(name)
 			names = append(names, name)
 		}
@@ -486,15 +524,11 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			applied++
 			switch ev.Kind {
 			case loadgen.HostJoin:
-				if ex.str != nil {
-					if h, ok := ex.fleet.Get(ev.Host); ok {
-						ex.str.Watch(h.Target(), h.Linux.Log())
-					}
+				if h, ok := ex.fleet.Get(ev.Host); ok {
+					ex.str.Watch(h.Target(), h.Linux.Log())
 				}
 			case loadgen.HostLeave:
-				if ex.str != nil {
-					ex.str.Unwatch(ev.Host)
-				}
+				ex.str.Unwatch(ev.Host)
 				ex.view.Drop(ev.Host)
 			}
 		}
@@ -527,9 +561,8 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 
 // withCatalog swaps each selected host's catalogue and forces its next
 // evaluation: the swap does not advance the host's event-log version, so
-// the incremental cache entry is dropped and (in push mode) the host is
-// re-watched — an unprimed watch runs the full catalogue on the next
-// flush.
+// the host is re-watched — an unprimed watch runs the full catalogue on
+// the next flush, which replaces the coordinator's cached report.
 func (ex *executor) withCatalog(sr *StepResult, st Step, build func(h *loadgen.Host, seed int64) *core.Catalog, stepIndex int) {
 	sel := ex.resolve(st.On)
 	if len(sel) == 0 {
@@ -543,10 +576,7 @@ func (ex *executor) withCatalog(sr *StepResult, st Step, build func(h *loadgen.H
 	}
 	for _, h := range sel {
 		h.SetCatalog(build(h, seed))
-		ex.coord.Invalidate(h.Name)
-		if ex.str != nil {
-			ex.str.Watch(h.Target(), h.Linux.Log())
-		}
+		ex.str.Watch(h.Target(), h.Linux.Log())
 	}
 	sr.Detail = fmt.Sprintf("%d host(s)", len(sel))
 }

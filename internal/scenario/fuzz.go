@@ -11,21 +11,21 @@ import (
 )
 
 // Scenario fuzzing: random-walk the mutation grammar on the virtual
-// clock, execute each generated spec in BOTH evaluation modes, and
-// oracle on cross-mode equivalence — the sweep coordinator and the push
-// streamer must agree on the final verdict of every (host, finding) pair
-// and on final compliance, and neither run may fail an assertion or
-// crash. A divergence means the dependency index missed a key, the
-// incremental cache replayed stale state, or the executor's fold logic
-// is mode-sensitive. Failing step sequences are shrunk (delta-debugging
-// over the step list) to a minimal reproducer.
+// clock, execute each generated spec once, and oracle on the run's own
+// truth check — the push-evaluated final view must agree with a fresh
+// full sweep of the final fleet on the verdict of every (host, finding)
+// pair and on compliance — and on the run neither failing an assertion
+// nor crashing. A divergence means the dependency index missed a key, a
+// cached base replayed stale state, or the executor's fold logic lost a
+// report. Failing step sequences are shrunk (delta-debugging over the
+// step list) to a minimal reproducer.
 //
 // The grammar deliberately excludes fault injection: FailFirst plans are
-// call-counted, and the two modes legitimately execute different call
-// counts (a sweep re-audits the full catalogue where a delta re-runs a
-// subset), so injected-fault verdicts may diverge by design. Leave steps
-// stay out of the direct grammar too (churn still exercises membership)
-// so selector indices in a shrunk reproducer stay stable.
+// call-counted, and the reference sweep consumes injector calls too (it
+// re-audits the full catalogue where a delta re-ran a subset), so
+// injected-fault verdicts may diverge by design. Leave steps stay out of
+// the direct grammar too (churn still exercises membership) so selector
+// indices in a shrunk reproducer stay stable.
 
 // fuzzTopology is the small two-class, zero-drift fleet fuzz specs run
 // against: compliant at birth, every finding movement is step-driven.
@@ -73,12 +73,11 @@ func fuzzTopology() *loadgen.Topology {
 func Generate(seed int64) Spec {
 	rng := rand.New(rand.NewSource(seed))
 	sp := Spec{
-		Name:       fmt.Sprintf("fuzz-%d", seed),
-		Hosts:      4 + rng.Intn(6),
-		Seed:       seed,
-		Topology:   fuzzTopology(),
-		SweepEvery: Duration(250 * time.Millisecond),
-		Window:     Duration(250 * time.Millisecond),
+		Name:     fmt.Sprintf("fuzz-%d", seed),
+		Hosts:    4 + rng.Intn(6),
+		Seed:     seed,
+		Topology: fuzzTopology(),
+		Window:   Duration(250 * time.Millisecond),
 	}
 	n := 5 + rng.Intn(12)
 	at := time.Duration(0)
@@ -139,59 +138,16 @@ func randomStep(rng *rand.Rand, at time.Duration, hosts int) Step {
 	return st
 }
 
-// Oracle runs one spec in both modes and reports the first divergence or
-// failure ("" = equivalent and clean). This is the fuzz predicate, and
-// also usable directly on corpus specs.
+// Oracle runs one spec and returns its first failure ("" = clean): an
+// error, a divergence from the reference sweep, a failed step or an
+// undeclared read. This is the fuzz predicate, and also usable directly
+// on corpus specs.
 func Oracle(sp Spec, opts Options) string {
-	opts.Push = false
-	sweep, err := Run(sp, opts)
+	res, err := Run(sp, opts)
 	if err != nil {
-		return fmt.Sprintf("sweep mode error: %v", err)
+		return fmt.Sprintf("error: %v", err)
 	}
-	opts.Push = true
-	push, err := Run(sp, opts)
-	if err != nil {
-		return fmt.Sprintf("push mode error: %v", err)
-	}
-	if sweep.Failed() {
-		f := sweep.Failures()[0]
-		return fmt.Sprintf("sweep mode failed step %d (%s): %s", f.Index, f.Kind, f.Detail)
-	}
-	if push.Failed() {
-		f := push.Failures()[0]
-		return fmt.Sprintf("push mode failed step %d (%s): %s", f.Index, f.Kind, f.Detail)
-	}
-	if d := diffStrings(sweep.FinalState, push.FinalState); d != "" {
-		return "final verdicts diverge between sweep and push: " + d
-	}
-	if !cmp(sweep.FinalCompliance, "==", push.FinalCompliance) {
-		return fmt.Sprintf("final compliance diverges: sweep %.6f vs push %.6f",
-			sweep.FinalCompliance, push.FinalCompliance)
-	}
-	return ""
-}
-
-// diffStrings reports the first line present in exactly one of two
-// sorted string sets.
-func diffStrings(a, b []string) string {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i, j = i+1, j+1
-		case a[i] < b[j]:
-			return fmt.Sprintf("only in sweep: %q", a[i])
-		default:
-			return fmt.Sprintf("only in push: %q", b[j])
-		}
-	}
-	if i < len(a) {
-		return fmt.Sprintf("only in sweep: %q", a[i])
-	}
-	if j < len(b) {
-		return fmt.Sprintf("only in push: %q", b[j])
-	}
-	return ""
+	return res.Failure()
 }
 
 // Shrink minimizes a failing spec under pred (pred returns a non-empty
@@ -258,8 +214,8 @@ func (fr FuzzResult) String() string {
 	return b.String()
 }
 
-// Fuzz runs n generated specs through the cross-mode oracle, stopping at
-// the first failure and shrinking it to a minimal reproducer.
+// Fuzz runs n generated specs through the oracle, stopping at the first
+// failure and shrinking it to a minimal reproducer.
 func Fuzz(n int, seed int64, opts Options) FuzzResult {
 	fr := FuzzResult{}
 	for i := 0; i < n; i++ {

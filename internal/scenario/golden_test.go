@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// corpusRendering is what a golden file holds for one (spec, mode) run:
+// corpusRendering is what a golden file holds for one spec's run:
 // the Report() rendering followed by the virtual-time schedule, indented
 // the way vdo-scenario -v prints it.
 func corpusRendering(res *Result) string {
@@ -21,9 +21,8 @@ func corpusRendering(res *Result) string {
 	return b.String()
 }
 
-// TestCorpusGolden replays every examples/scenarios spec in both modes
-// and requires the rendering to match testdata/<spec>.<mode>.golden byte
-// for byte. The goldens are checked in; there is deliberately no flag
+// TestCorpusGolden replays every examples/scenarios spec and requires
+// the rendering to match testdata/<spec>.golden byte for byte. The goldens are checked in; there is deliberately no flag
 // that rewrites them, so a change to any report, schedule line, verdict
 // or episode count shows up here as a diff to justify.
 func TestCorpusGolden(t *testing.T) {
@@ -45,19 +44,17 @@ func TestCorpusGolden(t *testing.T) {
 			t.Fatalf("%s: %v", p, err)
 		}
 		base := strings.TrimSuffix(filepath.Base(p), ".json")
-		for _, mode := range []string{"sweep", "push"} {
-			res, err := Run(sp, Options{Push: mode == "push"})
-			if err != nil {
-				t.Fatalf("%s %s: %v", base, mode, err)
-			}
-			golden := filepath.Join("testdata", base+"."+mode+".golden")
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%s: %v", golden, err)
-			}
-			if got := corpusRendering(res); got != string(want) {
-				t.Errorf("%s: rendering differs from %s\n--- got ---\n%s", base, golden, got)
-			}
+		res, err := Run(sp, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", base, err)
+		}
+		golden := filepath.Join("testdata", base+".golden")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", golden, err)
+		}
+		if got := corpusRendering(res); got != string(want) {
+			t.Errorf("%s: rendering differs from %s\n--- got ---\n%s", base, golden, got)
 		}
 	}
 }

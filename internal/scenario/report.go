@@ -34,17 +34,16 @@ type GAResult struct {
 
 // Result is one scenario execution's structured outcome. Every field is
 // derived from the virtual clock and the seeded fleet, so identical
-// (spec, mode) inputs render byte-identical reports.
+// specs render byte-identical reports.
 type Result struct {
 	Spec Spec
-	Mode string
 	// Steps holds per-step provenance in step order; Schedule the
 	// virtual-time event log (ticks interleaved with steps).
 	Steps    []StepResult
 	Schedule []string
 	GAs      []GAResult
-	// Ticks counts evaluation passes; Alarms/Repairs the violation
-	// episodes opened and closed over the whole run.
+	// Ticks counts flushes; Alarms/Repairs the violation episodes
+	// opened and closed over the whole run.
 	Ticks   int
 	Alarms  int
 	Repairs int
@@ -61,21 +60,30 @@ type Result struct {
 	// undeclared-read subset, which fails the run.
 	ReadViolations      []string
 	FatalReadViolations int
+	// Divergences lists, sorted, each "host finding" whose verdict in
+	// the final view differs from a fresh full sweep of the final fleet,
+	// and a compliance mismatch if any. Any divergence fails the run.
+	Divergences []string
 }
 
-// Failed reports whether any assertion step failed or the declared-reads
-// oracle observed an undeclared read.
-func (r *Result) Failed() bool {
+// Failure describes the first reason the run failed — a divergence from
+// the reference sweep, a failed step, an undeclared read — or returns ""
+// when it passed.
+func (r *Result) Failure() string {
+	if len(r.Divergences) > 0 {
+		return fmt.Sprintf("final view diverges from a fresh sweep: %s", r.Divergences[0])
+	}
+	if f := r.Failures(); len(f) > 0 {
+		return fmt.Sprintf("failed step %d (%s): %s", f[0].Index, f[0].Kind, f[0].Detail)
+	}
 	if r.FatalReadViolations > 0 {
-		return true
+		return fmt.Sprintf("%d undeclared read(s)", r.FatalReadViolations)
 	}
-	for _, s := range r.Steps {
-		if !s.OK {
-			return true
-		}
-	}
-	return false
+	return ""
 }
+
+// Failed reports whether the run failed (see Failure).
+func (r *Result) Failed() bool { return r.Failure() != "" }
 
 // Failures returns the failing steps.
 func (r *Result) Failures() []StepResult {
@@ -91,14 +99,14 @@ func (r *Result) Failures() []StepResult {
 // Report renders the structured failure report: verdict, per-step
 // provenance, guarded-assertion table and final fleet state summary.
 // The rendering contains only virtual-clock quantities, so it is
-// byte-identical across runs of the same spec and mode.
+// byte-identical across runs of the same spec.
 func (r *Result) Report() string {
 	var b strings.Builder
 	verdict := "PASS"
 	if r.Failed() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "scenario %s [%s]: %s\n", r.Spec.Name, r.Mode, verdict)
+	fmt.Fprintf(&b, "scenario %s: %s\n", r.Spec.Name, verdict)
 	if r.Spec.Description != "" {
 		fmt.Fprintf(&b, "  %s\n", r.Spec.Description)
 	}
@@ -134,6 +142,12 @@ func (r *Result) Report() string {
 			len(r.ReadViolations), r.FatalReadViolations)
 		for _, v := range r.ReadViolations {
 			fmt.Fprintf(&b, "    %s\n", v)
+		}
+	}
+	if len(r.Divergences) > 0 {
+		fmt.Fprintf(&b, "  truth check: %d divergence(s) from a fresh sweep of the final fleet\n", len(r.Divergences))
+		for _, d := range r.Divergences {
+			fmt.Fprintf(&b, "    %s\n", d)
 		}
 	}
 	fmt.Fprintf(&b, "  final: compliance=%.4f alarms=%d repairs=%d verdicts=%d\n",

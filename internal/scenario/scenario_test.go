@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"veridevops/internal/core"
+	"veridevops/internal/host"
 	"veridevops/internal/loadgen"
 )
 
@@ -15,13 +17,12 @@ func at(msec int) Duration { return Duration(time.Duration(msec) * time.Millisec
 // verdict movement is traceable to a step.
 func testSpec(name string, hosts int, seed int64, steps []Step) Spec {
 	return Spec{
-		Name:       name,
-		Hosts:      hosts,
-		Seed:       seed,
-		Topology:   fuzzTopology(),
-		SweepEvery: at(250),
-		Window:     at(250),
-		Steps:      steps,
+		Name:     name,
+		Hosts:    hosts,
+		Seed:     seed,
+		Topology: fuzzTopology(),
+		Window:   at(250),
+		Steps:    steps,
 	}
 }
 
@@ -73,6 +74,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"compliance bad op", `{"name":"x","hosts":2,"steps":[{"at":"1s","expect":"compliance","op":"~="}]}`, "op"},
 		{"bad ga", `{"name":"x","hosts":2,"steps":[{"at":"1s","expect":"ga","ga":"nonsense"}]}`, "ga"},
 		{"bad gherkin", `{"name":"x","hosts":2,"steps":[{"at":"1s","expect":"gwt","gherkin":"Given \nThen x"}]}`, "gwt"},
+		{"sweep cadence retired", `{"name":"x","hosts":2,"sweep_every":"100ms","steps":[{"at":"1s","do":"join"}]}`, "unknown field"},
+		{"do at duration", `{"name":"x","hosts":2,"duration":"1s","steps":[{"at":"1s","do":"join"}]}`, "last tick"},
+		{"do past last tick", `{"name":"x","hosts":2,"duration":"1.1s","window":"250ms","steps":[{"at":"1.05s","do":"join"}]}`, "last tick at 1s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,16 +94,17 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 func TestParseAcceptsValidSpec(t *testing.T) {
 	sp, err := Parse(strings.NewReader(`{
 		"name": "ok", "hosts": 3, "seed": 7,
-		"sweep_every": "100ms",
+		"window": "100ms", "duration": "1.05s",
 		"steps": [
 			{"at": "200ms", "do": "config", "on": "#0", "file": "/etc/login.defs", "key": "ENCRYPT_METHOD", "value": "MD5"},
+			{"at": "999ms", "do": "signal", "signal": "just before the last tick", "num": 1},
 			{"at": "1s", "expect": "compliance", "op": "<", "num": 1}
 		]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.SweepEvery.D() != 100*time.Millisecond || len(sp.Steps) != 2 {
+	if sp.Window.D() != 100*time.Millisecond || len(sp.Steps) != 3 {
 		t.Fatalf("decoded spec wrong: %+v", sp)
 	}
 	if sp.Steps[0].At.D() != 200*time.Millisecond {
@@ -171,31 +176,30 @@ func driftSpec() Spec {
 	})
 }
 
-func TestDriftScenarioBothModes(t *testing.T) {
-	for _, push := range []bool{false, true} {
-		res, err := Run(driftSpec(), Options{Push: push})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed() {
-			t.Fatalf("push=%v:\n%s", push, res.Report())
-		}
-		if res.Alarms != 1 || res.Repairs != 1 {
-			t.Fatalf("push=%v: alarms=%d repairs=%d, want 1/1", push, res.Alarms, res.Repairs)
-		}
-		if res.FinalCompliance != 1 {
-			t.Fatalf("push=%v: final compliance %v", push, res.FinalCompliance)
-		}
-		if len(res.FinalState) != 4*8 {
-			t.Fatalf("push=%v: %d verdicts, want 32", push, len(res.FinalState))
-		}
+func TestDriftScenario(t *testing.T) {
+	res, err := Run(driftSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatal(res.Report())
+	}
+	if res.Alarms != 1 || res.Repairs != 1 {
+		t.Fatalf("alarms=%d repairs=%d, want 1/1", res.Alarms, res.Repairs)
+	}
+	if res.FinalCompliance != 1 {
+		t.Fatalf("final compliance %v", res.FinalCompliance)
+	}
+	if len(res.FinalState) != 4*8 {
+		t.Fatalf("%d verdicts, want 32", len(res.FinalState))
 	}
 }
 
-// TestDeterminism is the satellite check: identical spec and seed yield
-// byte-identical reports and event schedules in both modes. The spec
-// deliberately mixes churn, membership and connectivity mutations. Run
-// with -race in CI to catch nondeterminism from unsynchronized sharing.
+// TestDeterminism: identical spec and seed yield byte-identical reports
+// and event schedules, and the final view agrees with the reference
+// sweep. The spec deliberately mixes churn, membership and connectivity
+// mutations. Run with -race in CI to catch nondeterminism from
+// unsynchronized sharing.
 func TestDeterminism(t *testing.T) {
 	sp := testSpec("det", 6, 5, []Step{
 		{At: at(100), Do: "signal", Signal: "drift started", Num: 1},
@@ -208,27 +212,25 @@ func TestDeterminism(t *testing.T) {
 		{At: at(1200), Do: "config", On: "web#0", File: "/etc/login.defs", Key: "ENCRYPT_METHOD", Value: "SHA512"},
 		{At: at(1600), Expect: "compliance", Op: ">", Num: 0},
 	})
-	for _, push := range []bool{false, true} {
-		a, err := Run(sp, Options{Push: push})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(sp, Options{Push: push})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Report() != b.Report() {
-			t.Fatalf("push=%v: reports differ:\n--- a ---\n%s--- b ---\n%s", push, a.Report(), b.Report())
-		}
-		if !reflect.DeepEqual(a.Schedule, b.Schedule) {
-			t.Fatalf("push=%v: schedules differ", push)
-		}
-		if !reflect.DeepEqual(a.FinalState, b.FinalState) {
-			t.Fatalf("push=%v: final states differ", push)
-		}
+	a, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if msg := Oracle(sp, Options{}); msg != "" {
-		t.Fatalf("cross-mode divergence: %s", msg)
+	b, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Report() != b.Report() {
+		t.Fatalf("reports differ:\n--- a ---\n%s--- b ---\n%s", a.Report(), b.Report())
+	}
+	if !reflect.DeepEqual(a.Schedule, b.Schedule) {
+		t.Fatal("schedules differ")
+	}
+	if !reflect.DeepEqual(a.FinalState, b.FinalState) {
+		t.Fatal("final states differ")
+	}
+	if msg := a.Failure(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -242,14 +244,12 @@ func TestFaultsAndHeal(t *testing.T) {
 		{At: at(2000), Expect: "repairs", Op: "==", Num: 8},
 		{At: at(2000), Expect: "compliance", Op: "==", Num: 1},
 	})
-	for _, push := range []bool{false, true} {
-		res, err := Run(sp, Options{Push: push})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed() {
-			t.Fatalf("push=%v:\n%s", push, res.Report())
-		}
+	res, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatal(res.Report())
 	}
 }
 
@@ -263,24 +263,28 @@ func TestVerifyReadsOracle(t *testing.T) {
 		{At: at(100), Do: "config", On: "#0", File: "/etc/login.defs", Key: "ENCRYPT_METHOD", Value: "MD5"},
 		{At: at(600), Expect: "compliance", Op: "<", Num: 1},
 	})
-	for _, push := range []bool{false, true} {
-		res, err := Run(clean, Options{Push: push, VerifyReads: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed() {
-			t.Fatalf("push=%v:\n%s", push, res.Report())
-		}
-		if len(res.ReadViolations) != 0 {
-			t.Fatalf("push=%v: clean fleet reported %v", push, res.ReadViolations)
-		}
+	res, err := Run(clean, Options{VerifyReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatal(res.Report())
+	}
+	if len(res.ReadViolations) != 0 {
+		t.Fatalf("clean fleet reported %v", res.ReadViolations)
 	}
 
+	// Each wrapped check is called three times: by the flush after the
+	// swap, by the reference sweep and by the oracle. Two failing calls
+	// make the flush and the sweep agree on INCOMPLETE; the oracle's
+	// call reaches the wrapped check, whose reads it records. With one
+	// failing call the sweep would see PASS where the view keeps the
+	// transient INCOMPLETE, and the truth check would fail the run.
 	faulty := testSpec("vr-faulty", 2, 3, []Step{
-		{At: at(300), Do: "faults", On: "#0", FailFirst: 1},
+		{At: at(300), Do: "faults", On: "#0", FailFirst: 2},
 		{At: at(900), Expect: "compliance", Op: "<=", Num: 1},
 	})
-	res, err := Run(faulty, Options{VerifyReads: true})
+	res, err = Run(faulty, Options{VerifyReads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +305,62 @@ func TestVerifyReadsOracle(t *testing.T) {
 	}
 }
 
+// hiddenRead checks the password hashing policy but declares a package
+// key instead of the config key it reads, so the dependency index never
+// re-runs it when that config changes.
+type hiddenRead struct {
+	core.Finding
+	H *host.Linux
+}
+
+func (c *hiddenRead) Check() core.CheckStatus {
+	v, _ := c.H.Config("/etc/login.defs", "ENCRYPT_METHOD")
+	return core.CheckBool(v == "SHA512")
+}
+
+func (c *hiddenRead) Enforce() core.EnforcementStatus { return core.EnforceSuccess }
+
+func (c *hiddenRead) CheckStateKeys() []host.StateKey {
+	return []host.StateKey{host.PackageKey("sudo")}
+}
+
+// TestTruthCheckCatchesUndeclaredRead: with the declared-reads oracle
+// off, a check that leaves out a key it reads keeps a stale PASS in the
+// final view after that key drifts, and the run's truth check alone
+// fails it, naming the host and finding.
+func TestTruthCheckCatchesUndeclaredRead(t *testing.T) {
+	sp := testSpec("hidden-read", 2, 3, nil)
+	f, err := loadgen.Synthesize(*sp.Topology, sp.Hosts, sp.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := f.Hosts()[0]
+	cat := core.NewCatalog()
+	cat.MustRegister(&hiddenRead{
+		Finding: core.Finding{ID: "LEAK-1", Sev: "high", Desc: "reads the hashing policy it does not declare"},
+		H:       h.Linux,
+	})
+	h.SetCatalog(cat)
+	sp.Steps = []Step{
+		{At: at(300), Do: "config", On: h.Name, File: "/etc/login.defs", Key: "ENCRYPT_METHOD", Value: "MD5"},
+	}
+
+	res, err := newExecutor(sp, Options{}, f).run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := h.Name + " LEAK-1: view PASS, sweep FAIL"
+	if len(res.Divergences) == 0 || res.Divergences[0] != want {
+		t.Fatalf("divergences = %q, want first %q", res.Divergences, want)
+	}
+	if !res.Failed() || len(res.Failures()) != 0 {
+		t.Fatalf("the divergence alone must fail the run:\n%s", res.Report())
+	}
+	if !strings.Contains(res.Report(), want) {
+		t.Fatalf("report does not name the divergence:\n%s", res.Report())
+	}
+}
+
 func TestUnreachableHostDegradation(t *testing.T) {
 	sp := testSpec("outage", 3, 21, []Step{
 		{At: at(300), Do: "down", On: "#1"},
@@ -313,20 +373,18 @@ func TestUnreachableHostDegradation(t *testing.T) {
 		{At: at(2000), Expect: "repairs", Op: "==", Num: 8},
 		{At: at(2000), Expect: "compliance", Op: "==", Num: 1},
 	})
-	for _, push := range []bool{false, true} {
-		res, err := Run(sp, Options{Push: push})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed() {
-			t.Fatalf("push=%v:\n%s", push, res.Report())
-		}
-		if !res.Steps[1].Skipped {
-			t.Fatalf("push=%v: mutation on down host not skipped: %+v", push, res.Steps[1])
-		}
-		if !strings.Contains(res.Steps[1].Detail, "unreachable") {
-			t.Fatalf("push=%v: skip detail %q", push, res.Steps[1].Detail)
-		}
+	res, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatal(res.Report())
+	}
+	if !res.Steps[1].Skipped {
+		t.Fatalf("mutation on down host not skipped: %+v", res.Steps[1])
+	}
+	if !strings.Contains(res.Steps[1].Detail, "unreachable") {
+		t.Fatalf("skip detail %q", res.Steps[1].Detail)
 	}
 }
 
@@ -357,7 +415,7 @@ func TestReportRendersProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Report()
-	for _, want := range []string{"scenario render [sweep]: FAIL", "install", "FAIL #1", "alarms 1 == 0", "final:"} {
+	for _, want := range []string{"scenario render: FAIL", "install", "FAIL #1", "alarms 1 == 0", "final:"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}

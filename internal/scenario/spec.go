@@ -5,10 +5,10 @@
 // service flap, config edits, join/leave, connectivity), engine fault
 // injection, pipeline commits — interleaved with `expect` assertions on
 // live verdicts, alarm/repair episodes and TEARS guarded assertions over
-// the recorded compliance trace. The same spec runs against either the
-// batch sweep coordinator or the push streamer, so a scenario doubles as
-// a cross-mode regression test: identical incident narrative, identical
-// final verdicts, two evaluation strategies.
+// the recorded compliance trace. Steps are evaluated by push through a
+// fleet.Streamer, and every run ends by checking its final verdicts
+// against a fresh full sweep of the final fleet, so a scenario doubles
+// as a soundness test of push evaluation.
 //
 // The format follows the loadgen topology-spec precedent: plain JSON,
 // stdlib decoding, unknown fields rejected so a typoed knob fails loudly.
@@ -139,18 +139,16 @@ type Spec struct {
 	// embed small zero-drift topologies so the initial fleet is compliant
 	// and every alarm is traceable to a step.
 	Topology *loadgen.Topology `json:"topology,omitempty"`
-	// SweepEvery is the sweep-mode evaluation cadence, Window the
-	// push-mode flush cadence; both default to 250ms.
-	SweepEvery Duration `json:"sweep_every,omitempty"`
-	Window     Duration `json:"window,omitempty"`
-	// Duration is the virtual horizon; 0 extends two evaluation periods
-	// past the last step so its effects are always observed.
+	// Window is the flush cadence; it defaults to 250ms.
+	Window Duration `json:"window,omitempty"`
+	// Duration is the virtual horizon; 0 extends two windows past the
+	// last step so its effects are always observed. With an explicit
+	// Duration every do step must land before the last tick.
 	Duration Duration `json:"duration,omitempty"`
 	Steps    []Step   `json:"steps"`
 }
 
-// DefaultCadence is the evaluation period used when a spec sets neither
-// SweepEvery nor Window.
+// DefaultCadence is the flush cadence used when a spec sets no Window.
 const DefaultCadence = 250 * time.Millisecond
 
 var statusNames = map[string]bool{"pass": true, "fail": true, "error": true, "incomplete": true}
@@ -170,7 +168,7 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("scenario %s: %w", sp.Name, err)
 		}
 	}
-	if sp.SweepEvery < 0 || sp.Window < 0 || sp.Duration < 0 {
+	if sp.Window < 0 || sp.Duration < 0 {
 		return fmt.Errorf("scenario %s: negative cadence or duration", sp.Name)
 	}
 	if len(sp.Steps) == 0 {
@@ -186,6 +184,17 @@ func (sp Spec) Validate() error {
 				sp.Name, i, st.At, i-1, prev)
 		}
 		prev = st.At
+	}
+	if sp.Duration > 0 {
+		// Mutations after the last flush would never be evaluated.
+		window := sp.cadence()
+		last := sp.Duration.D() / window * window
+		for i, st := range sp.Steps {
+			if st.Do != "" && st.At.D() >= last {
+				return fmt.Errorf("scenario %s: step %d (%s) at %v is not before the last tick at %v (duration %v, window %v)",
+					sp.Name, i, st.Kind(), st.At, last, sp.Duration, window)
+			}
+		}
 	}
 	return nil
 }
@@ -302,14 +311,10 @@ func Parse(r io.Reader) (Spec, error) {
 	return sp, nil
 }
 
-// cadence resolves the evaluation period for a mode.
-func (sp Spec) cadence(push bool) time.Duration {
-	if push {
-		if sp.Window > 0 {
-			return sp.Window.D()
-		}
-	} else if sp.SweepEvery > 0 {
-		return sp.SweepEvery.D()
+// cadence resolves the flush period.
+func (sp Spec) cadence() time.Duration {
+	if sp.Window > 0 {
+		return sp.Window.D()
 	}
 	return DefaultCadence
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"veridevops/internal/fleet"
 	"veridevops/internal/host"
 	"veridevops/internal/loadgen"
-	"veridevops/internal/trace"
 )
 
 // The write-side oracle over both mutation grammars: around every
@@ -94,8 +92,8 @@ func unloggedWrites(before map[string]hostState, f *loadgen.Fleet) []string {
 	return out
 }
 
-// mutationExecutor is a sweep-mode executor over a small fleet of the
-// fuzz topology, enough for mutate to run every verb.
+// mutationExecutor is an executor over a small fleet of the fuzz
+// topology, enough for mutate to run every verb.
 func mutationExecutor(t *testing.T) *executor {
 	t.Helper()
 	sp := Spec{Name: "writes", Hosts: 8, Seed: 3, Topology: fuzzTopology()}
@@ -103,11 +101,7 @@ func mutationExecutor(t *testing.T) *executor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &executor{
-		spec: sp, opts: Options{}.normalized(), mode: "sweep", fleet: f,
-		coord: fleet.NewCoordinator(), view: fleet.NewView(), tr: trace.New(),
-		res: &Result{Spec: sp, Mode: "sweep"},
-	}
+	return newExecutor(sp, Options{}, f)
 }
 
 // TestScenarioVerbsLogWhatTheyChange runs every mutation verb of the
