@@ -54,12 +54,14 @@ race:
 # alloc-gates runs, without the race detector, the allocation and heap
 # gates that skip themselves under -race because its instrumentation
 # inflates both: the retained heap of a primed fleet
-# (TestPrimedFleetHeapPerHost), the all-cached sweep's allocations per
-# host (TestCachedSweepAllocsPerHost), the push replay's bytes per
-# event (TestReplayBytesPerEvent), the allocations per keyed event of a
-# host mutation (TestWriteAllocsPerKeyedEvent) and of planning a flush
-# (TestFlushPlanAllocsPerKeyedEvent), and the allocation-free host read
-# (TestReadAllocsPerKey).
+# (TestPrimedFleetHeapPerHost) and its growth per churn event once warm,
+# with and without a Streamer (TestWatchedFleetRetainedBytesPerEvent, at
+# most 8 B), the all-cached sweep's allocations per host
+# (TestCachedSweepAllocsPerHost), the push replay's bytes per event
+# (TestReplayBytesPerEvent, at most 1,500 B), the allocations per keyed
+# event of a host mutation (TestWriteAllocsPerKeyedEvent) and of
+# delivering and planning a flush (TestFlushPlanAllocsPerKeyedEvent),
+# and the allocation-free host read (TestReadAllocsPerKey).
 alloc-gates:
 	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPerEvent' ./internal/host/ ./internal/fleet/ ./internal/loadgen/
 

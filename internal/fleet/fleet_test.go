@@ -386,8 +386,11 @@ func TestEvaluationResultsAreCallerOwned(t *testing.T) {
 		if !slices.EqualFunc(coord.scratch.jobs, jobs, sameJob) || !slices.Equal(coord.scratch.costs, costs) {
 			t.Errorf("overlapping evaluations rewrote the in-flight scratch: jobs %v -> %v", jobs, coord.scratch.jobs)
 		}
-		if n := s.DirtyHosts(); n != 1 {
-			t.Errorf("overlapping Flush left %d dirty hosts, want the 1 it could not take", n)
+		s.mu.Lock()
+		dirty := len(s.dirty)
+		s.mu.Unlock()
+		if dirty != 1 {
+			t.Errorf("overlapping Flush left %d dirty hosts, want the 1 it could not take", dirty)
 		}
 		close(release)
 		<-done

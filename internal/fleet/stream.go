@@ -12,24 +12,25 @@ import (
 )
 
 // Streamer is the push-based incremental evaluator: it subscribes to
-// per-host EventLog tails, coalesces the state keys dirtied since the
-// last flush, maps them through each host's DepIndex to the affected
-// checks, and hands the dirty hosts with those subsets to the
+// per-host EventLogs, coalesces the state keys their events dirtied
+// since the last flush, maps them through each host's DepIndex to the
+// affected checks, and hands the dirty hosts with those subsets to the
 // coordinator's dispatch — the same scheduler, evaluator, engine, dedup
 // memo and incremental cache a sweep runs through, with the index on
 // instead of off. Flushed reports fold into a View: the live
 // fleet-compliance view that raises one alarm per violation episode.
 //
-// The coalescing window is the caller's flush cadence: event
-// notifications only mark hosts dirty (a flag and an append under one
-// lock), and the actual evaluation happens when the owner calls Flush —
-// the loadgen driver's Replay ticks it on the virtual clock in vdo-load
-// and on the real clock in vdo-serve, tests whenever they like. Watch,
+// The coalescing window is the caller's flush cadence: an event
+// notification only records the event on its host and marks the host
+// dirty (under one lock), and the actual evaluation happens when the
+// owner calls Flush — the loadgen driver's Replay ticks it on the
+// virtual clock in vdo-load and on the real clock in vdo-serve, tests
+// whenever they like. Watch,
 // Unwatch and the read accessors are safe for concurrent use; Flush is
 // an evaluation on the coordinator and follows its no-overlap contract.
 //
 // A flush allocates per dirty host, not per watched one: the dirty list
-// is double-buffered and the event tail lands in one reused buffer,
+// and each host's record of delivered keys are double-buffered,
 // alongside the coordinator's own scratch. Its result is not scratch:
 // every FlushResult's Hosts and Alarms are freshly allocated and owned
 // by the caller, so results of consecutive flushes never alias.
@@ -55,12 +56,6 @@ type Streamer struct {
 	// signature up in indexes allocates nothing, so only a new index
 	// pays for its key.
 	sig []byte
-
-	// tail and keys are Flush's per-host scratch: the events tailed from
-	// one host's log and their state keys. Only the evaluation holding
-	// the coordinator's guard touches them.
-	tail []host.Event
-	keys []host.StateKey
 }
 
 // sharedIndex is one interned DepIndex, its signature and the number of
@@ -116,14 +111,17 @@ func (o StreamOptions) evalOptions() Options {
 }
 
 // streamHost is the streamer's per-host state: the audit target, its
-// event source, its (shared) dependency index and the tail cursor.
+// (shared) dependency index, its subscription and what the subscription
+// delivered.
 type streamHost struct {
 	target Target
-	log    *host.EventLog
 	index  *sharedIndex
 	cancel func()
-	// cursor is the next EventLog sequence to consume (host.EventLog.Tail).
-	cursor int
+	// got is what the subscription delivered since the last flush took
+	// it, guarded by the Streamer's lock. taken is the record that flush
+	// took, read by plan under the coordinator's guard; the next take
+	// starts got in its key buffer.
+	got, taken delivery
 	// primed flips after the first evaluation; until then every flush
 	// runs the full catalogue, because there is no verdict baseline to
 	// delta against.
@@ -133,11 +131,40 @@ type streamHost struct {
 	dirty bool
 }
 
+// delivery is what a host's subscription delivered between two flushes:
+// the number of events and their state keys, in arrival order. An
+// unkeyed event or a connectivity flip touches the whole host; it sets
+// whole, and after that no keys are kept.
+type delivery struct {
+	events int
+	whole  bool
+	keys   []host.StateKey
+}
+
+// record adds one delivered event.
+func (d *delivery) record(ev host.Event) {
+	d.events++
+	switch {
+	case d.whole:
+	case ev.Key.IsZero() || ev.Key.Kind == host.KeyNet:
+		d.whole = true
+	default:
+		d.keys = append(d.keys, ev.Key)
+	}
+}
+
+// take hands the host's delivered record to a flush and starts the next
+// one in the key buffer the previous flush finished with; callers hold
+// the Streamer's lock.
+func (sh *streamHost) take() {
+	sh.got, sh.taken = delivery{keys: sh.taken.keys[:0]}, sh.got
+}
+
 // StreamStats is the streamer's cumulative telemetry.
 type StreamStats struct {
 	// Flushes counts Flush calls that found at least one dirty host.
 	Flushes int
-	// Events is the total number of tailed events consumed.
+	// Events is the total number of delivered events consumed.
 	Events int
 	// DeltaHosts counts per-flush dirty-host evaluations (a host dirty
 	// in N flushes counts N times).
@@ -191,7 +218,7 @@ type DeltaResult struct {
 	// flip, or a keyed delta with no cached report to merge into);
 	// otherwise only the Checks affected checks ran.
 	Full bool
-	// Events is how many tailed events this delta coalesced.
+	// Events is how many delivered events this delta coalesced.
 	Events int
 	// Checks is how many catalogue entries were evaluated.
 	Checks int
@@ -232,11 +259,13 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 	}
 }
 
-// Watch registers a target and its event source. The host starts dirty
-// and unprimed: its first flush runs the full catalogue to establish the
-// verdict baseline, and every subsequent flush deltas from the event
-// tail. Re-watching a name replaces the previous registration and
-// drops the host's verdicts and open episodes from the live view.
+// Watch registers a target and subscribes to its event source. The host
+// starts dirty and unprimed: its first flush runs the full catalogue to
+// establish the verdict baseline, which covers every event appended
+// before the subscription, and every later flush deltas from the events
+// the subscription delivered. Re-watching a name replaces the previous
+// registration and drops the host's verdicts and open episodes from the
+// live view.
 //
 // The host's dependency index is interned: Watch reads the catalogue's
 // key declarations (finding IDs with their CheckKeys), and a host whose
@@ -245,15 +274,7 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // holds one index. The declarations are read once, at Watch.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	decls := declarations(t.Catalog)
-	sh := &streamHost{target: t, log: log}
-	if log != nil {
-		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(sh) })
-		// Events already in the log are covered by the priming full run;
-		// the tail picks up strictly newer ones. An event landing between
-		// Subscribe and Len is both covered by the priming run and
-		// re-delivered by the tail — harmless, never lost.
-		sh.cursor = log.Len()
-	}
+	sh := &streamHost{target: t}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sig = appendDeclSignature(s.sig[:0], decls)
@@ -269,6 +290,9 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	}
 	s.hosts[t.Name] = sh
 	s.markDirtyLocked(sh)
+	if log != nil {
+		sh.cancel = log.Subscribe(func(ev host.Event) { s.deliver(sh, ev) })
+	}
 }
 
 // Unwatch removes a target: its subscription is cancelled, its verdicts
@@ -305,13 +329,14 @@ func (s *Streamer) detachLocked(sh *streamHost) {
 	}
 }
 
-// markDirty lists a watched host for the next flush. A notification
-// that races the host's Unwatch (or re-Watch) finds it detached and
-// does nothing.
-func (s *Streamer) markDirty(sh *streamHost) {
+// deliver records one event on a watched host and lists the host for
+// the next flush. A notification that races the host's Unwatch (or
+// re-Watch) finds it detached and does nothing.
+func (s *Streamer) deliver(sh *streamHost, ev host.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.hosts[sh.target.Name] == sh {
+		sh.got.record(ev)
 		s.markDirtyLocked(sh)
 	}
 }
@@ -330,13 +355,6 @@ func (s *Streamer) Hosts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.hosts)
-}
-
-// DirtyHosts reports how many watched hosts have unconsumed events.
-func (s *Streamer) DirtyHosts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dirty)
 }
 
 // Counts returns the live fleet-wide verdict counts. Hosts not yet
@@ -384,11 +402,10 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	c.enter()
 	defer c.exit()
 
-	// Take the dirty list and start a new one in the buffer the previous
-	// flush finished with. Events arriving after the swap re-dirty their
-	// host and wait for the next flush; events arriving between a host's
-	// Tail below and the fold are re-delivered next flush too, because
-	// the cursor only advances to what was tailed.
+	// Take the dirty list and each listed host's delivered record, and
+	// start new ones in the buffers the previous flush finished with.
+	// Events arriving after the swap re-dirty their host and wait for
+	// the next flush.
 	s.mu.Lock()
 	list := s.dirty
 	if len(list) == 0 {
@@ -398,6 +415,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	s.dirty, s.flushing = s.flushing[:0], list
 	for _, sh := range list {
 		sh.dirty = false
+		sh.take()
 	}
 	s.mu.Unlock()
 	slices.SortFunc(list, func(a, b *streamHost) int { return strings.Compare(a.target.Name, b.target.Name) })
@@ -410,7 +428,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	jobs := c.jobBuffer(len(list))
 	for i, sh := range list {
 		jobs[i].Target = &sh.target
-		hosts[i].Events, jobs[i].only = s.plan(sh)
+		hosts[i].Events, jobs[i].only = sh.plan()
 	}
 	out := c.dispatch(jobs, s.opts.evalOptions(), false, func(i int) *HostResult { return &hosts[i].Result })
 	out.root.End()
@@ -465,39 +483,26 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	return fr
 }
 
-// plan tails one dirty host's log into the flush's event buffer,
-// advances its cursor past what it read, and returns how many events it
-// consumed and the check subset they map to: nil (the whole catalogue)
-// for an unprimed host, an unkeyed event or a connectivity flip, else
-// the DepIndex's affected checks, possibly none. Sequential and
+// plan maps the record a flush took from one dirty host to how many
+// events it coalesces and the check subset they affect: nil (the whole
+// catalogue) for an unprimed host or a whole-host record, else the
+// DepIndex's affected checks, possibly none. Sequential and
 // allocation-light; the expensive part is the evaluation.
-func (s *Streamer) plan(sh *streamHost) (events int, only []string) {
-	s.tail = s.tail[:0]
-	if sh.log != nil {
-		s.tail, sh.cursor = sh.log.Tail(sh.cursor, s.tail)
-	}
+func (sh *streamHost) plan() (events int, only []string) {
+	d := &sh.taken
 	// Until a host is primed there is no verdict baseline to delta
 	// against: only stays nil and the whole catalogue runs.
-	if !sh.primed {
-		return len(s.tail), nil
+	if !sh.primed || d.whole {
+		return d.events, nil
 	}
 	// keys may repeat and come in event order: Affected sorts and dedups
 	// its output whatever the input order.
-	s.keys = s.keys[:0]
-	for _, ev := range s.tail {
-		// Unkeyed events (bulk provisioning, legacy appends) and
-		// connectivity flips touch the whole host.
-		if ev.Key.IsZero() || ev.Key.Kind == host.KeyNet {
-			return len(s.tail), nil
-		}
-		s.keys = append(s.keys, ev.Key)
-	}
-	if only = sh.index.Affected(s.keys); only == nil {
+	if only = sh.index.Affected(d.keys); only == nil {
 		// Distinguish "no affected checks" (a cache re-stamp) from the
 		// nil that means "run everything".
 		only = []string{}
 	}
-	return len(s.tail), only
+	return d.events, only
 }
 
 // recordFlushMetrics folds one flush into the shared metrics registry.

@@ -262,6 +262,62 @@ func TestStreamerDeterministic(t *testing.T) {
 	}
 }
 
+// TestStreamerCountsEveryConcurrentAppend appends keyed events to one
+// watched log from several goroutines while another flushes (run under
+// -race): the subscription is the only channel that carries them, so
+// the flushes' DeltaResult.Events must add up to the appends, none lost
+// and none counted twice, and every delta of the primed host must stay
+// keyed rather than fall back to a full run.
+func TestStreamerCountsEveryConcurrentAppend(t *testing.T) {
+	s, _, hosts := streamFixture(t, 1)
+	s.Flush(0) // prime
+	log := hosts[0].Log()
+	const writers, per = 4, 200
+	var (
+		writing sync.WaitGroup
+		total   int
+		full    bool
+	)
+	count := func(fr FlushResult) {
+		for _, d := range fr.Hosts {
+			total += d.Events
+			full = full || d.Full
+		}
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := 0; i < per; i++ {
+				log.AppendKeyed("apt.install", "aide", host.PackageKey("aide"))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for i := 1; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				count(s.Flush(time.Duration(i) * time.Millisecond))
+			}
+		}
+	}()
+	writing.Wait()
+	close(done)
+	<-flushed
+	count(s.Flush(time.Second))
+	if total != writers*per {
+		t.Errorf("flushes counted %d events, want the %d appended", total, writers*per)
+	}
+	if full {
+		t.Error("a keyed delta of the primed host ran the full catalogue")
+	}
+}
+
 // TestStreamerConcurrentEventsRace drives appends from many goroutines
 // while flushes and accessors run: the -race regression for the
 // subscription and dirty-set paths. Verdict outcomes are asserted only
@@ -293,7 +349,7 @@ func TestStreamerConcurrentEventsRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Flush(time.Duration(i) * time.Millisecond)
 		s.Compliance()
-		s.DirtyHosts()
+		s.Hosts()
 	}
 	close(stop)
 	wg.Wait()

@@ -142,12 +142,13 @@ func TestCachedSweepAllocsPerHost(t *testing.T) {
 	}
 }
 
-// TestFlushPlanAllocsPerKeyedEvent pins the per-event cost of planning a
-// delta: Streamer.plan tails a primed host's keyed events into the
-// flush's reused buffers and looks their keys up as they are, so
-// planning 256 events allocates no more than planning one. Only the
-// affected subset, one slice per host, is allocated. A per-event
-// allocation (a rendered key, a grown buffer) would add 255.
+// TestFlushPlanAllocsPerKeyedEvent pins the per-event cost of the push
+// channel up to a delta's plan: the subscription records each keyed
+// event in the host's reused key buffer, the flush takes the record,
+// and Streamer.plan looks the keys up as they are, so delivering and
+// planning 256 events allocates no more than one. Only the affected
+// subset, one slice per host, is allocated. A per-event allocation (a
+// rendered key, a grown buffer) would add 255.
 func TestFlushPlanAllocsPerKeyedEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -158,21 +159,22 @@ func TestFlushPlanAllocsPerKeyedEvent(t *testing.T) {
 	s.Flush(0) // prime
 	sh := s.hosts[targets[0].Name]
 	allocs := func(n int) float64 {
-		from := hosts[0].Log().Len()
-		for i := 0; i < n; i++ {
-			hosts[0].Install(host.BannedPackages[i%len(host.BannedPackages)], "1")
-		}
 		return testing.AllocsPerRun(100, func() {
-			sh.cursor = from
-			if events, only := s.plan(sh); events != n || len(only) == 0 {
+			for i := 0; i < n; i++ {
+				hosts[0].Install(host.BannedPackages[i%len(host.BannedPackages)], "1")
+			}
+			s.mu.Lock()
+			sh.take()
+			s.mu.Unlock()
+			if events, only := sh.plan(); events != n || len(only) == 0 {
 				t.Fatalf("plan = (%d events, %v), want %d events and a subset", events, only, n)
 			}
 		})
 	}
-	allocs(256) // grow the flush's buffers once
+	allocs(256) // grow both key buffers once
 	one, many := allocs(1), allocs(256)
-	t.Logf("plan: %.0f allocs for 1 keyed event, %.0f for 256", one, many)
+	t.Logf("deliver and plan: %.0f allocs for 1 keyed event, %.0f for 256", one, many)
 	if many > one {
-		t.Fatalf("plan allocates %.0f times for 256 keyed events but %.0f for one; want no allocation per event", many, one)
+		t.Fatalf("delivering and planning 256 keyed events allocates %.0f times but one %.0f; want no allocation per event", many, one)
 	}
 }

@@ -36,8 +36,9 @@ const (
 // readable companion of Event.Detail — the fleet streamer maps keys
 // through a reverse dependency index to the requirement checks that read
 // them, re-evaluating O(changed keys) instead of whole hosts. The zero
-// value marks an event with no structured key (bulk provisioning, legacy
-// appends); consumers must treat such events as touching the whole host.
+// value marks an event with no structured key, which only a bulk
+// provisioning (NewLinuxFromSnapshot) appends; a subscriber must treat
+// such an event as touching the whole host.
 type StateKey struct {
 	Kind string
 	Name string
@@ -79,7 +80,7 @@ func RegistryKey(key string) StateKey { return StateKey{Kind: KeyRegistry, Name:
 // NetKey returns the whole-host transport-connectivity key.
 func NetKey() StateKey { return StateKey{Kind: KeyNet, Name: "transport"} }
 
-// Event is one entry of a host event log.
+// Event is one host mutation as its log's subscribers receive it.
 type Event struct {
 	Seq    int
 	Action string
@@ -94,17 +95,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("#%d %s %s", e.Seq, e.Action, e.Detail)
 }
 
-// EventLog is an append-only, concurrency-safe record of host mutations.
-// The reactive-protection monitors consume it to detect drift at runtime,
-// the fleet auditor's incremental cache keys on its version counter, and
-// the fleet streamer tails it (Tail, Subscribe) for push-based
-// incremental evaluation.
+// EventLog is the concurrency-safe channel of a host's mutations. It
+// retains no events: it counts appends in a monotonic version, which the
+// fleet auditor's incremental cache keys on, and hands each event to its
+// subscribers, which is how the fleet streamer learns which state slots
+// changed (Subscribe).
 type EventLog struct {
-	mu     sync.Mutex
-	events []Event
-	// version counts appends ever made. It equals Len today, but stays
-	// monotonic even if the log later gains truncation or compaction, so
-	// cache keys built on it never go backwards.
+	mu sync.Mutex
+	// version counts appends ever made and is the next event's Seq.
 	version uint64
 	// subs holds the append subscribers in registration order. The slice
 	// is never written in place: Subscribe and cancel install a fresh
@@ -133,13 +131,12 @@ func (l *EventLog) Append(action, detail string) int {
 
 // AppendKeyed records an event carrying the structured key of the state
 // slot it touched and returns its sequence number. Subscribers are
-// notified after the append is visible (outside the log's lock, so a
+// notified after the version advances (outside the log's lock, so a
 // subscriber may call back into the log).
 func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 	l.mu.Lock()
-	seq := len(l.events)
+	seq := int(l.version)
 	ev := Event{Seq: seq, Action: action, Detail: detail, Key: key}
-	l.events = append(l.events, ev)
 	l.version++
 	subs := l.subs
 	l.mu.Unlock()
@@ -150,13 +147,13 @@ func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 }
 
 // Subscribe registers fn to be called after every subsequent append,
-// with the appended event. Notifications run on the appending goroutine
-// after the log's lock is released — fn may call back into the log but
-// must not block, and concurrent appends may deliver notifications out
-// of sequence order (tail the log with Tail for ordered consumption;
-// subscriptions are the wake-up signal, not the data channel). One
-// append notifies its subscribers in registration order. The returned
-// cancel function removes the subscription; it is idempotent.
+// with the appended event: the subscription is the only channel that
+// carries events, since the log keeps none. Notifications run on the
+// appending goroutine after the log's lock is released, so fn may call
+// back into the log but must not block. One append notifies its
+// subscribers in registration order; concurrent appends may interleave,
+// so a subscriber can see events out of Seq order. The returned cancel
+// function removes the subscription; it is idempotent.
 func (l *EventLog) Subscribe(fn func(Event)) (cancel func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -185,33 +182,9 @@ func (l *EventLog) Version() uint64 {
 	return l.version
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of appends ever made, which equals Version.
 func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Tail is the cursor-style read the fleet streamer consumes deltas
-// with: it appends the events with sequence >= from to buf and returns
-// the extended slice plus the cursor to pass to the next call — the
-// sequence number one past the last event returned, i.e. the log's
-// current length. The appended events are plain values copied out of
-// the log, so later Appends (and anything the caller does to the slice)
-// never alias the log's internal storage; a caller that tails many logs
-// passes one buffer, truncated to buf[:0], to every call. A from at or
-// past the end appends nothing and returns (buf, Len): the caller's
-// cursor never goes backwards. A negative from reads from the
-// beginning.
-func (l *EventLog) Tail(from int, buf []Event) (events []Event, next int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next = len(l.events)
-	if from < 0 {
-		from = 0
-	}
-	if from >= next {
-		return buf, next
-	}
-	return append(buf, l.events[from:]...), next
+	return int(l.version)
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,36 +45,35 @@ func TestEventLogVersionMonotonicUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestEventLogTailSnapshotImmutable pins the copy semantics of Tail:
-// the returned slice must never alias the log's internal storage, so a
-// consumer iterating a snapshot while appends continue (the streamer's
-// whole life) reads stable values.
-func TestEventLogTailSnapshotImmutable(t *testing.T) {
-	l := NewEventLog()
-	l.Append("a", "1")
-	l.Append("b", "2")
-	snap, _ := l.Tail(0, nil)
-	if len(snap) != 2 {
-		t.Fatalf("Tail(0) = %d events, want 2", len(snap))
-	}
-	// Mutating the snapshot must not leak into the log...
-	snap[0].Action = "mutated"
-	if again, _ := l.Tail(0, nil); again[0].Action != "a" {
-		t.Errorf("log event mutated through snapshot: Action = %q, want %q", again[0].Action, "a")
-	}
-	// ...and appends after the snapshot must not grow or change it.
-	l.Append("c", "3")
-	if len(snap) != 2 || snap[1].Action != "b" {
-		t.Errorf("snapshot changed by later append: %v", snap)
+// recordEvents subscribes to l and returns a function that cancels the
+// subscription and returns the events appended in between, in the
+// order they were delivered.
+func recordEvents(l *EventLog) (stop func() []Event) {
+	var (
+		mu  sync.Mutex
+		evs []Event
+	)
+	cancel := l.Subscribe(func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		evs = append(evs, ev)
+	})
+	return func() []Event {
+		cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		return evs
 	}
 }
 
 // TestEventLogRaceAppendSinceVersion is the -race regression test for
-// concurrent Append/Version/Tail: it proves snapshots taken while writers
-// append never observe torn events or alias live storage.
+// concurrent Append/Version/Subscribe: subscribers registered while
+// writers append each receive whole events, and one present for the
+// whole run receives every Seq exactly once.
 func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 	l := NewEventLog()
 	const writers, per, readers = 4, 100, 4
+	all := recordEvents(l)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -88,23 +88,14 @@ func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cursor := 0
 			for i := 0; i < per; i++ {
 				_ = l.Version()
-				old, _ := l.Tail(cursor/2, nil)
-				for _, ev := range old {
+				stop := recordEvents(l)
+				for _, ev := range stop() {
 					if ev.Action != "op" || ev.Key.Kind != KeyPackage {
-						t.Errorf("torn event read: %+v", ev)
+						t.Errorf("torn event delivered: %+v", ev)
 						return
 					}
-				}
-				var evs []Event
-				evs, cursor = l.Tail(cursor, nil)
-				for _, ev := range evs {
-					// Mutate the snapshot: under -race this catches any
-					// aliasing of the log's backing array by a writer.
-					ev.Detail = "scribbled"
-					_ = ev
 				}
 			}
 		}()
@@ -113,93 +104,15 @@ func TestEventLogRaceAppendSinceVersion(t *testing.T) {
 	if v := l.Version(); v != writers*per {
 		t.Errorf("Version = %d, want %d", v, writers*per)
 	}
-}
-
-func TestEventLogTailCursor(t *testing.T) {
-	l := NewEventLog()
-
-	// Tail on an empty log: no events, cursor stays at 0.
-	evs, next := l.Tail(0, nil)
-	if evs != nil || next != 0 {
-		t.Fatalf("Tail(0) on empty log = (%v, %d), want (nil, 0)", evs, next)
+	seen := make([]bool, writers*per)
+	for _, ev := range all() {
+		if ev.Seq < 0 || ev.Seq >= len(seen) || seen[ev.Seq] {
+			t.Fatalf("event Seq %d out of range or delivered twice", ev.Seq)
+		}
+		seen[ev.Seq] = true
 	}
-
-	l.Append("a", "1")
-	l.Append("b", "2")
-	l.Append("c", "3")
-
-	// Tail from 0 returns everything and a cursor at the end.
-	evs, next = l.Tail(0, nil)
-	if len(evs) != 3 || next != 3 {
-		t.Fatalf("Tail(0) = (%d events, %d), want (3, 3)", len(evs), next)
-	}
-	if evs[0].Seq != 0 || evs[2].Seq != 2 {
-		t.Errorf("Tail(0) seqs = %d..%d, want 0..2", evs[0].Seq, evs[2].Seq)
-	}
-
-	// Resuming from the returned cursor is empty until a new append.
-	evs, next = l.Tail(next, nil)
-	if evs != nil || next != 3 {
-		t.Fatalf("Tail(end) = (%v, %d), want (nil, 3)", evs, next)
-	}
-	l.Append("d", "4")
-	evs, next = l.Tail(next, nil)
-	if len(evs) != 1 || evs[0].Action != "d" || next != 4 {
-		t.Fatalf("Tail after append = (%v, %d), want ([d], 4)", evs, next)
-	}
-
-	// A cursor past the end must not go backwards or explode.
-	evs, next = l.Tail(99, nil)
-	if evs != nil || next != 4 {
-		t.Errorf("Tail(past end) = (%v, %d), want (nil, 4)", evs, next)
-	}
-	// A negative cursor reads from the beginning.
-	evs, next = l.Tail(-1, nil)
-	if len(evs) != 4 || next != 4 {
-		t.Errorf("Tail(-1) = (%d events, %d), want (4, 4)", len(evs), next)
-	}
-}
-
-// TestEventLogSinceBounds pins Tail's clamping of out-of-range cursors:
-// an empty log, a negative cursor, a cursor at the end and one past it.
-func TestEventLogSinceBounds(t *testing.T) {
-	l := NewEventLog()
-	if got, _ := l.Tail(0, nil); got != nil {
-		t.Errorf("Tail(0) on empty log = %v, want nil", got)
-	}
-	l.Append("a", "1")
-	l.Append("b", "2")
-	if got, _ := l.Tail(-3, nil); len(got) != 2 {
-		t.Errorf("Tail(-3) = %d events, want 2 (negative clamps to 0)", len(got))
-	}
-	if got, _ := l.Tail(2, nil); got != nil {
-		t.Errorf("Tail(len) = %v, want nil", got)
-	}
-	if got, _ := l.Tail(99, nil); got != nil {
-		t.Errorf("Tail(past end) = %v, want nil", got)
-	}
-}
-
-// TestEventLogTailAppendsToBuffer pins the caller-buffer contract: Tail
-// appends after whatever the buffer holds, a buffer truncated to [:0]
-// with room left is reused without reallocation, and a read with
-// nothing new hands the buffer back unchanged.
-func TestEventLogTailAppendsToBuffer(t *testing.T) {
-	l := NewEventLog()
-	l.Append("a", "1")
-	l.Append("b", "2")
-	buf := make([]Event, 1, 8)
-	buf[0].Action = "kept"
-	got, next := l.Tail(1, buf)
-	if next != 2 || len(got) != 2 || got[0].Action != "kept" || got[1].Action != "b" {
-		t.Fatalf("Tail(1, [kept]) = (%v, %d), want ([kept b], 2)", got, next)
-	}
-	if &got[0] != &buf[0] {
-		t.Error("Tail reallocated a buffer with room left")
-	}
-	again, next := l.Tail(next, got[:0])
-	if next != 2 || len(again) != 0 || cap(again) != cap(buf) {
-		t.Errorf("Tail(end, buf[:0]) = (%v, %d) with cap %d, want the empty buffer back", again, next, cap(again))
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Errorf("event Seq %d never delivered", i)
 	}
 }
 
@@ -327,8 +240,10 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		action, detail string
 		key            StateKey
 	}
-	tail := func(log *EventLog, from int) []logged {
-		evs, _ := log.Tail(from, nil)
+	logs := func(log *EventLog, mutate func()) []logged {
+		stop := recordEvents(log)
+		mutate()
+		evs := stop()
 		out := make([]logged, len(evs))
 		for i, ev := range evs {
 			out[i] = logged{ev.Action, ev.Detail, ev.Key}
@@ -354,8 +269,7 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		{"config.unset", "/etc/login.defs:ENCRYPT_METHOD", ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")},
 	}
 	l := NewLinux()
-	mutate(l)
-	if got := tail(l.Log(), 0); !reflect.DeepEqual(got, writable) {
+	if got := logs(l.Log(), func() { mutate(l) }); !reflect.DeepEqual(got, writable) {
 		t.Errorf("writable events =\n%v\nwant\n%v", got, writable)
 	}
 
@@ -364,40 +278,40 @@ func TestMutatorsEmitKeys(t *testing.T) {
 		denied = append(denied, logged{w.action + ".denied", w.key.Name, w.key})
 	}
 	l.SetReadOnly(true)
-	base := l.Log().Len()
-	mutate(l)
-	if got := tail(l.Log(), base); !reflect.DeepEqual(got, denied) {
+	if got := logs(l.Log(), func() { mutate(l) }); !reflect.DeepEqual(got, denied) {
 		t.Errorf("read-only events =\n%v\nwant\n%v", got, denied)
 	}
 	// A read-only host still records connectivity flips, and a flip to
 	// the state the host is already in records nothing.
-	base = l.Log().Len()
-	l.SetUnreachable(true)
-	l.SetUnreachable(true)
-	l.SetUnreachable(false)
-	l.SetUnreachable(false)
+	flips := func() {
+		l.SetUnreachable(true)
+		l.SetUnreachable(true)
+		l.SetUnreachable(false)
+		l.SetUnreachable(false)
+	}
 	net := []logged{
 		{"net.down", "transport lost", NetKey()},
 		{"net.up", "transport restored", NetKey()},
 	}
-	if got := tail(l.Log(), base); !reflect.DeepEqual(got, net) {
+	if got := logs(l.Log(), flips); !reflect.DeepEqual(got, net) {
 		t.Errorf("net events =\n%v\nwant\n%v", got, net)
 	}
 
 	w := NewWindows10()
-	base = w.Log().Len()
-	if err := w.SetAudit("Logon", AuditSetting{Success: true, Failure: true}); err != nil {
-		t.Fatal(err)
+	winWrites := func() {
+		if err := w.SetAudit("Logon", AuditSetting{Success: true, Failure: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SetAudit("No Such Subcategory", AuditSetting{}); err == nil {
+			t.Error("SetAudit of an unknown subcategory succeeded")
+		}
+		w.SetRegistry(`HKLM\X`, "1")
 	}
-	if err := w.SetAudit("No Such Subcategory", AuditSetting{}); err == nil {
-		t.Error("SetAudit of an unknown subcategory succeeded")
-	}
-	w.SetRegistry(`HKLM\X`, "1")
 	wantWin := []logged{
 		{"auditpol.set", "Logon=Success and Failure", AuditKey("Logon")},
 		{"reg.set", `HKLM\X=1`, RegistryKey(`HKLM\X`)},
 	}
-	if got := tail(w.Log(), base); !reflect.DeepEqual(got, wantWin) {
+	if got := logs(w.Log(), winWrites); !reflect.DeepEqual(got, wantWin) {
 		t.Errorf("windows events =\n%v\nwant\n%v", got, wantWin)
 	}
 }
@@ -406,11 +320,12 @@ func TestSetUnreachableLogsTransitions(t *testing.T) {
 	l := NewLinux()
 	v0 := l.Log().Version()
 
+	stop := recordEvents(l.Log())
 	l.SetUnreachable(true)
 	l.SetUnreachable(true) // repeated flip must not re-log
 	l.SetUnreachable(false)
 
-	events, _ := l.Log().Tail(int(v0), nil)
+	events := stop()
 	if len(events) != 2 {
 		t.Fatalf("got %d net events, want 2: %v", len(events), events)
 	}

@@ -88,19 +88,17 @@ func TestEventLog(t *testing.T) {
 		t.Fatal("fresh log should be empty")
 	}
 	s1 := l.Append("a", "1")
+	stop := recordEvents(l)
 	s2 := l.Append("b", "2")
+	evs := stop()
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d,%d", s1, s2)
 	}
-	evs, _ := l.Tail(1, nil)
-	if len(evs) != 1 || evs[0].Action != "b" {
-		t.Errorf("Tail(1) = %v", evs)
+	if len(evs) != 1 || evs[0].Action != "b" || evs[0].Seq != 1 {
+		t.Errorf("subscriber after the first append saw %v, want #1 b", evs)
 	}
-	if got, _ := l.Tail(99, nil); got != nil {
-		t.Error("Tail past end should be nil")
-	}
-	if got, _ := l.Tail(-5, nil); len(got) != 2 {
-		t.Errorf("Tail(-5) = %v", got)
+	if l.Len() != 2 {
+		t.Errorf("Len = %d, want 2", l.Len())
 	}
 	if !strings.Contains(evs[0].String(), "b 2") {
 		t.Errorf("Event.String = %q", evs[0].String())

@@ -256,9 +256,9 @@ func TestMutatorsLogTheSlotsTheyChange(t *testing.T) {
 			{"net down again", func() { l.SetUnreachable(true) }},
 			{"net up", func() { l.SetUnreachable(false) }},
 		} {
-			before, from := l.slots(), l.Log().Len()
+			before, stop := l.slots(), recordEvents(l.Log())
 			m.fn()
-			evs, _ := l.Log().Tail(from, nil)
+			evs := stop()
 			if miss := unloggedChanges(before, l.slots(), evs); len(miss) > 0 {
 				t.Errorf("read-only=%v %s: changed %v without logging them (logged %v)", readOnly, m.name, miss, eventKeys(evs))
 			}
@@ -279,9 +279,9 @@ func TestMutatorsLogTheSlotsTheyChange(t *testing.T) {
 		{"set registry", func() { w.SetRegistry(`HKLM\X`, "1") }},
 		{"drift", func() { DriftWindows(w, 4, rand.New(rand.NewSource(1))) }},
 	} {
-		before, from := w.slots(), w.Log().Len()
+		before, stop := w.slots(), recordEvents(w.Log())
 		m.fn()
-		evs, _ := w.Log().Tail(from, nil)
+		evs := stop()
 		if miss := unloggedChanges(before, w.slots(), evs); len(miss) > 0 {
 			t.Errorf("windows %s: changed %v without logging them (logged %v)", m.name, miss, eventKeys(evs))
 		}
@@ -298,9 +298,9 @@ func TestSeededMisKeyedMutatorFailsBothGuards(t *testing.T) {
 		t.Errorf("AST scan of the fixture = %v, want one write in misKeyedSetConfig", got)
 	}
 	l := NewUbuntu1804()
-	before, from := l.slots(), l.Log().Len()
+	before, stop := l.slots(), recordEvents(l.Log())
 	l.misKeyedSetConfig("/etc/login.defs", "ENCRYPT_METHOD", "MD5")
-	evs, _ := l.Log().Tail(from, nil)
+	evs := stop()
 	want := []StateKey{ConfigKey("/etc/login.defs", "ENCRYPT_METHOD")}
 	if miss := unloggedChanges(before, l.slots(), evs); !reflect.DeepEqual(miss, want) {
 		t.Errorf("slot oracle on the fixture = %v, want %v", miss, want)

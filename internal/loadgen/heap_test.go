@@ -60,6 +60,72 @@ func TestPrimedFleetHeapPerHost(t *testing.T) {
 	}
 }
 
+// TestWatchedFleetRetainedBytesPerEvent is the bounded-state gate of a
+// fleet under endless churn: once warm, keyed mutations may grow the
+// live heap by at most maxBytesPerEvent per churn event, both with a
+// Streamer watching every host (push) and with incremental sweeps and no
+// Streamer (sweep). Nothing on the event path may keep history: an
+// event log that retained its events, or a per-host record of delivered
+// keys that a flush never reset, would grow the heap with every event.
+func TestWatchedFleetRetainedBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the live heap")
+	}
+	const (
+		n                = 200
+		warmup, events   = 20_000, 100_000
+		evaluateEvery    = 1000
+		maxBytesPerEvent = 8
+	)
+	// The default mix's package and service churn: every mutation is
+	// keyed, the fleet keeps its size, and each host's state stops
+	// growing early in the warm-up. Config edits are left out because
+	// they keep adding slots (a db host may carry 128 config keys) long
+	// after it, which is state, not history.
+	keyed := ChurnMix{PackageUpgrade: 30, PackageDowngrade: 5, PackageInstall: 8, PackageRemove: 8, ServiceFlap: 10}
+	for _, mode := range []string{"push", "sweep"} {
+		t.Run(mode, func(t *testing.T) {
+			f, err := Synthesize(DefaultTopology(), n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord := fleet.NewCoordinator()
+			var evaluate func()
+			if mode == "push" {
+				s := fleet.NewStreamer(coord, fleet.StreamOptions{Mode: core.CheckOnly, Dedup: true})
+				for _, h := range f.Hosts() {
+					s.Watch(h.Target(), h.Linux.Log())
+				}
+				evaluate = func() { s.Flush(0) }
+			} else {
+				opts := fleet.Options{Mode: core.CheckOnly, Incremental: true}
+				evaluate = func() { coord.Sweep(f.Targets(), opts) }
+			}
+			c := NewChurn(f, keyed, 1)
+			drive := func(k int) {
+				for i := 1; i <= k; i++ {
+					c.Step()
+					if i%evaluateEvery == 0 {
+						evaluate()
+					}
+				}
+			}
+			evaluate()
+			drive(warmup)
+			before := liveHeap()
+			drive(events)
+			after := liveHeap()
+			runtime.KeepAlive(f)
+			runtime.KeepAlive(evaluate)
+			perEvent := (float64(after) - float64(before)) / events
+			t.Logf("%s fleet of %d hosts: %.1f live bytes retained per churn event over %d events", mode, n, perEvent, events)
+			if perEvent > maxBytesPerEvent {
+				t.Fatalf("live heap grew %.1f bytes per churn event, want <= %d", perEvent, maxBytesPerEvent)
+			}
+		})
+	}
+}
+
 // totalAlloc returns the cumulative bytes the process has allocated.
 func totalAlloc() uint64 {
 	var ms runtime.MemStats
@@ -81,7 +147,7 @@ func TestReplayBytesPerEvent(t *testing.T) {
 	}
 	const (
 		n                = 2000
-		maxBytesPerEvent = 2000
+		maxBytesPerEvent = 1500
 	)
 	f, err := Synthesize(DefaultTopology(), n, 1)
 	if err != nil {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"veridevops/internal/host"
@@ -11,16 +12,40 @@ import (
 // The write-side oracle over both mutation grammars: around every
 // scenario mutation verb and every churn kind, each state slot that
 // changed on a host must be named by a key that host logged during the
-// step. An unkeyed event (a join's provision) covers its host whole,
-// which is how the streamer treats it. Push evaluation re-runs only the
-// checks of logged keys, so a changed slot without one would leave
-// those checks' verdicts stale.
+// step. An unkeyed event covers its host whole, which is how the
+// streamer treats it. Push evaluation re-runs only the checks of logged
+// keys, so a changed slot without one would leave those checks'
+// verdicts stale.
 
-// hostState is what the oracle captures of one host around a step.
+// hostState is what the oracle captures of one host around a step:
+// its state before the step, and a recorder of the events its log
+// delivers during it.
 type hostState struct {
-	snap   host.Snapshot
-	down   bool
-	logLen int
+	snap host.Snapshot
+	down bool
+	// stop cancels the recorder's subscription and returns the events
+	// it received.
+	stop func() []host.Event
+}
+
+// recordEvents subscribes to log and returns the function that cancels
+// the subscription and returns the events delivered in between.
+func recordEvents(log *host.EventLog) (stop func() []host.Event) {
+	var (
+		mu  sync.Mutex
+		evs []host.Event
+	)
+	cancel := log.Subscribe(func(ev host.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		evs = append(evs, ev)
+	})
+	return func() []host.Event {
+		cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		return evs
+	}
 }
 
 // reachable reports whether a probe of the host returns, i.e. the
@@ -41,7 +66,7 @@ func reachable(l *host.Linux) (up bool) {
 func captureFleet(f *loadgen.Fleet) map[string]hostState {
 	out := map[string]hostState{}
 	for _, h := range f.Hosts() {
-		out[h.Name] = hostState{h.Linux.Snapshot(), !reachable(h.Linux), h.Linux.Log().Len()}
+		out[h.Name] = hostState{h.Linux.Snapshot(), !reachable(h.Linux), recordEvents(h.Linux.Log())}
 	}
 	return out
 }
@@ -58,14 +83,22 @@ func changeKey(c host.Change) host.StateKey {
 	return host.StateKey{Kind: host.KeyConfig, Name: c.Item}
 }
 
-// unloggedWrites lists, per host present after the step, the changed
-// slots no event the host logged during the step names. A host that
-// joined during the step starts from an empty state.
+// unloggedWrites lists, per host present before and after the step, the
+// changed slots no event the host logged during the step names. A host
+// that joined during the step has no recorder and is skipped: the
+// streamer primes a new host with a full run.
 func unloggedWrites(before map[string]hostState, f *loadgen.Fleet) []string {
+	delivered := make(map[string][]host.Event, len(before))
+	for name, was := range before {
+		delivered[name] = was.stop()
+	}
 	var out []string
 	for _, h := range f.Hosts() {
-		was := before[h.Name]
-		evs, _ := h.Linux.Log().Tail(was.logLen, nil)
+		was, ok := before[h.Name]
+		if !ok {
+			continue
+		}
+		evs := delivered[h.Name]
 		logged, keys, whole := map[host.StateKey]bool{}, []host.StateKey{}, false
 		for _, ev := range evs {
 			logged[ev.Key] = true
@@ -75,7 +108,7 @@ func unloggedWrites(before map[string]hostState, f *loadgen.Fleet) []string {
 		if whole {
 			continue
 		}
-		now := hostState{h.Linux.Snapshot(), !reachable(h.Linux), 0}
+		now := hostState{snap: h.Linux.Snapshot(), down: !reachable(h.Linux)}
 		var changed []host.StateKey
 		for _, c := range host.Diff(was.snap, now.snap) {
 			changed = append(changed, changeKey(c))

@@ -75,9 +75,10 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 		for _, k := range keys {
 			declared[k] = true
 		}
-		before := c.log.Len()
+		var evs []host.Event
+		cancel := c.log.Subscribe(func(ev host.Event) { evs = append(evs, ev) })
 		c.mutate()
-		evs, _ := c.log.Tail(before, nil)
+		cancel()
 		if len(evs) != 1 {
 			t.Errorf("%s: mutation logged %d events, want 1", c.name, len(evs))
 			continue
