@@ -99,8 +99,9 @@ smoke-load:
 # smoke-serve is the push-mode smoke under the race detector: the same
 # small-N churn streamed through the dependency index, asserting the
 # tentpole property — detection p99 strictly below the sweep interval.
+# -metrics runs the replay's load.* registry path under -race too.
 smoke-serve:
-	$(GO) run -race ./cmd/vdo-load -hosts 500 -duration 2s -push -window 50ms -sweep-every 500ms -rate 200 -shards 4 -workers 2 -seed 1 -assert-p99 500ms
+	$(GO) run -race ./cmd/vdo-load -hosts 500 -duration 2s -push -window 50ms -sweep-every 500ms -rate 200 -shards 4 -workers 2 -seed 1 -assert-p99 500ms -metrics
 
 # smoke-scenario replays the timed incident-scenario corpus — every
 # scenario must pass its assertions, and each run's push-evaluated final

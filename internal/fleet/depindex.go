@@ -25,7 +25,6 @@ import (
 // Streamer.Watch).
 type DepIndex struct {
 	byKey     map[host.StateKey][]string
-	indexed   []string
 	unindexed []string
 	findings  int
 }
@@ -98,7 +97,6 @@ func buildDepIndex(decls []keyDecl) *DepIndex {
 			x.unindexed = append(x.unindexed, d.id)
 			continue
 		}
-		x.indexed = append(x.indexed, d.id)
 		for _, k := range d.keys {
 			x.byKey[k] = append(x.byKey[k], d.id)
 		}
@@ -149,10 +147,6 @@ func (x *DepIndex) Affected(keys []host.StateKey) []string {
 // Unindexed returns the finding IDs that declare no state keys, sorted.
 // The returned slice is shared; callers must not mutate it.
 func (x *DepIndex) Unindexed() []string { return x.unindexed }
-
-// Indexed returns the finding IDs that declare at least one key, sorted.
-// The returned slice is shared; callers must not mutate it.
-func (x *DepIndex) Indexed() []string { return x.indexed }
 
 // Keys reports how many distinct state keys the index covers.
 func (x *DepIndex) Keys() int { return len(x.byKey) }

@@ -12,9 +12,9 @@ import (
 
 // TestStreamerUncachedSubsetReportsFullRun pins what a flush reports
 // when a keyed delta has no cached report to merge into or replay: the
-// evaluator runs the whole catalogue, and the DeltaResult and StreamStats
-// must say so rather than claim the planned subset — or, for an empty
-// subset, return an empty report.
+// evaluator runs the whole catalogue, and the DeltaResults must say so
+// rather than claim the planned subset — or, for an empty subset, return
+// an empty report.
 func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -39,7 +39,7 @@ func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 			coord := NewCoordinator()
 			s := NewStreamer(coord, StreamOptions{})
 			s.Watch(tg, hosts[0].Log())
-			s.Flush(0)
+			prime := s.Flush(0)
 			if tc.invalidate {
 				coord.Invalidate(tg.Name)
 			}
@@ -63,8 +63,14 @@ func TestStreamerUncachedSubsetReportsFullRun(t *testing.T) {
 			if fr.ChecksEvaluated != 8 || fr.ChecksExecuted > fr.ChecksEvaluated {
 				t.Errorf("flush evaluated %d / executed %d, want 8 / <= 8", fr.ChecksEvaluated, fr.ChecksExecuted)
 			}
-			if st := s.Stats(); st.FullAudits != 2 {
-				t.Errorf("FullAudits = %d, want 2 (priming + fallback)", st.FullAudits)
+			fullAudits := 0
+			for _, d := range append(prime.Hosts, fr.Hosts...) {
+				if d.Full {
+					fullAudits++
+				}
+			}
+			if fullAudits != 2 {
+				t.Errorf("full audits = %d, want 2 (priming + fallback)", fullAudits)
 			}
 			if _, fail, _ := s.Counts(); fail != wantFail {
 				t.Errorf("fail = %d, want %d", fail, wantFail)

@@ -246,12 +246,14 @@ func NewCoordinator() *Coordinator {
 	}
 }
 
-// Invalidate drops one host's cached report, forcing its next incremental
-// audit to run fully.
+// Invalidate drops one host's cached report and audit cost, forcing its
+// next incremental audit to run fully. A departed host leaves nothing
+// behind, in memory or in a saved cache file.
 func (c *Coordinator) Invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.cache, name)
+	delete(c.costs, name)
 }
 
 // InvalidateAll drops the whole cache.

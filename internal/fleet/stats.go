@@ -187,7 +187,8 @@ func (s FleetStats) Canonical() FleetStats {
 // versus not. Each catalogue memoises its own split
 // (Catalog.KeyDeclarations), so a catalogue shared by several targets is
 // measured once but counted per host, matching the per-host fan-out cost
-// an unindexed check imposes on push evaluation.
+// an unindexed check imposes on push evaluation. Streamer.Stats counts
+// its watched hosts the same way.
 func countLocalization(st *FleetStats, jobs []job) {
 	for _, t := range jobs {
 		if t.Catalog == nil {

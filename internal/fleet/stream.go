@@ -45,7 +45,6 @@ type Streamer struct {
 	// the next flush, which takes dirty, starts the new dirty list in it.
 	dirty    []*streamHost
 	flushing []*streamHost
-	stats    StreamStats
 	view     *View
 	// indexes interns the watched hosts' dependency indexes by
 	// declaration signature (appendDeclSignature): hosts whose
@@ -160,33 +159,14 @@ func (sh *streamHost) take() {
 	sh.got, sh.taken = delivery{keys: sh.taken.keys[:0]}, sh.got
 }
 
-// StreamStats is the streamer's cumulative telemetry.
+// StreamStats is the streamer's read-localization gauges: how many
+// catalogue entries across the currently watched hosts the dependency
+// index can localize (core.KeyReader declared) versus must fan out to
+// conservatively on every event, counted per host from
+// Catalog.KeyDeclarations as a sweep's FleetStats counts them. What
+// flushes did is not tallied here: each FlushResult reports its own
+// flush, and a caller that wants totals sums them.
 type StreamStats struct {
-	// Flushes counts Flush calls that found at least one dirty host.
-	Flushes int
-	// Events is the total number of delivered events consumed.
-	Events int
-	// DeltaHosts counts per-flush dirty-host evaluations (a host dirty
-	// in N flushes counts N times).
-	DeltaHosts int
-	// FullAudits counts evaluations that ran the whole catalogue
-	// (priming, unkeyed events, connectivity flips, and keyed deltas
-	// with no cached report to merge into).
-	FullAudits int
-	// ChecksEvaluated sums the checks each delta asked the engine to
-	// resolve; ChecksExecuted subtracts dedup replays. ChecksEvaluated /
-	// Events is the O(changed keys) efficiency headline: it must sit far
-	// below the catalogue size when deltas dominate.
-	ChecksEvaluated int
-	ChecksExecuted  int
-	// Alarms and Repairs count violation episodes opened and closed.
-	Alarms  int
-	Repairs int
-	// IndexedChecks / UnindexedChecks are gauges, not counters: how many
-	// catalogue entries across the currently watched hosts the dependency
-	// index can localize (core.KeyReader declared) versus must fan out to
-	// conservatively on every event. Snapshotted by Stats() from the
-	// per-host indexes.
 	IndexedChecks   int
 	UnindexedChecks int
 }
@@ -232,8 +212,9 @@ type FlushResult struct {
 	// At is the caller's timestamp for the flush (virtual or real).
 	At    time.Duration
 	Hosts []DeltaResult
-	// Events / ChecksEvaluated / ChecksExecuted are this flush's slice
-	// of the cumulative StreamStats counters.
+	// Events / ChecksEvaluated / ChecksExecuted sum the Hosts' Events,
+	// their Checks, and the checks they executed (dedup and cache
+	// replays subtracted).
 	Events          int
 	ChecksEvaluated int
 	ChecksExecuted  int
@@ -374,15 +355,18 @@ func (s *Streamer) Compliance() float64 {
 	return s.view.Compliance()
 }
 
-// Stats returns the cumulative streamer telemetry, with the
-// read-localization gauges snapshotted from the currently watched hosts.
+// Stats snapshots the read-localization gauges of the currently watched
+// hosts.
 func (s *Streamer) Stats() StreamStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
+	var st StreamStats
 	for _, sh := range s.hosts {
-		st.IndexedChecks += len(sh.index.Indexed())
-		st.UnindexedChecks += len(sh.index.Unindexed())
+		if c := sh.target.Catalog; c != nil {
+			declared, undeclared := c.KeyDeclarations()
+			st.IndexedChecks += declared
+			st.UnindexedChecks += undeclared
+		}
 	}
 	return st
 }
@@ -442,7 +426,10 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	for i, sh := range list {
 		if s.hosts[sh.target.Name] != sh {
 			// Unwatched or re-watched mid-flush: drop the result;
-			// detachLocked already took the host out of the view.
+			// detachLocked already took the host out of the view. The
+			// evaluation may have stored its cache entry after Unwatch
+			// invalidated it, so invalidate again.
+			c.Invalidate(sh.target.Name)
 			continue
 		}
 		sh.primed = true
@@ -458,9 +445,6 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		}
 		fr.Events += d.Events
 		fr.ChecksEvaluated += d.Checks
-		if d.Full {
-			s.stats.FullAudits++
-		}
 		var repairs int
 		fr.Alarms, repairs = s.view.Fold(now, sh.target.Name, d.Result.Report, fr.Alarms)
 		fr.Repairs += repairs
@@ -468,14 +452,6 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	clear(hosts[kept:])
 	fr.Hosts = hosts[:kept]
 	fr.Wall = time.Since(t0)
-
-	s.stats.Flushes++
-	s.stats.Events += fr.Events
-	s.stats.DeltaHosts += len(fr.Hosts)
-	s.stats.ChecksEvaluated += fr.ChecksEvaluated
-	s.stats.ChecksExecuted += fr.ChecksExecuted
-	s.stats.Alarms += len(fr.Alarms)
-	s.stats.Repairs += fr.Repairs
 	compliance := s.view.Compliance()
 	s.mu.Unlock()
 

@@ -24,9 +24,23 @@ func streamFixture(t *testing.T, n int) (*Streamer, []Target, []*host.Linux) {
 
 func TestStreamerPrimesThenDeltas(t *testing.T) {
 	s, _, hosts := streamFixture(t, 3)
+	// The totals are summed from the flushes' own results.
+	var flushes, fullAudits int
+	flush := func(at time.Duration) FlushResult {
+		fr := s.Flush(at)
+		if len(fr.Hosts) > 0 {
+			flushes++
+		}
+		for _, d := range fr.Hosts {
+			if d.Full {
+				fullAudits++
+			}
+		}
+		return fr
+	}
 
 	// First flush primes every host with a full catalogue run.
-	fr := s.Flush(0)
+	fr := flush(0)
 	if len(fr.Hosts) != 3 {
 		t.Fatalf("priming flush evaluated %d hosts, want 3", len(fr.Hosts))
 	}
@@ -43,13 +57,13 @@ func TestStreamerPrimesThenDeltas(t *testing.T) {
 	}
 
 	// Nothing dirty: flush is a no-op.
-	if fr := s.Flush(time.Second); len(fr.Hosts) != 0 || fr.Events != 0 {
+	if fr := flush(time.Second); len(fr.Hosts) != 0 || fr.Events != 0 {
 		t.Fatalf("idle flush = %+v, want empty", fr)
 	}
 
 	// One package drifts on one host: exactly one check re-runs.
 	hosts[1].Remove("aide")
-	fr = s.Flush(2 * time.Second)
+	fr = flush(2 * time.Second)
 	if len(fr.Hosts) != 1 || fr.Hosts[0].Host != "host-01" {
 		t.Fatalf("delta flush hosts = %+v, want just host-01", fr.Hosts)
 	}
@@ -70,12 +84,12 @@ func TestStreamerPrimesThenDeltas(t *testing.T) {
 
 	// Re-violating without repair does not re-alarm (episode dedup)...
 	hosts[1].Remove("aide")
-	if fr := s.Flush(3 * time.Second); len(fr.Alarms) != 0 {
+	if fr := flush(3 * time.Second); len(fr.Alarms) != 0 {
 		t.Errorf("duplicate violation re-alarmed: %+v", fr.Alarms)
 	}
 	// ...and repairing closes the episode.
 	hosts[1].Install("aide", "1")
-	fr = s.Flush(4 * time.Second)
+	fr = flush(4 * time.Second)
 	if fr.Repairs != 1 || len(fr.Alarms) != 0 {
 		t.Errorf("repair flush = %d repairs %d alarms, want 1/0", fr.Repairs, len(fr.Alarms))
 	}
@@ -83,9 +97,8 @@ func TestStreamerPrimesThenDeltas(t *testing.T) {
 		t.Errorf("post-repair compliance = %v, want 1", c)
 	}
 
-	st := s.Stats()
-	if st.Flushes != 4 || st.FullAudits != 3 {
-		t.Errorf("stats = %+v, want 4 flushes, 3 full audits", st)
+	if flushes != 4 || fullAudits != 3 {
+		t.Errorf("%d flushes, %d full audits, want 4 and 3", flushes, fullAudits)
 	}
 }
 
@@ -170,6 +183,49 @@ func TestStreamerUnwatchRemovesHost(t *testing.T) {
 	hosts[1].Remove("aide")
 	if fr := s.Flush(2 * time.Second); len(fr.Hosts) != 1 || fr.Hosts[0].Host != targets[1].Name {
 		t.Errorf("survivor delta = %+v", fr.Hosts)
+	}
+}
+
+// TestDepartedHostsLeaveNoCoordinatorState cycles 200 distinct host
+// names through Watch, Flush and Unwatch: the coordinator must keep
+// neither a cache entry nor an audit cost for any of them.
+func TestDepartedHostsLeaveNoCoordinatorState(t *testing.T) {
+	targets, hosts := LinuxFleet(1)
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	for i := range 200 {
+		tg := targets[0]
+		tg.Name = fmt.Sprintf("host-%03d", i)
+		s.Watch(tg, hosts[0].Log())
+		s.Flush(time.Duration(i) * time.Millisecond)
+		s.Unwatch(tg.Name)
+	}
+	if len(coord.cache) != 0 || len(coord.costs) != 0 {
+		t.Errorf("cache=%d costs=%d after every host left, want 0/0", len(coord.cache), len(coord.costs))
+	}
+}
+
+// TestUnwatchDuringFlushLeavesNoCacheEntry unwatches a host from inside
+// its own check, so Unwatch's invalidation runs before the evaluation
+// stores its cache entry: the flush must drop that entry too.
+func TestUnwatchDuringFlushLeavesNoCacheEntry(t *testing.T) {
+	h := host.NewUbuntu1804()
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	cat := core.NewCatalog()
+	cat.MustRegister(&plainReq{
+		Finding: core.Finding{ID: "V-000001"},
+		CheckFunc: func() core.CheckStatus {
+			s.Unwatch("h0")
+			return core.CheckPass
+		},
+	})
+	s.Watch(Target{Name: "h0", Catalog: cat, Version: h.Log()}, h.Log())
+	if fr := s.Flush(0); len(fr.Hosts) != 0 {
+		t.Errorf("flush reported the departed host: %+v", fr.Hosts)
+	}
+	if s.Hosts() != 0 || coord.CachedHosts() != 0 {
+		t.Errorf("watched=%d cached=%d after the host left mid-flush, want 0/0", s.Hosts(), coord.CachedHosts())
 	}
 }
 

@@ -50,9 +50,10 @@ type DriverOptions struct {
 	Push bool
 	// Window is the push-mode coalescing window (default SweepEvery/10).
 	Window time.Duration
-	// Metrics, when non-nil, receives load.* counters and the
-	// load.detect latency samples, and is passed to the streamer and the
-	// sweeps for their stream.* and fleet.* metrics.
+	// Metrics, when non-nil, receives the replay's own facts as load.*
+	// metrics (the event counters and load.detect latency samples as they
+	// happen, the gauges at each Stats call), and is passed to the
+	// streamer and the sweeps for their stream.* and fleet.* metrics.
 	Metrics *telemetry.Metrics
 	// Trace, when non-nil, instruments every sweep and flush with spans
 	// (sweep→shard→host, flush→delta). Attach a store via
@@ -90,16 +91,18 @@ type LoadStats struct {
 	// Sweeps is how many incremental sweeps ran (the priming full sweep
 	// excluded) — in push mode, the fallback sweeps; HostsReaudited how
 	// many per-host audits executed across them; CacheReplays how many
-	// were served from the incremental cache.
+	// were served from the incremental cache. The host counts are summed
+	// from each sweep's FleetStats.
 	Sweeps         int
 	HostsReaudited int
 	CacheReplays   int
 
-	// Push-mode counters (zero in sweep mode; the priming flush is
-	// excluded throughout). Flushes counts coalescing windows that
-	// evaluated at least one dirty host; DeltaHosts the per-flush host
-	// evaluations; ChecksEvaluated/ChecksExecuted the catalogue entries
-	// the deltas resolved respectively actually executed (dedup replays
+	// Push-mode counters, summed from each Tick's FlushResult (zero in
+	// sweep mode; the priming flush is excluded throughout). Flushes
+	// counts coalescing windows that evaluated at least one dirty host;
+	// DeltaHosts the per-flush host evaluations;
+	// ChecksEvaluated/ChecksExecuted the catalogue entries the deltas
+	// resolved respectively actually executed (dedup replays
 	// subtracted). ChecksPerEvent = ChecksEvaluated/Events is the
 	// O(changed keys) headline: it must sit far below the catalogue
 	// size. Alarms/Repairs count violation episodes the live view opened
@@ -207,8 +210,12 @@ func (o DriverOptions) normalized() DriverOptions {
 
 // Replay is one churn replay driven by its owner's clock. It owns the
 // token bucket, the coordinator, the Streamer in push mode, the events
-// awaiting a verdict and the detection-latency recorder. Tick and Stats
-// must not be called concurrently.
+// awaiting a verdict and the detection-latency recorder. It counts only
+// its own facts: the flush and sweep counters of LoadStats are summed
+// from what each Tick's FlushResult and FleetStats report, and the
+// registry gets them as the streamer's stream.* and the sweeps' fleet.*
+// metrics, not again as load.* ones. Tick and Stats must not be called
+// concurrently.
 type Replay struct {
 	f         *Fleet
 	c         *Churn
@@ -217,9 +224,6 @@ type Replay struct {
 	coord     *fleet.Coordinator
 	sweepOpts fleet.Options
 	s         *fleet.Streamer
-	// primed is the streamer's telemetry after the priming flush, which
-	// LoadStats leaves out.
-	primed fleet.StreamStats
 	// pending maps host name -> admission instants of its events still
 	// awaiting a verdict.
 	pending   map[string][]time.Duration
@@ -229,7 +233,6 @@ type Replay struct {
 	nextSweep time.Duration
 	start     time.Time // real clock: throughput reporting only
 	st        LoadStats // the counters Tick keeps
-	published LoadStats // what the load.* metrics last recorded
 }
 
 // TickResult is what one Tick evaluated.
@@ -270,6 +273,11 @@ func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
 		start:     time.Now(),
 		st:        LoadStats{Mode: "sweep"},
 	}
+	// admit advances the event counters as events happen; registering
+	// them at zero lists them even when none does.
+	for _, name := range []string{"load.events", "load.events.skipped", "load.events.drift", "load.events.orphaned"} {
+		opts.Metrics.Add(name, 0)
+	}
 	if !opts.Push {
 		r.coord.Sweep(f.Targets(), r.sweepOpts)
 		return r, nil
@@ -287,7 +295,6 @@ func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
 		r.s.Watch(h.Target(), h.Linux.Log())
 	}
 	r.s.Flush(0)
-	r.primed = r.s.Stats()
 	return r, nil
 }
 
@@ -306,6 +313,7 @@ func (r *Replay) Tick(now time.Duration) TickResult {
 	r.admit(now)
 	if r.s != nil {
 		res.Flush = r.s.Flush(now)
+		r.st.addFlush(res.Flush)
 		for _, d := range res.Flush.Hosts {
 			// Every flushed host's live view is now current — a
 			// zero-check re-stamp is a verdict too (the change provably
@@ -320,26 +328,39 @@ func (r *Replay) Tick(now time.Duration) TickResult {
 		rep, fs := r.coord.Sweep(r.f.Targets(), r.sweepOpts)
 		res.Sweep = &fs
 		r.st.Sweeps++
+		r.st.HostsReaudited += fs.Hosts - fs.CachedHosts
+		r.st.CacheReplays += fs.CachedHosts
 		for _, hr := range rep.Hosts {
-			if hr.FromCache {
-				r.st.CacheReplays++
-				continue
-			}
 			// An executed host audit delivers the verdicts for that
 			// host's pending events (in push mode: state the stream
 			// missed).
-			r.st.HostsReaudited++
-			r.resolve(hr.Target, now)
+			if !hr.FromCache {
+				r.resolve(hr.Target, now)
+			}
 		}
 	}
 	return res
+}
+
+// addFlush adds one flush to the push-mode counters; a flush that
+// evaluated no host is not a coalescing window.
+func (st *LoadStats) addFlush(fr fleet.FlushResult) {
+	if len(fr.Hosts) == 0 {
+		return
+	}
+	st.Flushes++
+	st.DeltaHosts += len(fr.Hosts)
+	st.ChecksEvaluated += fr.ChecksEvaluated
+	st.ChecksExecuted += fr.ChecksExecuted
+	st.Alarms += len(fr.Alarms)
+	st.Repairs += fr.Repairs
 }
 
 // admit drains the bucket's due events up to instant now, applying each
 // through the churn engine and recording it as pending. In push mode a
 // joining host is watched and a leaving one unwatched.
 func (r *Replay) admit(now time.Duration) {
-	st := &r.st
+	st, m := &r.st, r.opts.Metrics
 	for {
 		at := r.bucket.When(r.admitted)
 		if at > now {
@@ -350,11 +371,14 @@ func (r *Replay) admit(now time.Duration) {
 		ev, ok := r.c.Step()
 		if !ok {
 			st.Skipped++
+			m.Add("load.events.skipped", 1)
 			continue
 		}
 		st.Events++
+		m.Add("load.events", 1)
 		if ev.Drift {
 			st.Drift++
+			m.Add("load.events.drift", 1)
 		}
 		switch ev.Kind {
 		case HostJoin:
@@ -365,7 +389,9 @@ func (r *Replay) admit(now time.Duration) {
 		case HostLeave:
 			// The member is gone: its verdict never arrives.
 			st.Leaves++
-			st.Orphaned += len(r.pending[ev.Host])
+			orphaned := len(r.pending[ev.Host])
+			st.Orphaned += orphaned
+			m.Add("load.events.orphaned", int64(orphaned))
 			delete(r.pending, ev.Host)
 			if r.s != nil {
 				r.s.Unwatch(ev.Host)
@@ -396,9 +422,8 @@ func (r *Replay) resolve(name string, now time.Duration) {
 	delete(r.pending, name)
 }
 
-// Stats returns the replay's outcome up to the last tick and brings the
-// load.* metrics up to date with it. The push-mode counters are the
-// Streamer's own, less the priming flush.
+// Stats returns the replay's outcome up to the last tick and sets the
+// load.* gauges from it.
 func (r *Replay) Stats() LoadStats {
 	st := r.st
 	for _, times := range r.pending {
@@ -416,47 +441,13 @@ func (r *Replay) Stats() LoadStats {
 		st.RealEventsPerSec = float64(st.Events) / s
 	}
 	st.Detect = r.detect.Snapshot()
-	if r.s != nil {
-		ss := r.s.Stats()
-		st.Flushes = ss.Flushes - r.primed.Flushes
-		st.DeltaHosts = ss.DeltaHosts - r.primed.DeltaHosts
-		st.ChecksEvaluated = ss.ChecksEvaluated - r.primed.ChecksEvaluated
-		st.ChecksExecuted = ss.ChecksExecuted - r.primed.ChecksExecuted
-		st.Alarms = ss.Alarms - r.primed.Alarms
-		st.Repairs = ss.Repairs - r.primed.Repairs
-		if st.Events > 0 {
-			st.ChecksPerEvent = float64(st.ChecksEvaluated) / float64(st.Events)
-		}
+	if st.Events > 0 {
+		st.ChecksPerEvent = float64(st.ChecksEvaluated) / float64(st.Events)
 	}
-	r.publish(st)
-	return st
-}
-
-// publish records st in the load.* metrics: counters advance by what
-// changed since the previous Stats call, gauges take st's values.
-func (r *Replay) publish(st LoadStats) {
-	m, was := r.opts.Metrics, r.published
-	r.published = st
-	add := func(name string, now, was int) { m.Add(name, int64(now-was)) }
-	add("load.events", st.Events, was.Events)
-	add("load.events.skipped", st.Skipped, was.Skipped)
-	add("load.events.drift", st.Drift, was.Drift)
-	add("load.events.orphaned", st.Orphaned, was.Orphaned)
-	add("load.events.pending", st.Pending, was.Pending)
-	add("load.sweeps", st.Sweeps, was.Sweeps)
-	add("load.hosts.reaudited", st.HostsReaudited, was.HostsReaudited)
-	add("load.hosts.cache-replays", st.CacheReplays, was.CacheReplays)
+	m := r.opts.Metrics
+	m.SetGauge("load.events.pending", float64(st.Pending))
 	m.SetGauge("load.hosts", float64(st.Hosts))
 	m.SetGauge("load.rate.virtual", st.AchievedRate)
 	m.SetGauge("load.rate.real", st.RealEventsPerSec)
-	if r.s == nil {
-		return
-	}
-	add("load.flushes", st.Flushes, was.Flushes)
-	add("load.delta-hosts", st.DeltaHosts, was.DeltaHosts)
-	add("load.checks.evaluated", st.ChecksEvaluated, was.ChecksEvaluated)
-	add("load.checks.executed", st.ChecksExecuted, was.ChecksExecuted)
-	add("load.alarms", st.Alarms, was.Alarms)
-	add("load.repairs", st.Repairs, was.Repairs)
-	m.SetGauge("load.checks-per-event", st.ChecksPerEvent)
+	return st
 }

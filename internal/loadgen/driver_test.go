@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,14 +106,71 @@ func TestDriverFeedsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter("load.events"); got != int64(st.Events) {
-		t.Errorf("load.events counter = %d, want %d", got, st.Events)
+	if st.Sweeps == 0 {
+		t.Fatal("no sweeps ran")
+	}
+	checkLoadMetrics(t, m, st)
+}
+
+// checkLoadMetrics asserts that the registry and LoadStats agree: every
+// load.* metric the replay keeps equals its LoadStats field, no other
+// load.* metric exists, and the stream.flushes and fleet.sweeps counters
+// exceed Flushes and Sweeps by exactly the priming flush or sweep that
+// LoadStats leaves out.
+func checkLoadMetrics(t *testing.T, m *telemetry.Metrics, st LoadStats) {
+	t.Helper()
+	counters := map[string]int{
+		"load.events":          st.Events,
+		"load.events.skipped":  st.Skipped,
+		"load.events.drift":    st.Drift,
+		"load.events.orphaned": st.Orphaned,
+	}
+	for name, want := range counters {
+		if got := m.Counter(name); got != int64(want) {
+			t.Errorf("%s counter = %d, want %d", name, got, want)
+		}
+	}
+	gauges := map[string]float64{
+		"load.events.pending": float64(st.Pending),
+		"load.hosts":          float64(st.Hosts),
+		"load.rate.virtual":   st.AchievedRate,
+		"load.rate.real":      st.RealEventsPerSec,
+	}
+	for name, want := range gauges {
+		if got, ok := m.Gauge(name); !ok || got != want {
+			t.Errorf("%s gauge = %v (set %v), want %v", name, got, ok, want)
+		}
 	}
 	if got := m.Percentiles("load.detect"); got.Count != st.Detect.Count {
 		t.Errorf("load.detect samples = %d, want %d", got.Count, st.Detect.Count)
 	}
-	if got := m.Counter("load.sweeps"); got != int64(st.Sweeps) {
-		t.Errorf("load.sweeps counter = %d, want %d", got, st.Sweeps)
+	var names []string
+	for _, row := range m.Table("").Rows {
+		if strings.HasPrefix(row[0], "load.") {
+			names = append(names, row[0])
+		}
+	}
+	want := []string{"load.detect"}
+	for name := range counters {
+		want = append(want, name)
+	}
+	for name := range gauges {
+		want = append(want, name)
+	}
+	slices.Sort(names)
+	slices.Sort(want)
+	if !slices.Equal(names, want) {
+		t.Errorf("load.* metrics = %v, want %v", names, want)
+	}
+	primingFlush, primingSweep := 0, 1
+	if st.Mode == "push" {
+		primingFlush, primingSweep = 1, 0
+	}
+	if got := m.Counter("stream.flushes"); got != int64(st.Flushes+primingFlush) {
+		t.Errorf("stream.flushes = %d, want Flushes %d + %d priming", got, st.Flushes, primingFlush)
+	}
+	if got := m.Counter("fleet.sweeps"); got != int64(st.Sweeps+primingSweep) {
+		t.Errorf("fleet.sweeps = %d, want Sweeps %d + %d priming", got, st.Sweeps, primingSweep)
 	}
 }
 
@@ -257,15 +316,10 @@ func TestDriverPushFeedsMetrics(t *testing.T) {
 	if st.Window != 20*time.Millisecond {
 		t.Errorf("Window = %v, want SweepEvery/10 = 20ms default", st.Window)
 	}
-	if got := m.Counter("load.flushes"); got != int64(st.Flushes) {
-		t.Errorf("load.flushes counter = %d, want %d", got, st.Flushes)
+	if st.Flushes == 0 {
+		t.Fatal("no flushes ran")
 	}
-	if got := m.Counter("load.checks.evaluated"); got != int64(st.ChecksEvaluated) {
-		t.Errorf("load.checks.evaluated counter = %d, want %d", got, st.ChecksEvaluated)
-	}
-	if got := m.Percentiles("load.detect"); got.Count != st.Detect.Count {
-		t.Errorf("load.detect samples = %d, want %d", got.Count, st.Detect.Count)
-	}
+	checkLoadMetrics(t, m, st)
 }
 
 // TestReplayTicksOnCallersClock drives a Replay the way vdo-serve does:
@@ -302,9 +356,8 @@ func TestReplayTicksOnCallersClock(t *testing.T) {
 		if swept := tr.Sweep != nil; swept != (ms == 110 || ms == 430) {
 			t.Errorf("tick at %v: swept = %v", now, swept)
 		}
-		if ms == 110 {
-			r.Stats()
-		}
+		// Mid-session Stats calls count nothing twice.
+		checkLoadMetrics(t, m, r.Stats())
 	}
 	st := r.Stats()
 	if st.Sweeps != 2 || st.VirtualDuration != 450*time.Millisecond {
@@ -316,11 +369,5 @@ func TestReplayTicksOnCallersClock(t *testing.T) {
 	if st.Alarms != alarms {
 		t.Errorf("Alarms = %d, want the %d the ticks' flushes opened", st.Alarms, alarms)
 	}
-	// A mid-session Stats does not count anything twice.
-	if got := m.Counter("load.events"); got != int64(st.Events) {
-		t.Errorf("load.events counter = %d, want %d", got, st.Events)
-	}
-	if got := m.Counter("load.flushes"); got != int64(st.Flushes) {
-		t.Errorf("load.flushes counter = %d, want %d", got, st.Flushes)
-	}
+	checkLoadMetrics(t, m, st)
 }

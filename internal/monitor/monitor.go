@@ -98,9 +98,8 @@ type Scheduler struct {
 	alarms  []Alarm
 	// Polls counts polling rounds performed by Run.
 	Polls int
-	// CheckAttempts / CheckRetries / CheckPanics / EnforcePanics are the
-	// engine telemetry accumulated over the run.
-	CheckAttempts int
+	// CheckRetries / CheckPanics / EnforcePanics are the engine
+	// telemetry accumulated over the run.
 	CheckRetries  int
 	CheckPanics   int
 	EnforcePanics int
@@ -224,7 +223,6 @@ func (s *Scheduler) check(en *entry, parent *telemetry.Span) core.CheckStatus {
 		func(v core.CheckStatus) bool { return v == core.CheckIncomplete },
 		func(error) core.CheckStatus { return core.CheckError },
 		pol)
-	s.CheckAttempts += st.Attempts
 	s.CheckRetries += st.Retries
 	s.CheckPanics += st.Panics
 	s.Metrics.Add("monitor.checks", 1)
