@@ -54,16 +54,19 @@ race:
 # alloc-gates runs, without the race detector, the allocation and heap
 # gates that skip themselves under -race because its instrumentation
 # inflates both: the retained heap of a primed fleet
-# (TestPrimedFleetHeapPerHost) and its growth per churn event once warm,
+# (TestPrimedFleetHeapPerHost), its growth per churn event once warm,
 # with and without a Streamer (TestWatchedFleetRetainedBytesPerEvent, at
-# most 8 B), the all-cached sweep's allocations per host
-# (TestCachedSweepAllocsPerHost), the push replay's bytes per event
-# (TestReplayBytesPerEvent, at most 1,500 B), the allocations per keyed
-# event of a host mutation (TestWriteAllocsPerKeyedEvent) and of
-# delivering and planning a flush (TestFlushPlanAllocsPerKeyedEvent),
+# most 8 B), and its growth per join/leave cycle
+# (TestJoinLeaveRetainedBytesPerCycle, at most 512 B), the all-cached
+# sweep's allocations and bytes per host (TestCachedSweepAllocsPerHost,
+# TestCachedSweepBytesPerHost, at most 96 B), the allocation-free warm
+# target list (TestWarmTargetsAllocsPerCall), the push replay's bytes
+# per event (TestReplayBytesPerEvent, at most 1,300 B), the allocations
+# per keyed event of a host mutation (TestWriteAllocsPerKeyedEvent) and
+# of delivering and planning a flush (TestFlushPlanAllocsPerKeyedEvent),
 # and the allocation-free host read (TestReadAllocsPerKey).
 alloc-gates:
-	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPerEvent' ./internal/host/ ./internal/fleet/ ./internal/loadgen/
+	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPer' ./internal/host/ ./internal/fleet/ ./internal/loadgen/
 
 # fleet-race exercises just the concurrency-heavy fleet paths under the
 # race detector (already covered by race; this is the quick loop).

@@ -297,8 +297,13 @@ func printSweep(w io.Writer, title string, rep fleet.FleetReport, st fleet.Fleet
 		st.ShardTable(title + ": shards").WriteText(w)
 		h := report.New(title+": hosts", "host", "shard", "requirements", "errors", "cached", "stolen", "degraded", "wall-ms")
 		for _, hr := range rep.Hosts {
-			h.AddRow(hr.Target, hr.Shard, len(hr.Report.Results), hr.Stats.Errors, hr.FromCache,
-				hr.Stolen, hr.Degraded, report.Millis(hr.Stats.Wall))
+			// A cached row ran nothing: 0 errors, 0 ms.
+			var run core.RunStats
+			if !hr.FromCache {
+				run = *hr.Stats
+			}
+			h.AddRow(hr.Target, hr.Shard, len(hr.Report.Results), run.Errors, hr.FromCache,
+				hr.Stolen, hr.Degraded, report.Millis(run.Wall))
 		}
 		h.Note = st.Summary()
 		h.WriteText(w)

@@ -58,8 +58,8 @@ func TestDegradedHostCountedOnCacheReplay(t *testing.T) {
 func TestAggregateCountsDegradedCachedHost(t *testing.T) {
 	results := []HostResult{
 		{Target: "a", FromCache: true, Degraded: true},
-		{Target: "b", Degraded: true},
-		{Target: "c"},
+		{Target: "b", Degraded: true, Stats: &core.RunStats{}},
+		{Target: "c", Stats: &core.RunStats{}},
 	}
 	st := aggregate(results, []time.Duration{0}, engine.PoolStats{},
 		Options{Shards: 1, Workers: 1, Incremental: true}.normalized(len(results)))

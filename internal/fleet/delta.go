@@ -60,6 +60,7 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 		}
 	}
 	if t.Catalog == nil {
+		hr.Stats = &core.RunStats{}
 		return hr, only
 	}
 	t0 := time.Now()
@@ -79,7 +80,7 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 		rep = mergeReport(base.report, rep)
 	}
 	e := newCacheEntry(version, rep)
-	hr.Report, hr.Stats, hr.Degraded = rep, st, e.degraded
+	hr.Report, hr.Stats, hr.Degraded = rep, &st, e.degraded
 	if t.Version != nil {
 		// Prime the cache on every versioned run — full sweeps included —
 		// so the first incremental sweep after a full one already hits.
@@ -88,7 +89,7 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 	return hr, only
 }
 
-// replayed fills a result from a cache entry. Stats stay zero because
+// replayed fills a result from a cache entry. Stats stay nil because
 // nothing executed, so Degraded comes from the cached verdicts: a host
 // that was unreachable when the cache was primed is still reported
 // degraded by the evaluations that replay it.

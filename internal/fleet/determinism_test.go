@@ -44,7 +44,11 @@ type canonicalSweep struct {
 func canonical(rep FleetReport, st FleetStats) canonicalSweep {
 	c := canonicalSweep{Stats: st.Canonical(), Hosts: make([]hostFact, len(rep.Hosts))}
 	for i, hr := range rep.Hosts {
-		c.Hosts[i] = hostFact{hr.Target, len(hr.Report.Results), hr.Stats.Errors, hr.FromCache, hr.Degraded}
+		errors := 0 // a cached row ran nothing
+		if !hr.FromCache {
+			errors = hr.Stats.Errors
+		}
+		c.Hosts[i] = hostFact{hr.Target, len(hr.Report.Results), errors, hr.FromCache, hr.Degraded}
 	}
 	return c
 }

@@ -132,7 +132,9 @@ func (o Options) normalized(targets int) Options {
 	return o
 }
 
-// HostResult is the outcome of auditing one target.
+// HostResult is the outcome of auditing one target. It is 64 bytes:
+// the run telemetry of an executed evaluation hangs off Stats, so a
+// cache replay, which runs nothing, carries no zeroed copy of it.
 type HostResult struct {
 	Target string
 	// Shard is the shard the target's work ran on: its affinity home
@@ -141,14 +143,17 @@ type HostResult struct {
 	// Stolen marks a host executed away from its affinity home by the
 	// work-stealing scheduler.
 	Stolen bool
-	// FromCache marks a result replayed from the incremental cache; its
-	// Stats are zero because nothing executed.
+	// FromCache marks a result replayed from the incremental cache (a
+	// replay or a re-stamp); nothing executed, so its Stats are nil.
 	FromCache bool
 	// Degraded marks a host whose every check ended in ERROR — the
 	// unreachable-host shape.
 	Degraded bool
 	Report   core.Report
-	Stats    core.RunStats
+	// Stats is the catalogue run's telemetry, nil exactly when FromCache
+	// is set. Every executed result has its own: no two results share
+	// one, and a target without a catalogue gets a zero RunStats.
+	Stats *core.RunStats
 }
 
 // FleetReport aggregates the per-host reports of one sweep, ordered by
@@ -378,7 +383,11 @@ func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 	opts = opts.normalized(len(targets))
 	if len(targets) == 0 {
-		return FleetReport{}, FleetStats{Shards: 0, Workers: opts.Workers}
+		// Nothing to dispatch, but still a sweep: the registry counts it,
+		// with every gauge at 0.
+		st := FleetStats{Workers: opts.Workers}
+		recordSweepMetrics(opts.Metrics, st)
+		return FleetReport{}, st
 	}
 	c.enter()
 	defer c.exit()

@@ -302,7 +302,8 @@ func TestOverlappingEvaluationsPanic(t *testing.T) {
 // Coordinator reuse its scratch: results never alias it. Two consecutive
 // sweep reports, and two consecutive flush results, share no backing
 // array, so a caller may keep or edit one while the next evaluation
-// runs. And an overlapping evaluation panics before it touches the
+// runs; no two executed results share a *RunStats, and a replay has
+// none. And an overlapping evaluation panics before it touches the
 // scratch of the one in flight: the in-flight sweep keeps its jobs and
 // reports its own host, and an overlapping Flush leaves its Streamer's
 // dirty list for the next flush.
@@ -313,6 +314,23 @@ func TestEvaluationResultsAreCallerOwned(t *testing.T) {
 		opts := Options{Shards: 2, Workers: 1, Incremental: true}
 		first, _ := coord.Sweep(targets, opts)
 		second, _ := coord.Sweep(targets, opts) // all cached: only scratch is reused
+		// Each executed result has run telemetry of its own; a replay,
+		// which ran nothing, has none.
+		seen := map[*core.RunStats]string{}
+		for _, hr := range first.Hosts {
+			if hr.FromCache || hr.Stats == nil {
+				t.Fatalf("first sweep: %s cached %v with stats %v, want executed with stats", hr.Target, hr.FromCache, hr.Stats)
+			}
+			if other, ok := seen[hr.Stats]; ok {
+				t.Fatalf("%s and %s share one *RunStats", other, hr.Target)
+			}
+			seen[hr.Stats] = hr.Target
+		}
+		for _, hr := range second.Hosts {
+			if !hr.FromCache || hr.Stats != nil {
+				t.Fatalf("second sweep: %s cached %v with stats %+v, want a replay with nil stats", hr.Target, hr.FromCache, hr.Stats)
+			}
+		}
 		for i := range second.Hosts {
 			second.Hosts[i].Target = "overwritten"
 		}

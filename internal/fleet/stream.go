@@ -203,7 +203,9 @@ type DeltaResult struct {
 	// Checks is how many catalogue entries were evaluated.
 	Checks int
 	// Result is the underlying audit outcome; its Report is always the
-	// full merged per-host report regardless of Full.
+	// full merged per-host report regardless of Full. A re-stamp (no
+	// affected check) ran nothing, so its Result is FromCache with nil
+	// Stats.
 	Result HostResult
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -139,6 +140,51 @@ func TestCachedSweepAllocsPerHost(t *testing.T) {
 	}
 	if slope > maxAllocsPerAddedHost {
 		t.Fatalf("all-cached sweep allocs per added host = %.3f; want <= %.2f", slope, maxAllocsPerAddedHost)
+	}
+}
+
+// TestCachedSweepBytesPerHost is the byte counterpart of
+// TestCachedSweepAllocsPerHost, which counts objects and so cannot see
+// how large the one object in proportion to the fleet is: the report's
+// Hosts slice. An all-cached incremental sweep of 256 hosts may allocate
+// at most maxBytesPerHost bytes per host, and each host the larger fleet
+// adds over a 64-host one at most as much; the slope leaves out the
+// sweep's fixed cost (stats rows, dedup memo, shard tasks), about
+// 1.8 KB, which weighs on the small fleet. A replayed result carries no
+// run telemetry (its Stats is nil), so the slice costs 64 bytes a host;
+// a HostResult holding a whole RunStats inline costs 168.
+func TestCachedSweepBytesPerHost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocations")
+	}
+	const (
+		maxBytesPerHost = 96
+		runs            = 20
+	)
+	bytes := func(n int) float64 {
+		targets, _ := LinuxFleet(n)
+		coord := NewCoordinator()
+		opts := Options{Shards: 2, Workers: 1, Incremental: true, Dedup: true}
+		coord.Sweep(targets, opts) // prime the cache
+		coord.Sweep(targets, opts) // grow the scratch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, st := coord.Sweep(targets, opts); st.CachedHosts != n {
+				t.Fatalf("cached %d of %d hosts, want all", st.CachedHosts, n)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := 64, 256
+	a, b := bytes(small), bytes(large)
+	perHost, slope := b/float64(large), (b-a)/float64(large-small)
+	t.Logf("all-cached sweep: %.0f bytes at %d hosts, %.0f at %d: %.1f per host, %.1f per added host",
+		a, small, b, large, perHost, slope)
+	if perHost > maxBytesPerHost || slope > maxBytesPerHost {
+		t.Fatalf("all-cached sweep allocates %.1f bytes per host at %d hosts and %.1f per added host; want both <= %d",
+			perHost, large, slope, maxBytesPerHost)
 	}
 }
 

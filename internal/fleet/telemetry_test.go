@@ -79,6 +79,25 @@ func TestSweepSpanTreeCoversAllLevels(t *testing.T) {
 	}
 }
 
+// TestEmptySweepRecordsMetrics: a sweep of no targets is still a sweep.
+// The registry counts it, so fleet.sweeps agrees with a caller that
+// counts its Sweep calls, and every gauge it sets is finite.
+func TestEmptySweepRecordsMetrics(t *testing.T) {
+	m := telemetry.NewMetrics()
+	NewCoordinator().Sweep(nil, Options{Metrics: m})
+	if got := m.Counter("fleet.sweeps"); got != 1 {
+		t.Fatalf("fleet.sweeps = %d after one empty sweep, want 1", got)
+	}
+	if got := m.Counter("fleet.hosts"); got != 0 {
+		t.Errorf("fleet.hosts = %d, want 0", got)
+	}
+	for _, name := range []string{"fleet.utilization", "fleet.load_imbalance"} {
+		if v, ok := m.Gauge(name); !ok || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("%s = %v (set %v), want a finite value", name, v, ok)
+		}
+	}
+}
+
 // TestSweepTracedMatchesUntracedVerdicts: tracing must observe, never
 // perturb — same fleet, same verdicts with and without a tracer.
 func TestSweepTracedMatchesUntracedVerdicts(t *testing.T) {

@@ -198,11 +198,11 @@ func (c *Churn) apply(kind EventKind) Event {
 		if h == nil {
 			return ev
 		}
-		class, ok := c.class(h)
-		if !ok || len(class.Packages) == 0 {
+		class := c.fleet.class(h)
+		if len(class.Packages) == 0 {
 			return ev
 		}
-		p := class.Packages[weightedPick(c.rng, distWeights(class.Packages))]
+		p := class.Packages[weightedPick(c.rng, c.fleet.weights.packages[h.classIndex])]
 		h.Linux.Install(p.Name, packageVersion(c.rng, p))
 		ev.Host = h.Name
 	case PackageInstall:
@@ -226,8 +226,8 @@ func (c *Churn) apply(kind EventKind) Event {
 		if h == nil {
 			return ev
 		}
-		class, ok := c.class(h)
-		if !ok || len(class.Services) == 0 {
+		class := c.fleet.class(h)
+		if len(class.Services) == 0 {
 			return ev
 		}
 		svc := class.Services[c.rng.Intn(len(class.Services))].Name
@@ -245,8 +245,8 @@ func (c *Churn) apply(kind EventKind) Event {
 			ev.Host, ev.Drift = h.Name, true
 			return ev
 		}
-		class, ok := c.class(h)
-		if !ok || len(class.ConfigFiles) == 0 {
+		class := c.fleet.class(h)
+		if len(class.ConfigFiles) == 0 {
 			return ev
 		}
 		cf := class.ConfigFiles[c.rng.Intn(len(class.ConfigFiles))]
@@ -280,14 +280,4 @@ func (c *Churn) apply(kind EventKind) Event {
 		ev.Host = h.Name
 	}
 	return ev
-}
-
-// class resolves a host's class spec from the topology.
-func (c *Churn) class(h *Host) (HostClass, bool) {
-	for _, cl := range c.fleet.Topology.Classes {
-		if cl.Name == h.Class {
-			return cl, true
-		}
-	}
-	return HostClass{}, false
 }

@@ -358,7 +358,8 @@ func (st *LoadStats) addFlush(fr fleet.FlushResult) {
 
 // admit drains the bucket's due events up to instant now, applying each
 // through the churn engine and recording it as pending. In push mode a
-// joining host is watched and a leaving one unwatched.
+// joining host is watched and a leaving one unwatched; in sweep mode a
+// leaving one is invalidated, so it leaves no cache entry behind.
 func (r *Replay) admit(now time.Duration) {
 	st, m := &r.st, r.opts.Metrics
 	for {
@@ -395,6 +396,8 @@ func (r *Replay) admit(now time.Duration) {
 			delete(r.pending, ev.Host)
 			if r.s != nil {
 				r.s.Unwatch(ev.Host)
+			} else {
+				r.coord.Invalidate(ev.Host)
 			}
 			continue
 		case HostDown:

@@ -265,6 +265,38 @@ func TestDriverPushBreaksSweepFloor(t *testing.T) {
 	}
 }
 
+// TestReplayForgetsDepartedHosts: a departed host leaves nothing in the
+// coordinator, in sweep mode as in push mode. loadgen never reuses a
+// name, so a cache entry left behind by a leave would never be read
+// again, and the cache would grow with every departure.
+func TestReplayForgetsDepartedHosts(t *testing.T) {
+	for _, push := range []bool{false, true} {
+		f, err := Synthesize(smallTopology(), 20, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := ChurnMix{HostJoin: 1, HostLeave: 1, PackageUpgrade: 2}
+		r, err := NewReplay(f, NewChurn(f, mix, 6), DriverOptions{
+			SweepEvery: 100 * time.Millisecond,
+			Push:       push,
+			Window:     50 * time.Millisecond,
+			Rate:       200,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := 50 * time.Millisecond; now <= 2*time.Second; now += 50 * time.Millisecond {
+			r.Tick(now)
+		}
+		if st := r.Stats(); st.Leaves == 0 {
+			t.Fatalf("push=%v: replay applied no leaves", push)
+		}
+		if cached, members := r.coord.CachedHosts(), f.Size(); cached > members {
+			t.Errorf("push=%v: coordinator caches %d hosts for a fleet of %d", push, cached, members)
+		}
+	}
+}
+
 // TestDriverPushDeterministic pins the determinism satellite end to end:
 // seeded churn through subscription wake-ups, dirty-key coalescing and
 // subset evaluation reproduces every counter and the full latency

@@ -126,6 +126,120 @@ func TestWatchedFleetRetainedBytesPerEvent(t *testing.T) {
 	}
 }
 
+// TestJoinLeaveRetainedBytesPerCycle is the bounded-state gate of a
+// fleet whose membership churns: once warm, cycles of join → watch →
+// flush → fallback sweep → leave → unwatch → fallback sweep may grow
+// the live heap by at most maxBytesPerCycle per cycle, with a Streamer
+// (push) and with incremental sweeps alone (sweep, where a departed
+// host is invalidated instead of unwatched). Every cycle joins and
+// leaves joins distinct hosts, as loadgen names them, so any per-host
+// record a departure leaves behind (a cache entry, an audit cost, a
+// view line, an index reference) grows the heap with every cycle. The
+// last sweep of a cycle runs at the base size, so a target list that
+// kept its departed tail would keep the last cycle's hosts alive. The
+// warm-up cycle sweeps a list built by hand, so it grows every map and
+// scratch buffer the cycles need but leaves the Fleet's own target
+// buffer at the base size.
+func TestJoinLeaveRetainedBytesPerCycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the live heap")
+	}
+	const (
+		n                = 200
+		joins            = 32
+		cycles           = 32
+		maxBytesPerCycle = 512
+	)
+	for _, mode := range []string{"push", "sweep"} {
+		t.Run(mode, func(t *testing.T) {
+			f, err := Synthesize(DefaultTopology(), n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord := fleet.NewCoordinator()
+			opts := fleet.Options{Mode: core.CheckOnly, Incremental: true}
+			var s *fleet.Streamer
+			if mode == "push" {
+				s = fleet.NewStreamer(coord, fleet.StreamOptions{Mode: core.CheckOnly, Dedup: true})
+				for _, h := range f.Hosts() {
+					s.Watch(h.Target(), h.Linux.Log())
+				}
+				s.Flush(0)
+			}
+			handBuilt := func() []fleet.Target {
+				ts := make([]fleet.Target, 0, f.Size())
+				for _, h := range f.Hosts() {
+					ts = append(ts, h.Target())
+				}
+				return ts
+			}
+			joined := make([]string, joins)
+			cycle := func(targets func() []fleet.Target) {
+				for i := range joined {
+					h := f.Join()
+					joined[i] = h.Name
+					if s != nil {
+						s.Watch(h.Target(), h.Linux.Log())
+					}
+				}
+				if s != nil {
+					s.Flush(0)
+				}
+				coord.Sweep(targets(), opts)
+				for _, name := range joined {
+					f.Leave(name)
+					if s != nil {
+						s.Unwatch(name)
+					} else {
+						coord.Invalidate(name)
+					}
+				}
+				coord.Sweep(targets(), opts)
+			}
+			coord.Sweep(f.Targets(), opts)
+			cycle(handBuilt)
+			before := liveHeap()
+			for i := 0; i < cycles; i++ {
+				cycle(f.Targets)
+			}
+			after := liveHeap()
+			runtime.KeepAlive(f)
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(coord)
+			perCycle := (float64(after) - float64(before)) / cycles
+			t.Logf("%s fleet of %d hosts: %.0f live bytes retained per cycle of %d joins and leaves over %d cycles",
+				mode, n, perCycle, joins, cycles)
+			if perCycle > maxBytesPerCycle {
+				t.Fatalf("live heap grew %.0f bytes per join/leave cycle, want <= %d", perCycle, maxBytesPerCycle)
+			}
+		})
+	}
+}
+
+// TestWarmTargetsAllocsPerCall pins that a fallback sweep's target list
+// is the Fleet's own buffer: once it has been filled at the current
+// size, Targets allocates nothing. A list built afresh costs one
+// 40-byte Target per member on every sweep.
+func TestWarmTargetsAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	f, err := Synthesize(DefaultTopology(), 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Targets()
+	allocs := testing.AllocsPerRun(100, func() {
+		if ts := f.Targets(); len(ts) != f.Size() {
+			t.Fatalf("Targets listed %d hosts, want %d", len(ts), f.Size())
+		}
+	})
+	t.Logf("warm Targets over %d hosts: %.0f allocs", f.Size(), allocs)
+	if allocs != 0 {
+		t.Fatalf("warm Targets allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
 // totalAlloc returns the cumulative bytes the process has allocated.
 func totalAlloc() uint64 {
 	var ms runtime.MemStats
@@ -147,7 +261,7 @@ func TestReplayBytesPerEvent(t *testing.T) {
 	}
 	const (
 		n                = 2000
-		maxBytesPerEvent = 1500
+		maxBytesPerEvent = 1300
 	)
 	f, err := Synthesize(DefaultTopology(), n, 1)
 	if err != nil {

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"veridevops/internal/core"
@@ -25,8 +26,9 @@ type Host struct {
 	Class string
 	Linux *host.Linux
 
-	cat  *core.Catalog
-	down bool
+	classIndex int // position of Class in the fleet's Topology.Classes
+	cat        *core.Catalog
+	down       bool
 }
 
 // Target wires the host into the fleet coordinator: its own catalogue,
@@ -55,6 +57,8 @@ func (h *Host) SetCatalog(c *core.Catalog) { h.cat = c }
 // swap-remove; name lookup stays O(1). Fleet is not goroutine-safe —
 // the load driver alternates churn and sweeps, never overlapping them.
 type Fleet struct {
+	// Topology is the spec the fleet was synthesized from. Read it, do
+	// not change it: its pick weights are tabulated once, at Synthesize.
 	Topology Topology
 
 	hosts   []*Host
@@ -62,6 +66,44 @@ type Fleet struct {
 	created []int          // per-class counter, names stay unique across leave/join
 	downs   int
 	rng     *rand.Rand // synthesis picks (class, packages, versions…)
+	weights weightTables
+	// targets is the buffer Targets refills.
+	targets []fleet.Target
+}
+
+// weightTables are a topology's pick weights, tabulated once per Fleet
+// instead of on every join and churn event: the class weights a join
+// draws from and, per class index, the package, service and config-file
+// weights of its per-host picks. The draws are the same ones a freshly
+// built slice gives.
+type weightTables struct {
+	classes                     []int
+	packages, services, configs [][]int
+}
+
+func newWeightTables(top Topology) weightTables {
+	n := len(top.Classes)
+	w := weightTables{
+		classes:  weightsOf(top.Classes, func(c HostClass) int { return c.Weight }),
+		packages: make([][]int, n),
+		services: make([][]int, n),
+		configs:  make([][]int, n),
+	}
+	for ci, c := range top.Classes {
+		w.packages[ci] = weightsOf(c.Packages, func(p PackageDist) int { return p.Weight })
+		w.services[ci] = weightsOf(c.Services, func(s ServiceDist) int { return s.Weight })
+		w.configs[ci] = weightsOf(c.ConfigFiles, func(cf ConfigDist) int { return cf.Weight })
+	}
+	return w
+}
+
+// weightsOf lists the weight of each entry of a distribution, in order.
+func weightsOf[T any](dist []T, weight func(T) int) []int {
+	out := make([]int, len(dist))
+	for i, d := range dist {
+		out[i] = weight(d)
+	}
+	return out
 }
 
 // Synthesize builds n hosts from the topology spec, deterministically in
@@ -80,6 +122,7 @@ func Synthesize(top Topology, n int, seed int64) (*Fleet, error) {
 		index:    make(map[string]int, n),
 		created:  make([]int, len(top.Classes)),
 		rng:      rand.New(rand.NewSource(seed)),
+		weights:  newWeightTables(top),
 	}
 	for i := 0; i < n; i++ {
 		f.Join()
@@ -109,11 +152,7 @@ func baseline() host.Snapshot {
 // Join synthesizes one new host (class drawn by weight) and adds it to
 // the fleet. Also the churn engine's host-join event.
 func (f *Fleet) Join() *Host {
-	weights := make([]int, len(f.Topology.Classes))
-	for i, c := range f.Topology.Classes {
-		weights[i] = c.Weight
-	}
-	return f.joinClass(weightedPick(f.rng, weights))
+	return f.joinClass(weightedPick(f.rng, f.weights.classes))
 }
 
 // JoinClass synthesizes one new host of the named class — the scenario
@@ -149,24 +188,15 @@ func (f *Fleet) joinClass(ci int) *Host {
 		snap.Config[k] = v
 	}
 
-	pkgWeights := distWeights(class.Packages)
 	for i := 0; i < class.PackagesPerHost; i++ {
-		p := class.Packages[weightedPick(f.rng, pkgWeights)]
+		p := class.Packages[weightedPick(f.rng, f.weights.packages[ci])]
 		snap.Packages[p.Name] = packageVersion(f.rng, p)
 	}
-	svcWeights := make([]int, len(class.Services))
-	for i, s := range class.Services {
-		svcWeights[i] = s.Weight
-	}
 	for i := 0; i < class.ServicesPerHost; i++ {
-		snap.Services[class.Services[weightedPick(f.rng, svcWeights)].Name] = true
-	}
-	cfgWeights := make([]int, len(class.ConfigFiles))
-	for i, c := range class.ConfigFiles {
-		cfgWeights[i] = c.Weight
+		snap.Services[class.Services[weightedPick(f.rng, f.weights.services[ci])].Name] = true
 	}
 	for i := 0; i < class.ConfigKeysPerHost; i++ {
-		cf := class.ConfigFiles[weightedPick(f.rng, cfgWeights)]
+		cf := class.ConfigFiles[weightedPick(f.rng, f.weights.configs[ci])]
 		keys := cf.Keys
 		if keys < 1 {
 			keys = 1
@@ -181,10 +211,11 @@ func (f *Fleet) joinClass(ci int) *Host {
 	}
 
 	h := &Host{
-		Name:  fmt.Sprintf("lg-%s-%06d", class.Name, f.created[ci]),
-		Class: class.Name,
-		Linux: l,
-		cat:   stig.UbuntuCatalog(l),
+		Name:       fmt.Sprintf("lg-%s-%06d", class.Name, f.created[ci]),
+		Class:      class.Name,
+		Linux:      l,
+		classIndex: ci,
+		cat:        stig.UbuntuCatalog(l),
 	}
 	f.created[ci]++
 	f.index[h.Name] = len(f.hosts)
@@ -234,6 +265,9 @@ func (f *Fleet) DownCount() int { return f.downs }
 // Hosts exposes the live member slice; callers must not mutate it.
 func (f *Fleet) Hosts() []*Host { return f.hosts }
 
+// class returns the class spec a member was synthesized from.
+func (f *Fleet) class(h *Host) *HostClass { return &f.Topology.Classes[h.classIndex] }
+
 // Get resolves a member by name — the push driver's hook for wiring a
 // freshly joined host into the streaming evaluator.
 func (f *Fleet) Get(name string) (*Host, bool) {
@@ -244,13 +278,23 @@ func (f *Fleet) Get(name string) (*Host, bool) {
 	return f.hosts[i], true
 }
 
-// Targets builds the coordinator target list for the current membership.
+// Targets returns the coordinator target list for the current
+// membership. The slice is the Fleet's own buffer, refilled by every
+// call, so a fallback sweep allocates nothing here unless the fleet
+// outgrew the buffer: it is valid until the next call, and callers hand
+// it to one Sweep, not keep it. A call after hosts departed zeroes the
+// tail they leave, so a departed host's catalogue and event log stay
+// unreachable.
 func (f *Fleet) Targets() []fleet.Target {
-	out := make([]fleet.Target, len(f.hosts))
-	for i, h := range f.hosts {
-		out[i] = h.Target()
+	n := len(f.hosts)
+	if len(f.targets) > n {
+		clear(f.targets[n:])
 	}
-	return out
+	f.targets = slices.Grow(f.targets[:0], n)[:n]
+	for i, h := range f.hosts {
+		f.targets[i] = h.Target()
+	}
+	return f.targets
 }
 
 // pick returns a uniformly random member, or nil if the fleet is empty.
@@ -297,14 +341,6 @@ func (f *Fleet) pickDown(rng *rand.Rand) *Host {
 		}
 	}
 	return nil
-}
-
-func distWeights(dists []PackageDist) []int {
-	out := make([]int, len(dists))
-	for i, d := range dists {
-		out[i] = d.Weight
-	}
-	return out
 }
 
 // packageVersion draws one of the package's version strings, "1.0" when
