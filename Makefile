@@ -81,7 +81,7 @@ trace-race:
 
 # bench is the one benchmark command. It runs the Go micro-benchmarks
 # with -benchmem — fleet sweeps (probe-delayed, skewed, dedup,
-# incremental, the all-cached fallback sweep, and one down host against
+# incremental, the all-cached sweep, and one down host against
 # one up host), catalogue dispatch,
 # tracing overhead, trace-store ingestion and queries, load-harness
 # synthesis and replay — then every root experiment benchmark once (a
@@ -100,11 +100,13 @@ smoke-load:
 	$(GO) run ./cmd/vdo-load -hosts 500 -duration 2s -sweep-every 250ms -rate 200 -shards 4 -workers 2 -seed 1
 
 # smoke-serve is the push-mode smoke under the race detector: the same
-# small-N churn streamed through the dependency index, asserting the
-# tentpole property — detection p99 strictly below the sweep interval.
-# -metrics runs the replay's load.* registry path under -race too.
+# small-N churn streamed through the dependency index, with no sweep
+# behind the flushes, asserting that push beats the sweep floor —
+# detection p99 strictly below 500ms, the sweep interval of the batch
+# replay (vdo-load's default -sweep-every). -metrics runs the replay's
+# load.* registry path under -race too.
 smoke-serve:
-	$(GO) run -race ./cmd/vdo-load -hosts 500 -duration 2s -push -window 50ms -sweep-every 500ms -rate 200 -shards 4 -workers 2 -seed 1 -assert-p99 500ms -metrics
+	$(GO) run -race ./cmd/vdo-load -hosts 500 -duration 2s -push -window 50ms -rate 200 -shards 4 -workers 2 -seed 1 -assert-p99 500ms -metrics
 
 # smoke-scenario replays the timed incident-scenario corpus — every
 # scenario must pass its assertions, and each run's push-evaluated final

@@ -10,9 +10,10 @@
 // With -push the replay feeds a fleet.Streamer instead of batch sweeps:
 // every churn event marks its host dirty through the event-log
 // subscription and a flush every -window re-evaluates only the checks
-// the dependency index maps to the dirty keys, with a fallback sweep
-// still running every -sweep-every. The same seed admits the identical
-// event stream in both modes, so sweep vs push is directly comparable.
+// the dependency index maps to the dirty keys. The flush is the only
+// evaluation: no sweep runs, whatever -sweep-every says. The same seed
+// admits the identical event stream in both modes, so sweep vs push is
+// directly comparable.
 //
 // Usage:
 //
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rate := fs.Float64("rate", 1000, "offered churn load, events per virtual second")
 	burst := fs.Int("burst", 16, "token-bucket burst capacity")
 	duration := fs.Duration("duration", 10*time.Second, "virtual replay duration")
-	sweepEvery := fs.Duration("sweep-every", 500*time.Millisecond, "virtual interval between incremental sweeps")
+	sweepEvery := fs.Duration("sweep-every", 500*time.Millisecond, "virtual interval between incremental sweeps (sweep mode)")
 	shards := fs.Int("shards", 8, "shard goroutines per sweep (host-level parallelism)")
 	workers := fs.Int("workers", 2, "engine workers per catalogue run inside a shard")
 	seed := fs.Int64("seed", 1, "seed for synthesis and churn")

@@ -5,10 +5,9 @@
 // -window one tick admits the churn that fell due, and the
 // fleet.Streamer flushes — coalescing the state keys dirtied since the
 // last flush and re-running only the checks the dependency index maps
-// to them. A tick that reaches the next -sweep-fallback boundary also
-// runs a full incremental sweep, the safety net for state the index
-// cannot localise (all cache replays when the index is healthy).
-// Violation episodes print as ALARM/REPAIR lines as they open and close.
+// to them. The flush is the tick's only evaluation. Violation episodes
+// print as ALARM/REPAIR lines as they open and close, each batch
+// followed by a status line with the live compliance.
 //
 // SIGINT/SIGTERM (or -duration elapsing) drains a final tick and prints
 // the session summary: vdo-load's replay table, with detection latency
@@ -17,8 +16,8 @@
 // Usage:
 //
 //	vdo-serve [-hosts N] [-topology PATH] [-rate EV_PER_SEC] [-burst N]
-//	          [-window D] [-sweep-fallback D] [-duration D] [-shards N]
-//	          [-workers N] [-seed N] [-quiet] [-metrics] [-slowest N]
+//	          [-window D] [-duration D] [-shards N] [-workers N]
+//	          [-seed N] [-quiet] [-metrics] [-slowest N]
 //
 // -duration 0 runs until a signal arrives. Exit status: 0 clean
 // shutdown, 2 usage or I/O error.
@@ -34,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"veridevops/internal/fleet"
 	"veridevops/internal/loadgen"
 	"veridevops/internal/report"
 	"veridevops/internal/telemetry"
@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	rate := fs.Float64("rate", 100, "offered churn load, events per second")
 	burst := fs.Int("burst", 16, "token-bucket burst capacity")
 	window := fs.Duration("window", 50*time.Millisecond, "dirty-key coalescing window between flushes")
-	sweepFallback := fs.Duration("sweep-fallback", 500*time.Millisecond, "interval between fallback sweeps")
 	duration := fs.Duration("duration", 0, "stop after this long (0: run until SIGINT/SIGTERM)")
 	shards := fs.Int("shards", 8, "dirty hosts evaluated concurrently per flush")
 	workers := fs.Int("workers", 2, "engine workers per catalogue run inside a shard")
@@ -65,8 +64,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *hosts < 1 || *rate <= 0 || *window <= 0 || *sweepFallback <= 0 || *duration < 0 {
-		fmt.Fprintln(stderr, "vdo-serve: -hosts must be >= 1, -rate/-window/-sweep-fallback positive, -duration non-negative")
+	if *hosts < 1 || *rate <= 0 || *window <= 0 || *duration < 0 {
+		fmt.Fprintln(stderr, "vdo-serve: -hosts must be >= 1, -rate/-window positive, -duration non-negative")
 		return 2
 	}
 
@@ -111,20 +110,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	fmt.Fprintf(stdout, "vdo-serve: %d hosts, window %v, fallback %v, %.0f ev/s (seed %d)\n",
-		*hosts, *window, *sweepFallback, *rate, *seed)
+	fmt.Fprintf(stdout, "vdo-serve: %d hosts, window %v, %.0f ev/s (seed %d)\n",
+		*hosts, *window, *rate, *seed)
 	// The replay primes the verdict baseline before churn starts; its
 	// counters leave the baseline out.
 	r, err := loadgen.NewReplay(f, loadgen.NewChurn(f, top.Mix, *seed+1), loadgen.DriverOptions{
-		SweepEvery: *sweepFallback,
-		Rate:       *rate,
-		Burst:      *burst,
-		Shards:     *shards,
-		Workers:    *workers,
-		Push:       true,
-		Window:     *window,
-		Metrics:    mets,
-		Trace:      tracer,
+		Rate:    *rate,
+		Burst:   *burst,
+		Shards:  *shards,
+		Workers: *workers,
+		Push:    true,
+		Window:  *window,
+		Metrics: mets,
+		Trace:   tracer,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "vdo-serve: %v\n", err)
@@ -136,29 +134,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "baseline: compliance %.4f (%d pass / %d fail / %d incomplete)\n",
 			s.Compliance(), p, fl, inc)
 	}
-	show := func(tr loadgen.TickResult) {
-		if *quiet {
+	show := func(fr fleet.FlushResult) {
+		if *quiet || (len(fr.Alarms) == 0 && fr.Repairs == 0) {
 			return
 		}
-		fr := tr.Flush
 		for _, a := range fr.Alarms {
 			fmt.Fprintf(stdout, "ALARM  t=%-8v %s %s %v\n", a.At.Round(time.Millisecond), a.Host, a.Finding, a.Status)
 		}
 		if fr.Repairs > 0 {
 			fmt.Fprintf(stdout, "REPAIR t=%-8v %d episode(s) closed\n", fr.At.Round(time.Millisecond), fr.Repairs)
 		}
-		if sw := tr.Sweep; sw != nil {
-			p, fl, inc := s.Counts()
-			fmt.Fprintf(stdout, "status t=%-8v hosts=%d compliance=%.4f (%d/%d/%d) cached=%d/%d\n",
-				fr.At.Round(time.Millisecond), s.Hosts(),
-				s.Compliance(), p, fl, inc, sw.CachedHosts, sw.Hosts)
-		}
+		p, fl, inc := s.Counts()
+		fmt.Fprintf(stdout, "status t=%-8v hosts=%d compliance=%.4f (%d/%d/%d)\n",
+			fr.At.Round(time.Millisecond), s.Hosts(), s.Compliance(), p, fl, inc)
 	}
 
 	// The daemon ticks the loadgen replay on the real clock: every tick
-	// admits the churn due by then and flushes, and a tick that reaches
-	// the next -sweep-fallback boundary runs the fallback sweep too.
-	//
+	// admits the churn due by then and flushes.
 	start := time.Now()
 	//lint:ignore clockuse the serve loop is driven by the real clock; determinism is the loadgen driver's job
 	tick := time.NewTicker(*window)

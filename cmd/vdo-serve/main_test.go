@@ -21,8 +21,7 @@ func runCapture(t *testing.T, ctx context.Context, args ...string) (int, string,
 func TestServeRunsForDuration(t *testing.T) {
 	code, out, errb := runCapture(t, context.Background(),
 		"-hosts", "100", "-duration", "300ms", "-window", "25ms",
-		"-sweep-fallback", "150ms", "-rate", "200", "-shards", "4",
-		"-workers", "1", "-seed", "7")
+		"-rate", "200", "-shards", "4", "-workers", "1", "-seed", "7")
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
@@ -38,11 +37,6 @@ func TestServeRunsForDuration(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-	// The streamer keeps the incremental cache stamped, so the fallback
-	// sweep must not re-audit (the "0 / N" executed/cached row).
-	if !strings.Contains(out, "host audits executed / cached  0 /") {
-		t.Errorf("fallback sweeps re-audited hosts:\n%s", out)
 	}
 }
 
@@ -83,7 +77,7 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	code, out, _ := runCapture(t, ctx,
-		"-hosts", "50", "-window", "20ms", "-sweep-fallback", "100ms",
+		"-hosts", "50", "-window", "20ms",
 		"-rate", "100", "-shards", "2", "-workers", "1", "-quiet")
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out)
@@ -116,13 +110,12 @@ func TestServeMetricsAndTopology(t *testing.T) {
 
 func TestServeUsageErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad flag":       {"-definitely-not-a-flag"},
-		"zero hosts":     {"-hosts", "0"},
-		"zero rate":      {"-rate", "0"},
-		"zero window":    {"-window", "0s"},
-		"negative sweep": {"-sweep-fallback", "-1s"},
-		"zero sweep":     {"-sweep-fallback", "0s"},
-		"missing topo":   {"-topology", filepath.Join(t.TempDir(), "absent.json")},
+		"bad flag":     {"-definitely-not-a-flag"},
+		"zero hosts":   {"-hosts", "0"},
+		"zero rate":    {"-rate", "0"},
+		"zero window":  {"-window", "0s"},
+		"retired flag": {"-sweep-fallback", "500ms"},
+		"missing topo": {"-topology", filepath.Join(t.TempDir(), "absent.json")},
 	} {
 		if code, _, _ := runCapture(t, context.Background(), args...); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", name, code)

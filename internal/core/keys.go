@@ -19,9 +19,10 @@ import "veridevops/internal/host"
 // mutators log, so index lookups compare keys, not strings. The
 // declaration must be static and complete: if Check reads a slot the
 // requirement does not declare, a change to that slot will not
-// re-trigger the check under push evaluation. Requirements that cannot
-// enumerate their reads simply don't implement the interface and fall
-// back to full re-audits (and the daemon's periodic fallback sweep).
+// re-trigger the check under push evaluation, and no periodic sweep
+// re-runs it either. Requirements that cannot enumerate their reads
+// simply don't implement the interface and are re-run on every change
+// of their host.
 // Because declarations are static, consumers read them once per
 // catalogue state: DepIndex when it is built, and
 // Catalog.KeyDeclarations until the next Register. A declaration that

@@ -134,11 +134,11 @@ func BenchmarkFleetIncrementalSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetCachedSweep measures the push daemon's fallback sweep:
-// an incremental sweep in which every host replays from the cache, with
-// no probe delay, so the figure is the sweep's own serial and per-host
-// cost (sorting, scheduling, cache lookups, localization counts, the
-// roll-up). Run with -benchmem; TestCachedSweepAllocsPerHost gates its
+// BenchmarkFleetCachedSweep measures an all-cached sweep: an
+// incremental sweep of a quiet fleet in which every host replays from
+// the cache, with no probe delay, so the figure is the sweep's own
+// serial and per-host cost (sorting, scheduling, cache lookups,
+// localization counts, the roll-up). Run with -benchmem; TestCachedSweepAllocsPerHost gates its
 // allocations.
 func BenchmarkFleetCachedSweep(b *testing.B) {
 	targets, _ := LinuxFleet(1000)

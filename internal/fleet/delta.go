@@ -21,8 +21,9 @@ import (
 //     report observed at the host's current version is replayed instead.
 //   - empty (non-nil): no check is affected. The cached report is
 //     re-stamped at the current version and replayed; nothing executes.
-//     Without the re-stamp the next fallback sweep would re-audit a host
-//     whose verdicts provably cannot have moved.
+//     Without the re-stamp an incremental sweep sharing the coordinator
+//     (sweep mode after a flush, or a benchmark rig that runs both)
+//     would re-audit a host whose verdicts provably cannot have moved.
 //   - non-empty: only those checks run, and their verdicts merge into the
 //     cached report.
 //

@@ -16,8 +16,7 @@ import (
 //
 // Requirements that declare no keys are collected as unindexed: the
 // index cannot localise their reads, so Affected conservatively includes
-// them in every delta (and the daemon's fallback sweep re-covers them
-// periodically regardless).
+// them in every delta.
 //
 // A DepIndex is immutable after construction and safe for concurrent
 // reads, which is what lets a Streamer share one index among every

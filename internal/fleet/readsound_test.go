@@ -14,7 +14,10 @@ import (
 // changes), the dynamic oracle (VerifyReads) catches exactly that hole,
 // and once the read is declared the two modes agree again — the same
 // property every scenario run's truth check (push-evaluated final view
-// against a fresh sweep) enforces over the shipped catalogues.
+// against a fresh sweep) enforces over the shipped catalogues. An
+// incremental sweep on the Streamer's own coordinator does not close the
+// hole: it replays what the flushes cached, which is why push evaluation
+// runs no such sweep.
 
 // leakyCheck reads two package slots unconditionally but declares the
 // second only when declareHidden is set.
@@ -43,7 +46,7 @@ func (c *leakyCheck) CheckStateKeys() []host.StateKey {
 	return keys
 }
 
-func leakyFixture(declareHidden bool) (*Streamer, Target, *host.Linux, *core.Catalog) {
+func leakyFixture(declareHidden bool) (*Streamer, *Coordinator, Target, *host.Linux, *core.Catalog) {
 	h := host.NewLinux()
 	h.Install("base", "1")
 	h.Install("hidden", "1")
@@ -56,13 +59,14 @@ func leakyFixture(declareHidden bool) (*Streamer, Target, *host.Linux, *core.Cat
 		declareHidden: declareHidden,
 	})
 	tg := Target{Name: "h0", Catalog: cat, Version: h.Log()}
-	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 1, Workers: 1})
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{Shards: 1, Workers: 1})
 	s.Watch(tg, h.Log())
-	return s, tg, h, cat
+	return s, coord, tg, h, cat
 }
 
 func TestUnderDeclaredReadDivergesSweepVsPush(t *testing.T) {
-	s, tg, h, cat := leakyFixture(false)
+	s, coord, tg, h, cat := leakyFixture(false)
 
 	s.Flush(0) // prime
 	if pass, fail, _ := s.Counts(); pass != 1 || fail != 0 {
@@ -77,8 +81,19 @@ func TestUnderDeclaredReadDivergesSweepVsPush(t *testing.T) {
 		t.Fatalf("push counts after hidden drift = %d/%d; under-declared check unexpectedly re-ran", pass, fail)
 	}
 
+	// An incremental sweep on the Streamer's coordinator is no safety
+	// net: the flush re-stamped the cache entry at the host's current
+	// version, so the sweep replays the stale PASS.
+	rep, st := coord.Sweep([]Target{tg}, Options{Shards: 1, Workers: 1, Incremental: true})
+	if st.CachedHosts != 1 {
+		t.Fatalf("incremental sweep CachedHosts = %d, want the flush's entry replayed", st.CachedHosts)
+	}
+	if pass, fail, _ := rep.Counts(); pass != 1 || fail != 0 {
+		t.Fatalf("incremental sweep counts = %d/%d, want the stale pass", pass, fail)
+	}
+
 	// A fresh sweep sees the truth: FAIL. This is the divergence.
-	rep, _ := NewCoordinator().Sweep([]Target{tg}, Options{Shards: 1, Workers: 1})
+	rep, _ = NewCoordinator().Sweep([]Target{tg}, Options{Shards: 1, Workers: 1})
 	if pass, fail, _ := rep.Counts(); pass != 0 || fail != 1 {
 		t.Fatalf("sweep counts = %d/%d, want 1 fail", pass, fail)
 	}
@@ -94,7 +109,7 @@ func TestUnderDeclaredReadDivergesSweepVsPush(t *testing.T) {
 }
 
 func TestDeclaredReadKeepsSweepAndPushEquivalent(t *testing.T) {
-	s, tg, h, cat := leakyFixture(true)
+	s, _, tg, h, cat := leakyFixture(true)
 
 	s.Flush(0)
 	h.Remove("hidden")

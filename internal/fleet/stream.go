@@ -20,6 +20,10 @@ import (
 // instead of off. Flushed reports fold into a View: the live
 // fleet-compliance view that raises one alarm per violation episode.
 //
+// No periodic sweep runs behind the flushes: a check that reads a slot
+// it does not declare keeps a stale verdict when that slot changes, so
+// VerifyReads and the keyreads analyzer guard the declarations.
+//
 // The coalescing window is the caller's flush cadence: an event
 // notification only records the event on its host and marks the host
 // dirty (under one lock), and the actual evaluation happens when the
@@ -121,10 +125,6 @@ type streamHost struct {
 	// took, read by plan under the coordinator's guard; the next take
 	// starts got in its key buffer.
 	got, taken delivery
-	// primed flips after the first evaluation; until then every flush
-	// runs the full catalogue, because there is no verdict baseline to
-	// delta against.
-	primed bool
 	// dirty marks the host as listed in Streamer.dirty; guarded by the
 	// Streamer's lock.
 	dirty bool
@@ -229,8 +229,8 @@ type FlushResult struct {
 }
 
 // NewStreamer returns a streamer evaluating through the coordinator's
-// incremental cache (so fallback sweeps on the same coordinator see the
-// streamer's merged reports and vice versa).
+// incremental cache, where each watched host's merged report is the
+// baseline its next delta merges into.
 func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 	return &Streamer{
 		coord: coord,
@@ -242,13 +242,13 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 	}
 }
 
-// Watch registers a target and subscribes to its event source. The host
-// starts dirty and unprimed: its first flush runs the full catalogue to
-// establish the verdict baseline, which covers every event appended
-// before the subscription, and every later flush deltas from the events
-// the subscription delivered. Re-watching a name replaces the previous
-// registration and drops the host's verdicts and open episodes from the
-// live view.
+// Watch registers a target, subscribes to its event source and drops
+// the host's coordinator cache entry, so its first flush runs the full
+// catalogue: that run covers every event appended before the
+// subscription and is the baseline later flushes delta into, even when
+// a re-watch swapped the catalogue but not the version. Re-watching a
+// name replaces the previous registration and drops the host's verdicts
+// and open episodes from the live view.
 //
 // The host's dependency index is interned: Watch reads the catalogue's
 // key declarations (finding IDs with their CheckKeys), and a host whose
@@ -276,6 +276,7 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	if log != nil {
 		sh.cancel = log.Subscribe(func(ev host.Event) { s.deliver(sh, ev) })
 	}
+	s.coord.Invalidate(t.Name)
 }
 
 // Unwatch removes a target: its subscription is cancelled, its verdicts
@@ -341,7 +342,7 @@ func (s *Streamer) Hosts() int {
 }
 
 // Counts returns the live fleet-wide verdict counts. Hosts not yet
-// primed contribute nothing.
+// flushed contribute nothing.
 func (s *Streamer) Counts() (pass, fail, incomplete int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,7 +350,7 @@ func (s *Streamer) Counts() (pass, fail, incomplete int) {
 }
 
 // Compliance is the live fraction of PASS verdicts across the fleet; an
-// empty (or unprimed) view is fully compliant, matching
+// empty (or never flushed) view is fully compliant, matching
 // FleetReport.Compliance.
 func (s *Streamer) Compliance() float64 {
 	s.mu.Lock()
@@ -434,7 +435,6 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 			c.Invalidate(sh.target.Name)
 			continue
 		}
-		sh.primed = true
 		d := &hosts[kept]
 		if kept != i {
 			*d = hosts[i]
@@ -463,14 +463,13 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 
 // plan maps the record a flush took from one dirty host to how many
 // events it coalesces and the check subset they affect: nil (the whole
-// catalogue) for an unprimed host or a whole-host record, else the
-// DepIndex's affected checks, possibly none. Sequential and
+// catalogue) for a whole-host record, else the DepIndex's affected
+// checks, possibly none. A host with no cache entry yet runs the whole
+// catalogue whatever the plan (see evaluate). Sequential and
 // allocation-light; the expensive part is the evaluation.
 func (sh *streamHost) plan() (events int, only []string) {
 	d := &sh.taken
-	// Until a host is primed there is no verdict baseline to delta
-	// against: only stays nil and the whole catalogue runs.
-	if !sh.primed || d.whole {
+	if d.whole {
 		return d.events, nil
 	}
 	// keys may repeat and come in event order: Affected sorts and dedups

@@ -152,11 +152,11 @@ func TestStreamerZeroCheckDeltaRestampsCache(t *testing.T) {
 		t.Errorf("zero-check delta evaluated %d checks, %d alarms", fr.ChecksEvaluated, len(fr.Alarms))
 	}
 
-	// The re-stamp keeps the coordinator cache warm: a fallback
-	// incremental sweep replays instead of re-auditing.
+	// The re-stamp keeps the coordinator cache warm: an incremental
+	// sweep on the same coordinator replays instead of re-auditing.
 	_, st := coord.Sweep(targets, Options{Incremental: true})
 	if st.CachedHosts != 1 {
-		t.Errorf("fallback sweep re-audited after re-stamp (CachedHosts = %d)", st.CachedHosts)
+		t.Errorf("incremental sweep re-audited after re-stamp (CachedHosts = %d)", st.CachedHosts)
 	}
 }
 

@@ -105,8 +105,8 @@ func TestConcurrentSweepsOverSharedCatalogues(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCachedSweepAllocsPerHost is the allocation gate on the fallback
-// sweep's replay path: an all-cached incremental sweep may allocate at
+// TestCachedSweepAllocsPerHost is the allocation gate on the sweep's
+// replay path: an all-cached incremental sweep may allocate at
 // most maxAllocsPerHost per host at either fleet size, and at most
 // maxAllocsPerAddedHost more per host the larger fleet adds. The job
 // buffer, cost snapshot and scheduler queues are Coordinator scratch and

@@ -41,13 +41,7 @@ func LinuxFleet(n int) ([]Target, []*host.Linux) {
 // stalls delay before delegating, modelling the ssh/WinRM round-trip a
 // live audit agent pays per probe. Metadata and Enforce pass through.
 func WithProbeDelay(t Target, delay time.Duration) Target {
-	plan := engine.FaultPlan{SlowProb: 1, SlowDelay: delay}
-	slowed := core.NewCatalog()
-	for _, r := range t.Catalog.All() {
-		slowed.MustRegister(core.InjectFaults(r, engine.NewFaultInjector(0, plan)))
-	}
-	t.Catalog = slowed
-	return t
+	return WithFaults(t, 0, engine.FaultPlan{SlowProb: 1, SlowDelay: delay})
 }
 
 // SkewedFleet builds the work-stealing benchmark shape: n probe-delayed

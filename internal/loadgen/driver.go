@@ -11,30 +11,31 @@ import (
 )
 
 // The load driver: replays the churn stream through the token bucket
-// while the fleet evaluates it — batch mode re-sweeps the coordinator
-// every SweepEvery; push mode feeds a fleet.Streamer that re-runs only
-// the checks each event's state key affects, flushing every Window —
-// and measures change→verdict detection latency per event.
+// while the fleet evaluates it — batch mode re-sweeps the coordinator;
+// push mode feeds a fleet.Streamer that re-runs only the checks each
+// event's state key affects — and measures change→verdict detection
+// latency per event.
 //
 // A Replay is that driver as a stepper: its owner keeps the clock and
 // calls Tick with the current instant, a plain time.Duration offset from
-// replay start. Run ticks it on a virtual clock; vdo-serve ticks the
-// same Replay from a wall-clock ticker. The bucket computes each event's
-// admission instant arithmetically and a sweep or flush is treated as
-// atomic at the tick's instant, so the detection latency of an event
-// admitted at t and picked up at instant v is exactly v−t — bounded by
-// SweepEvery in sweep mode and by Window in push mode, which is the
-// whole point of the streaming evaluator. On the virtual clock
+// replay start, and each tick is exactly one evaluation: an incremental
+// sweep in sweep mode, a flush in push mode. Run ticks it on a virtual
+// clock every SweepEvery or Window; vdo-serve ticks the same Replay from
+// a wall-clock ticker. The bucket computes each event's admission
+// instant arithmetically and a sweep or flush is treated as atomic at
+// the tick's instant, so the detection latency of an event admitted at t
+// and picked up at instant v is exactly v−t — bounded by the tick
+// interval, SweepEvery in sweep mode and Window in push mode, which is
+// the whole point of the streaming evaluator. On the virtual clock
 // everything downstream of the seed is deterministic; the wall clock is
 // only read to report real replay throughput.
 
 // DriverOptions parameterizes one load replay.
 type DriverOptions struct {
 	// Duration is the virtual replay length Run replays (a Replay whose
-	// owner keeps the clock reads it only for the SweepEvery default);
-	// SweepEvery the interval between incremental sweeps (default
-	// Duration/10). In push mode SweepEvery is the fallback full-sweep
-	// interval — the safety net for state the index cannot localise.
+	// owner keeps the clock reads it only for the interval defaults);
+	// SweepEvery the sweep-mode interval between incremental sweeps
+	// (default Duration/10), which push mode ignores.
 	Duration   time.Duration
 	SweepEvery time.Duration
 	// Rate is the offered churn load in events per second of the
@@ -46,9 +47,10 @@ type DriverOptions struct {
 	Workers int
 	// Push selects streaming evaluation: events mark hosts dirty through
 	// EventLog subscriptions and a fleet.Streamer flushes the coalesced
-	// deltas every Window, with a fallback sweep every SweepEvery.
+	// deltas every Window; no sweep runs.
 	Push bool
-	// Window is the push-mode coalescing window (default SweepEvery/10).
+	// Window is the push-mode coalescing window (default Duration/100),
+	// which sweep mode ignores.
 	Window time.Duration
 	// Metrics, when non-nil, receives the replay's own facts as load.*
 	// metrics (the event counters and load.detect latency samples as they
@@ -88,11 +90,11 @@ type LoadStats struct {
 	Orphaned int
 	Pending  int
 
-	// Sweeps is how many incremental sweeps ran (the priming full sweep
-	// excluded) — in push mode, the fallback sweeps; HostsReaudited how
-	// many per-host audits executed across them; CacheReplays how many
-	// were served from the incremental cache. The host counts are summed
-	// from each sweep's FleetStats.
+	// Sweep-mode counters (zero in push mode): Sweeps is how many
+	// incremental sweeps ran (the priming full sweep excluded);
+	// HostsReaudited how many per-host audits executed across them;
+	// CacheReplays how many were served from the incremental cache. The
+	// host counts are summed from each sweep's FleetStats.
 	Sweeps         int
 	HostsReaudited int
 	CacheReplays   int
@@ -150,9 +152,10 @@ func (st LoadStats) Table(title string) *report.Table {
 		t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", st.ChecksEvaluated, st.ChecksExecuted))
 		t.AddRow("checks per event", fmt.Sprintf("%.2f", st.ChecksPerEvent))
 		t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", st.Alarms, st.Repairs))
+	} else {
+		t.AddRow("sweeps", st.Sweeps)
+		t.AddRow("host audits executed / cached", fmt.Sprintf("%d / %d", st.HostsReaudited, st.CacheReplays))
 	}
-	t.AddRow("sweeps", st.Sweeps)
-	t.AddRow("host audits executed / cached", fmt.Sprintf("%d / %d", st.HostsReaudited, st.CacheReplays))
 	t.AddRow("detect p50 / p95 / p99 ms", fmt.Sprintf("%s / %s / %s",
 		report.Millis(st.Detect.P50), report.Millis(st.Detect.P95), report.Millis(st.Detect.P99)))
 	t.AddRow("detect max ms", report.Millis(st.Detect.Max))
@@ -163,10 +166,9 @@ func (st LoadStats) Table(title string) *report.Table {
 }
 
 // Run replays churn against the fleet on a virtual clock: it ticks a
-// Replay every SweepEvery in sweep mode (the default), so every tick
-// sweeps, and every Window in push mode (DriverOptions.Push), where the
-// sweep is the fallback. Both modes admit the identical event stream, so
-// they are directly comparable on the same seed.
+// Replay every SweepEvery in sweep mode (the default) and every Window
+// in push mode (DriverOptions.Push). Both modes admit the identical
+// event stream, so they are directly comparable on the same seed.
 func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 	if opts.Duration <= 0 {
 		return LoadStats{}, fmt.Errorf("loadgen: driver duration %v, need > 0", opts.Duration)
@@ -191,18 +193,19 @@ func Run(f *Fleet, c *Churn, opts DriverOptions) (LoadStats, error) {
 	return r.Stats(), nil
 }
 
-// normalized fills in the default SweepEvery and push Window.
+// normalized fills in the interval of the replay's mode from Duration:
+// SweepEvery in sweep mode, Window in push mode.
 func (o DriverOptions) normalized() DriverOptions {
-	if o.SweepEvery <= 0 {
+	if o.Push && o.Window <= 0 {
+		o.Window = o.Duration / 100
+		if o.Window <= 0 {
+			o.Window = o.Duration
+		}
+	}
+	if !o.Push && o.SweepEvery <= 0 {
 		o.SweepEvery = o.Duration / 10
 		if o.SweepEvery <= 0 {
 			o.SweepEvery = o.Duration
-		}
-	}
-	if o.Push && o.Window <= 0 {
-		o.Window = o.SweepEvery / 10
-		if o.Window <= 0 {
-			o.Window = o.SweepEvery
 		}
 	}
 	return o
@@ -226,22 +229,12 @@ type Replay struct {
 	s         *fleet.Streamer
 	// pending maps host name -> admission instants of its events still
 	// awaiting a verdict.
-	pending   map[string][]time.Duration
-	detect    *telemetry.Quantiles
-	admitted  time.Duration // last admission instant
-	now       time.Duration // last tick's instant
-	nextSweep time.Duration
-	start     time.Time // real clock: throughput reporting only
-	st        LoadStats // the counters Tick keeps
-}
-
-// TickResult is what one Tick evaluated.
-type TickResult struct {
-	// Flush is the tick's push-mode flush (zero in sweep mode).
-	Flush fleet.FlushResult
-	// Sweep is the sweep's statistics when the tick reached a SweepEvery
-	// boundary, nil otherwise.
-	Sweep *fleet.FleetStats
+	pending  map[string][]time.Duration
+	detect   *telemetry.Quantiles
+	admitted time.Duration // last admission instant
+	now      time.Duration // last tick's instant
+	start    time.Time     // real clock: throughput reporting only
+	st       LoadStats     // the counters Tick keeps
 }
 
 // NewReplay primes a replay at instant 0: a full sweep, or in push mode
@@ -249,9 +242,6 @@ type TickResult struct {
 // evaluation is not counted in the stats.
 func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
 	opts = opts.normalized()
-	if opts.SweepEvery <= 0 {
-		return nil, fmt.Errorf("loadgen: sweep interval %v, need > 0", opts.SweepEvery)
-	}
 	bucket, err := NewTokenBucket(opts.Rate, opts.Burst)
 	if err != nil {
 		return nil, err
@@ -267,11 +257,10 @@ func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
 			Trace:       opts.Trace,
 			Metrics:     opts.Metrics,
 		},
-		pending:   map[string][]time.Duration{},
-		detect:    telemetry.NewQuantilesCap(1 << 16),
-		nextSweep: opts.SweepEvery,
-		start:     time.Now(),
-		st:        LoadStats{Mode: "sweep"},
+		pending: map[string][]time.Duration{},
+		detect:  telemetry.NewQuantilesCap(1 << 16),
+		start:   time.Now(),
+		st:      LoadStats{Mode: "sweep"},
 	}
 	// admit advances the event counters as events happen; registering
 	// them at zero lists them even when none does.
@@ -303,43 +292,36 @@ func NewReplay(f *Fleet, c *Churn, opts DriverOptions) (*Replay, error) {
 func (r *Replay) Streamer() *fleet.Streamer { return r.s }
 
 // Tick advances the replay to instant now: it admits the bucket's due
-// events, flushes the Streamer in push mode, and runs an incremental
-// sweep when now reaches the next SweepEvery boundary. Each event whose
-// host a flush or an executed host audit evaluated gets its verdict at
-// now.
-func (r *Replay) Tick(now time.Duration) TickResult {
-	var res TickResult
+// events, then runs one evaluation, a Streamer flush in push mode or an
+// incremental sweep in sweep mode, and returns the flush (zero in sweep
+// mode). Each event whose host the flush or an executed host audit
+// evaluated gets its verdict at now.
+func (r *Replay) Tick(now time.Duration) fleet.FlushResult {
 	r.now = now
 	r.admit(now)
 	if r.s != nil {
-		res.Flush = r.s.Flush(now)
-		r.st.addFlush(res.Flush)
-		for _, d := range res.Flush.Hosts {
+		fr := r.s.Flush(now)
+		r.st.addFlush(fr)
+		for _, d := range fr.Hosts {
 			// Every flushed host's live view is now current — a
 			// zero-check re-stamp is a verdict too (the change provably
 			// touched nothing) — so its events resolve.
 			r.resolve(d.Host, now)
 		}
+		return fr
 	}
-	if now >= r.nextSweep {
-		for r.nextSweep <= now {
-			r.nextSweep += r.opts.SweepEvery
-		}
-		rep, fs := r.coord.Sweep(r.f.Targets(), r.sweepOpts)
-		res.Sweep = &fs
-		r.st.Sweeps++
-		r.st.HostsReaudited += fs.Hosts - fs.CachedHosts
-		r.st.CacheReplays += fs.CachedHosts
-		for _, hr := range rep.Hosts {
-			// An executed host audit delivers the verdicts for that
-			// host's pending events (in push mode: state the stream
-			// missed).
-			if !hr.FromCache {
-				r.resolve(hr.Target, now)
-			}
+	rep, fs := r.coord.Sweep(r.f.Targets(), r.sweepOpts)
+	r.st.Sweeps++
+	r.st.HostsReaudited += fs.Hosts - fs.CachedHosts
+	r.st.CacheReplays += fs.CachedHosts
+	for _, hr := range rep.Hosts {
+		// An executed host audit delivers the verdicts for that host's
+		// pending events.
+		if !hr.FromCache {
+			r.resolve(hr.Target, now)
 		}
 	}
-	return res
+	return fleet.FlushResult{}
 }
 
 // addFlush adds one flush to the push-mode counters; a flush that

@@ -204,14 +204,13 @@ func replayPush(t *testing.T, seed int64) LoadStats {
 	}
 	c := NewChurn(f, DefaultMix(), seed+1)
 	st, err := Run(f, c, DriverOptions{
-		Duration:   10 * time.Second,
-		SweepEvery: 500 * time.Millisecond,
-		Window:     50 * time.Millisecond,
-		Push:       true,
-		Rate:       40,
-		Burst:      4,
-		Shards:     4,
-		Workers:    2,
+		Duration: 10 * time.Second,
+		Window:   50 * time.Millisecond,
+		Push:     true,
+		Rate:     40,
+		Burst:    4,
+		Shards:   4,
+		Workers:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +218,10 @@ func replayPush(t *testing.T, seed int64) LoadStats {
 	return st
 }
 
-// TestDriverPushBreaksSweepFloor is the tentpole's acceptance property
-// in miniature: with the streamer flushing every 50ms, no verdict waits
-// anywhere near the 500ms sweep interval.
+// TestDriverPushBreaksSweepFloor is push evaluation's acceptance
+// property in miniature: with the streamer flushing every 50ms, no
+// verdict waits anywhere near the sweep replay's 500ms interval, and no
+// sweep runs behind the flushes.
 func TestDriverPushBreaksSweepFloor(t *testing.T) {
 	st := replayPush(t, 17)
 	if st.Mode != "push" || st.Window != 50*time.Millisecond {
@@ -247,16 +247,10 @@ func TestDriverPushBreaksSweepFloor(t *testing.T) {
 	if st.ChecksPerEvent <= 0 || st.ChecksPerEvent >= 8 {
 		t.Errorf("ChecksPerEvent = %v, want in (0, 8)", st.ChecksPerEvent)
 	}
-	// The fallback sweep still fires on schedule, but the streamer's
-	// deltas keep the incremental cache stamped, so it never re-audits.
-	if st.Sweeps != 20 {
-		t.Errorf("fallback Sweeps = %d, want 20 (10s / 500ms)", st.Sweeps)
-	}
-	if st.HostsReaudited != 0 {
-		t.Errorf("fallback sweeps re-audited %d hosts; want pure cache replays", st.HostsReaudited)
-	}
-	if st.CacheReplays == 0 {
-		t.Error("fallback sweeps recorded no cache replays")
+	// A tick is one evaluation: the flush. No sweep runs in push mode.
+	if st.Sweeps != 0 || st.HostsReaudited != 0 || st.CacheReplays != 0 {
+		t.Errorf("push replay swept: Sweeps/HostsReaudited/CacheReplays = %d/%d/%d, want 0/0/0",
+			st.Sweeps, st.HostsReaudited, st.CacheReplays)
 	}
 	// Same accounting identity as sweep mode.
 	if got := st.Detected + st.Orphaned + st.Pending; got != st.Events-st.Leaves {
@@ -277,10 +271,8 @@ func TestReplayForgetsDepartedHosts(t *testing.T) {
 		}
 		mix := ChurnMix{HostJoin: 1, HostLeave: 1, PackageUpgrade: 2}
 		r, err := NewReplay(f, NewChurn(f, mix, 6), DriverOptions{
-			SweepEvery: 100 * time.Millisecond,
-			Push:       push,
-			Window:     50 * time.Millisecond,
-			Rate:       200,
+			Push: push,
+			Rate: 200,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -334,19 +326,18 @@ func TestDriverPushFeedsMetrics(t *testing.T) {
 	}
 	m := telemetry.NewMetrics()
 	st, err := Run(f, NewChurn(f, DefaultMix(), 5), DriverOptions{
-		Duration:   2 * time.Second,
-		SweepEvery: 200 * time.Millisecond,
-		Push:       true,
-		Rate:       20,
-		Shards:     2,
-		Workers:    1,
-		Metrics:    m,
+		Duration: 2 * time.Second,
+		Push:     true,
+		Rate:     20,
+		Shards:   2,
+		Workers:  1,
+		Metrics:  m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Window != 20*time.Millisecond {
-		t.Errorf("Window = %v, want SweepEvery/10 = 20ms default", st.Window)
+		t.Errorf("Window = %v, want Duration/100 = 20ms default", st.Window)
 	}
 	if st.Flushes == 0 {
 		t.Fatal("no flushes ran")
@@ -355,45 +346,35 @@ func TestDriverPushFeedsMetrics(t *testing.T) {
 }
 
 // TestReplayTicksOnCallersClock drives a Replay the way vdo-serve does:
-// at irregular instants, with one late tick past several fallback
-// boundaries, and Stats read mid-session as well as at the end.
+// at irregular instants, with one late tick, and Stats read mid-session
+// as well as at the end.
 func TestReplayTicksOnCallersClock(t *testing.T) {
 	f, err := Synthesize(smallTopology(), 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReplay(f, NewChurn(f, DefaultMix(), 5), DriverOptions{Rate: 10}); err == nil {
-		t.Error("replay with no sweep interval and no duration accepted")
-	}
 	m := telemetry.NewMetrics()
 	r, err := NewReplay(f, NewChurn(f, DefaultMix(), 5), DriverOptions{
-		SweepEvery: 100 * time.Millisecond,
-		Push:       true,
-		Window:     20 * time.Millisecond,
-		Rate:       50,
-		Shards:     2,
-		Workers:    1,
-		Metrics:    m,
+		Push:    true,
+		Window:  20 * time.Millisecond,
+		Rate:    50,
+		Shards:  2,
+		Workers: 1,
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	alarms := 0
 	for _, ms := range []time.Duration{20, 45, 110, 430, 450} {
-		now := ms * time.Millisecond
-		tr := r.Tick(now)
-		alarms += len(tr.Flush.Alarms)
-		// Sweeps fall due at 100ms and then 200ms; the late tick at 430ms
-		// runs one sweep, not the three it skipped.
-		if swept := tr.Sweep != nil; swept != (ms == 110 || ms == 430) {
-			t.Errorf("tick at %v: swept = %v", now, swept)
-		}
+		fr := r.Tick(ms * time.Millisecond)
+		alarms += len(fr.Alarms)
 		// Mid-session Stats calls count nothing twice.
 		checkLoadMetrics(t, m, r.Stats())
 	}
 	st := r.Stats()
-	if st.Sweeps != 2 || st.VirtualDuration != 450*time.Millisecond {
-		t.Errorf("Sweeps/VirtualDuration = %d/%v, want 2/450ms", st.Sweeps, st.VirtualDuration)
+	if st.VirtualDuration != 450*time.Millisecond {
+		t.Errorf("VirtualDuration = %v, want 450ms", st.VirtualDuration)
 	}
 	if st.Events == 0 {
 		t.Fatal("no events admitted")

@@ -128,18 +128,19 @@ func TestWatchedFleetRetainedBytesPerEvent(t *testing.T) {
 
 // TestJoinLeaveRetainedBytesPerCycle is the bounded-state gate of a
 // fleet whose membership churns: once warm, cycles of join → watch →
-// flush → fallback sweep → leave → unwatch → fallback sweep may grow
-// the live heap by at most maxBytesPerCycle per cycle, with a Streamer
-// (push) and with incremental sweeps alone (sweep, where a departed
-// host is invalidated instead of unwatched). Every cycle joins and
-// leaves joins distinct hosts, as loadgen names them, so any per-host
-// record a departure leaves behind (a cache entry, an audit cost, a
-// view line, an index reference) grows the heap with every cycle. The
-// last sweep of a cycle runs at the base size, so a target list that
-// kept its departed tail would keep the last cycle's hosts alive. The
-// warm-up cycle sweeps a list built by hand, so it grows every map and
-// scratch buffer the cycles need but leaves the Fleet's own target
-// buffer at the base size.
+// flush → sweep → leave → unwatch → sweep may grow the live heap by at
+// most maxBytesPerCycle per cycle, with a Streamer (push) and with
+// incremental sweeps alone (sweep, where a departed host is invalidated
+// instead of unwatched). The push row sweeps the Streamer's own
+// coordinator, so a sweep's cache entries and a flush's share one map.
+// Every cycle joins and leaves distinct hosts, as loadgen names them, so
+// any per-host record a departure leaves behind (a cache entry, an audit
+// cost, a view line, an index reference) grows the heap with every
+// cycle. The last sweep of a cycle runs at the base size, so a target
+// list that kept its departed tail would keep the last cycle's hosts
+// alive. The warm-up cycle sweeps a list built by hand, so it grows
+// every map and scratch buffer the cycles need but leaves the Fleet's
+// own target buffer at the base size.
 func TestJoinLeaveRetainedBytesPerCycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the live heap")
@@ -216,8 +217,8 @@ func TestJoinLeaveRetainedBytesPerCycle(t *testing.T) {
 	}
 }
 
-// TestWarmTargetsAllocsPerCall pins that a fallback sweep's target list
-// is the Fleet's own buffer: once it has been filled at the current
+// TestWarmTargetsAllocsPerCall pins that a sweep's target list is the
+// Fleet's own buffer: once it has been filled at the current
 // size, Targets allocates nothing. A list built afresh costs one
 // 40-byte Target per member on every sweep.
 func TestWarmTargetsAllocsPerCall(t *testing.T) {
@@ -249,12 +250,12 @@ func totalAlloc() uint64 {
 
 // TestReplayBytesPerEvent is the allocation-rate gate of the push path:
 // a primed 2,000-host push Replay under the default churn mix at 8,000
-// ev/s, flushed every 10ms with a 500ms fallback sweep, may allocate at
-// most maxBytesPerEvent heap bytes per applied event over 2s of virtual
-// time. The bytes allocated per event decide how often the collector
-// runs, and so the detection tail; per-host or per-flush bookkeeping
-// rebuilt on every evaluation pushes the figure past the bound. It is
-// the push-path counterpart of fleet's TestCachedSweepAllocsPerHost.
+// ev/s, flushed every 10ms, may allocate at most maxBytesPerEvent heap
+// bytes per applied event over 2s of virtual time. The bytes allocated
+// per event decide how often the collector runs, and so the detection
+// tail; per-host or per-flush bookkeeping rebuilt on every evaluation
+// pushes the figure past the bound. It is the push-path counterpart of
+// fleet's TestCachedSweepAllocsPerHost.
 func TestReplayBytesPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocations")
@@ -268,10 +269,9 @@ func TestReplayBytesPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DriverOptions{
-		SweepEvery: 500 * time.Millisecond,
-		Push:       true,
-		Window:     10 * time.Millisecond,
-		Rate:       8000,
+		Push:   true,
+		Window: 10 * time.Millisecond,
+		Rate:   8000,
 	}
 	r, err := NewReplay(f, NewChurn(f, DefaultMix(), 1), opts)
 	if err != nil {
@@ -283,11 +283,11 @@ func TestReplayBytesPerEvent(t *testing.T) {
 	}
 	bytes := totalAlloc() - before
 	st := r.Stats()
-	if st.Events == 0 || st.Sweeps == 0 {
-		t.Fatalf("replay applied %d events and ran %d fallback sweeps, want both > 0", st.Events, st.Sweeps)
+	if st.Events == 0 || st.Flushes == 0 {
+		t.Fatalf("replay applied %d events in %d flushes, want both > 0", st.Events, st.Flushes)
 	}
 	perEvent := float64(bytes) / float64(st.Events)
-	t.Logf("push replay of %d hosts: %d events, %d fallback sweeps, %.0f bytes per event", n, st.Events, st.Sweeps, perEvent)
+	t.Logf("push replay of %d hosts: %d events, %d flushes, %.0f bytes per event", n, st.Events, st.Flushes, perEvent)
 	if perEvent > maxBytesPerEvent {
 		t.Fatalf("push replay allocated %.0f bytes per event, want <= %d", perEvent, maxBytesPerEvent)
 	}

@@ -48,8 +48,10 @@ func (h *Host) Catalog() *core.Catalog { return h.cat }
 // SetCatalog replaces the host's audit catalogue — the scenario
 // executor's hook for wrapping requirements with fault injectors and
 // restoring them afterwards. Swapping the catalogue does not advance the
-// host's event-log version, so callers must invalidate any incremental
-// cache entry keyed on it themselves.
+// host's event-log version, so a cache entry keyed on it would replay
+// the old catalogue's verdicts: callers re-watch the host
+// (fleet.Streamer.Watch drops its entry, so the next flush runs the new
+// catalogue in full) or invalidate the entry themselves.
 func (h *Host) SetCatalog(c *core.Catalog) { h.cat = c }
 
 // Fleet is a synthesized host population under churn: hosts join, leave
@@ -280,9 +282,9 @@ func (f *Fleet) Get(name string) (*Host, bool) {
 
 // Targets returns the coordinator target list for the current
 // membership. The slice is the Fleet's own buffer, refilled by every
-// call, so a fallback sweep allocates nothing here unless the fleet
-// outgrew the buffer: it is valid until the next call, and callers hand
-// it to one Sweep, not keep it. A call after hosts departed zeroes the
+// call, so a sweep allocates nothing here unless the fleet outgrew the
+// buffer: it is valid until the next call, and callers hand it to one
+// Sweep, not keep it. A call after hosts departed zeroes the
 // tail they leave, so a departed host's catalogue and event log stay
 // unreachable.
 func (f *Fleet) Targets() []fleet.Target {

@@ -536,12 +536,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 		sr.Detail = fmt.Sprintf("%d/%d churn events applied, fleet now %d", applied, st.Events, ex.fleet.Size())
 	case "faults":
 		ex.withCatalog(sr, st, func(h *loadgen.Host, seed int64) *core.Catalog {
-			nc := core.NewCatalog()
-			for j, r := range h.Catalog().All() {
-				nc.MustRegister(core.InjectFaults(r,
-					engine.NewFaultInjector(seed+int64(j), engine.FaultPlan{FailFirst: st.FailFirst})))
-			}
-			return nc
+			return fleet.WithFaults(h.Target(), seed, engine.FaultPlan{FailFirst: st.FailFirst}).Catalog
 		}, stepIndex)
 		sr.Detail = fmt.Sprintf("fault plan fail_first=%d: %s", st.FailFirst, sr.Detail)
 	case "heal":
@@ -561,8 +556,8 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 
 // withCatalog swaps each selected host's catalogue and forces its next
 // evaluation: the swap does not advance the host's event-log version, so
-// the host is re-watched — an unprimed watch runs the full catalogue on
-// the next flush, which replaces the coordinator's cached report.
+// the host is re-watched — Watch drops the coordinator's cached report,
+// and the next flush runs the new catalogue in full.
 func (ex *executor) withCatalog(sr *StepResult, st Step, build func(h *loadgen.Host, seed int64) *core.Catalog, stepIndex int) {
 	sel := ex.resolve(st.On)
 	if len(sel) == 0 {
