@@ -60,13 +60,15 @@ race:
 # (TestJoinLeaveRetainedBytesPerCycle, at most 512 B), the all-cached
 # sweep's allocations and bytes per host (TestCachedSweepAllocsPerHost,
 # TestCachedSweepBytesPerHost, at most 96 B), the allocation-free warm
-# target list (TestWarmTargetsAllocsPerCall), the push replay's bytes
-# per event (TestReplayBytesPerEvent, at most 1,300 B), the allocations
-# per keyed event of a host mutation (TestWriteAllocsPerKeyedEvent) and
-# of delivering and planning a flush (TestFlushPlanAllocsPerKeyedEvent),
-# and the allocation-free host read (TestReadAllocsPerKey).
+# target list (TestWarmTargetsAllocsPerCall), the push and sweep
+# replays' bytes per event (TestReplayBytesPerEvent, at most 1,000 and
+# 1,600 B), the catalogue runner's bytes per run
+# (TestRunEngineWritesEachOutcomeOnce), the allocations per keyed event
+# of a host mutation (TestWriteAllocsPerKeyedEvent) and of delivering
+# and planning a flush (TestFlushPlanAllocsPerKeyedEvent), and the
+# allocation-free host read (TestReadAllocsPerKey).
 alloc-gates:
-	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPer' ./internal/host/ ./internal/fleet/ ./internal/loadgen/
+	$(GO) test -count=1 -run 'HeapPerHost|AllocsPer|BytesPer|OutcomeOnce' ./internal/core/ ./internal/host/ ./internal/fleet/ ./internal/loadgen/
 
 # fleet-race exercises just the concurrency-heavy fleet paths under the
 # race detector (already covered by race; this is the quick loop).

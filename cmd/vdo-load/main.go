@@ -62,12 +62,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *hosts < 1 || *rate <= 0 || *duration <= 0 || *sweepEvery <= 0 {
-		fmt.Fprintln(stderr, "vdo-load: -hosts must be >= 1 and -rate/-duration/-sweep-every positive")
+	if *hosts < 1 || *rate <= 0 || *duration <= 0 {
+		fmt.Fprintln(stderr, "vdo-load: -hosts must be >= 1 and -rate/-duration positive")
 		return 2
 	}
 	if *push && *window <= 0 {
 		fmt.Fprintln(stderr, "vdo-load: -window must be positive in -push mode")
+		return 2
+	}
+	if !*push && *sweepEvery <= 0 {
+		fmt.Fprintln(stderr, "vdo-load: -sweep-every must be positive in sweep mode")
 		return 2
 	}
 

@@ -92,7 +92,8 @@ func TestUsageErrors(t *testing.T) {
 		"zero duration": {"-duration", "0s"},
 		"missing topo":  {"-topology", filepath.Join(t.TempDir(), "absent.json")},
 		// A sweep interval longer than the replay would sweep nothing.
-		"sweep past end": {"-hosts", "50", "-duration", "100ms", "-sweep-every", "500ms"},
+		"sweep past end":   {"-hosts", "50", "-duration", "100ms", "-sweep-every", "500ms"},
+		"zero sweep-every": {"-hosts", "10", "-duration", "1s", "-sweep-every", "0"},
 	} {
 		if code, _, _ := runCapture(t, args...); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", name, code)
@@ -130,6 +131,15 @@ func TestPushReplayAndAssertP99(t *testing.T) {
 	code, _, errb = runCapture(t, append(args, "-assert-p99", "1ns")...)
 	if code != 1 || !strings.Contains(errb, "not below asserted bound") {
 		t.Errorf("impossible bound: exit = %d, stderr %q; want 1", code, errb)
+	}
+}
+
+// TestPushIgnoresSweepEvery: push mode never reads -sweep-every, so a
+// value sweep mode rejects is no usage error there.
+func TestPushIgnoresSweepEvery(t *testing.T) {
+	code, out, errb := runCapture(t, "-push", "-sweep-every", "0", "-hosts", "10", "-duration", "1s")
+	if code != 0 || !strings.Contains(out, "load replay (push):") {
+		t.Errorf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
 }
 

@@ -181,20 +181,6 @@ func (c *Catalog) KeyDeclarations() (declared, undeclared int) {
 	return declared, undeclared
 }
 
-// Fingerprints returns the dedup fingerprint (CheckFingerprint) of every
-// registered requirement that supports one, keyed by finding ID. Entries
-// whose requirement cannot digest its state right now are absent — they
-// simply execute instead of deduping.
-func (c *Catalog) Fingerprints() map[string]string {
-	out := map[string]string{}
-	for _, r := range c.All() {
-		if fp, ok := CheckFingerprint(r); ok {
-			out[r.FindingID()] = fp
-		}
-	}
-	return out
-}
-
 // Result is the outcome of running one catalogue entry.
 type Result struct {
 	FindingID string

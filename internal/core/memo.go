@@ -25,26 +25,33 @@ type StateDigester interface {
 	CheckStateDigest() (string, bool)
 }
 
-// CheckFingerprint returns the dedup key of a requirement: its finding ID
-// joined with the canonical digest of the host state its Check reads.
+// Fingerprint is the dedup key of a requirement: its finding ID and the
+// canonical digest of the host state its Check reads. It is comparable,
+// so CheckMemo keys by it without joining the two into a new string.
+type Fingerprint struct {
+	FindingID string
+	Digest    string
+}
+
+// CheckFingerprint returns the dedup key of a requirement (Fingerprint).
 // ok=false when the requirement does not support digesting or the digest
 // probe itself failed (a probe panic — say an unreachable host — is
 // absorbed here and simply disables dedup for that requirement).
-func CheckFingerprint(req Requirement) (fp string, ok bool) {
+func CheckFingerprint(req Requirement) (fp Fingerprint, ok bool) {
 	sd, is := req.(StateDigester)
 	if !is {
-		return "", false
+		return Fingerprint{}, false
 	}
 	defer func() {
 		if recover() != nil {
-			fp, ok = "", false
+			fp, ok = Fingerprint{}, false
 		}
 	}()
 	d, dok := sd.CheckStateDigest()
 	if !dok {
-		return "", false
+		return Fingerprint{}, false
 	}
-	return req.FindingID() + "\x00" + d, true
+	return Fingerprint{FindingID: req.FindingID(), Digest: d}, true
 }
 
 // CheckMemo memoises check executions by fingerprint within one audit
@@ -56,7 +63,7 @@ func CheckFingerprint(req Requirement) (fp string, ok bool) {
 // sweeps (host state may move between sweeps).
 type CheckMemo struct {
 	mu      sync.Mutex
-	entries map[string]*memoEntry
+	entries map[Fingerprint]*memoEntry
 }
 
 type memoEntry struct {
@@ -66,7 +73,7 @@ type memoEntry struct {
 
 // NewCheckMemo returns an empty memo.
 func NewCheckMemo() *CheckMemo {
-	return &CheckMemo{entries: map[string]*memoEntry{}}
+	return &CheckMemo{entries: map[Fingerprint]*memoEntry{}}
 }
 
 // Unique reports how many distinct fingerprints have been executed or are
@@ -80,7 +87,7 @@ func (m *CheckMemo) Unique() int {
 // acquire resolves a fingerprint: a hit blocks until the in-flight
 // execution completes and returns its result; a miss registers the caller
 // as the executor, which must call fulfill exactly once.
-func (m *CheckMemo) acquire(key string) (Result, bool) {
+func (m *CheckMemo) acquire(key Fingerprint) (Result, bool) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
 		m.mu.Unlock()
@@ -93,7 +100,7 @@ func (m *CheckMemo) acquire(key string) (Result, bool) {
 }
 
 // fulfill publishes the executor's result and wakes every waiter.
-func (m *CheckMemo) fulfill(key string, res Result) {
+func (m *CheckMemo) fulfill(key Fingerprint, res Result) {
 	m.mu.Lock()
 	e := m.entries[key]
 	m.mu.Unlock()

@@ -42,7 +42,7 @@ func TestCheckFingerprint(t *testing.T) {
 	if !ok {
 		t.Fatal("digestable requirement must fingerprint")
 	}
-	if fp != "V-1\x00state-a" {
+	if fp != (Fingerprint{FindingID: "V-1", Digest: "state-a"}) {
 		t.Errorf("fingerprint = %q", fp)
 	}
 	// Same finding, different state: distinct fingerprints.
@@ -83,18 +83,19 @@ func TestCheckFingerprintAbsorbsDigestPanic(t *testing.T) {
 
 func TestCheckMemoSingleFlight(t *testing.T) {
 	m := NewCheckMemo()
+	key := Fingerprint{FindingID: "V-1", Digest: "k"}
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, hit := m.acquire("k")
+			res, hit := m.acquire(key)
 			if !hit {
 				calls.Add(1)
 				//lint:ignore clockuse widening a real race window; virtual time cannot interleave goroutines
 				time.Sleep(5 * time.Millisecond)
-				m.fulfill("k", Result{FindingID: "V-1", After: CheckPass})
+				m.fulfill(key, Result{FindingID: "V-1", After: CheckPass})
 				return
 			}
 			if res.FindingID != "V-1" || res.After != CheckPass {

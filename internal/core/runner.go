@@ -77,6 +77,9 @@ type ReqStats struct {
 	// DedupHit marks a verdict replayed from the shared check memo; its
 	// attempt counters are zero because nothing executed here.
 	DedupHit bool
+	// DedupMiss marks a memoisable requirement this run executed as the
+	// fingerprint's first arrival.
+	DedupMiss bool
 	// Duration is wall time spent on this requirement, backoffs included.
 	Duration time.Duration
 }
@@ -131,44 +134,35 @@ func (s RunStats) Table(title string) *report.Table {
 	return t
 }
 
-// engineOutcome pairs a report row with its telemetry row. dedupMiss
-// marks a memoisable requirement this run executed as the fingerprint's
-// first arrival.
-type engineOutcome struct {
-	res       Result
-	st        ReqStats
-	dedupMiss bool
-}
-
 // runRequirement wraps one catalogue entry's resolution in its "check"
 // span: opened before the memo consultation (so a dedup replay's memo
 // wait is visible in the trace), tagged with the finding, the final
 // status and — for replays — dedup_hit, and ended when the verdict is
 // in. The span is threaded into the engine policy, so live executions
 // hang their per-attempt spans below it.
-func runRequirement(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy, memo *CheckMemo, parent *telemetry.Span) engineOutcome {
+func runRequirement(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy, memo *CheckMemo, parent *telemetry.Span) (Result, ReqStats) {
 	sp := parent.Child("check").Tag("finding", req.FindingID())
 	pol.Span = sp
-	out := resolveRequirement(req, mode, pol, memo)
-	sp.Tag("status", out.st.Status.String())
+	res, st := resolveRequirement(req, mode, pol, memo)
+	sp.Tag("status", st.Status.String())
 	// CheckError collapses several failure modes; surface which one as an
 	// outcome tag so the trace store can filter check spans the same way
 	// it filters attempt spans (outcome=timeout / outcome=panic).
-	if out.st.Status == CheckError {
+	if st.Status == CheckError {
 		switch {
-		case out.st.Timeouts > 0:
+		case st.Timeouts > 0:
 			sp.Tag("outcome", "timeout")
-		case out.st.Panics > 0:
+		case st.Panics > 0:
 			sp.Tag("outcome", "panic")
 		default:
 			sp.Tag("outcome", "error")
 		}
 	}
-	if out.st.DedupHit {
+	if st.DedupHit {
 		sp.TagBool("dedup_hit", true)
 	}
 	sp.End()
-	return out
+	return res, st
 }
 
 // resolveRequirement resolves one catalogue entry: through the shared
@@ -176,7 +170,7 @@ func runRequirement(req CheckableEnforceableRequirement, mode RunMode, pol engin
 // runs only), through a live engine execution otherwise. The memo is
 // single-flight, so the first arrival for a fingerprint executes while
 // identical co-tenants wait and replay its verdict.
-func resolveRequirement(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy, memo *CheckMemo) engineOutcome {
+func resolveRequirement(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy, memo *CheckMemo) (Result, ReqStats) {
 	if memo == nil || mode != CheckOnly {
 		return runRequirementLive(req, mode, pol)
 	}
@@ -185,16 +179,12 @@ func resolveRequirement(req CheckableEnforceableRequirement, mode RunMode, pol e
 		return runRequirementLive(req, mode, pol)
 	}
 	if res, hit := memo.acquire(key); hit {
-		return engineOutcome{res: res, st: ReqStats{
-			FindingID: res.FindingID,
-			Status:    res.After,
-			DedupHit:  true,
-		}}
+		return res, ReqStats{FindingID: res.FindingID, Status: res.After, DedupHit: true}
 	}
-	out := runRequirementLive(req, mode, pol)
-	memo.fulfill(key, out.res)
-	out.dedupMiss = true
-	return out
+	res, st := runRequirementLive(req, mode, pol)
+	memo.fulfill(key, res)
+	st.DedupMiss = true
+	return res, st
 }
 
 // runRequirementLive executes one catalogue entry under the policy. Every
@@ -202,7 +192,7 @@ func resolveRequirement(req CheckableEnforceableRequirement, mode RunMode, pol e
 // INCOMPLETE is retried while the policy allows, and checks implementing
 // ContextChecker can observe an abandoned attempt's cancelled context at
 // their probe boundaries.
-func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy) engineOutcome {
+func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol engine.Policy) (Result, ReqStats) {
 	start := time.Now()
 	var st ReqStats
 	checkOp := func(ctx context.Context) CheckStatus {
@@ -242,7 +232,7 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 	st.FindingID = res.FindingID
 	st.Status = res.After
 	st.Duration = time.Since(start)
-	return engineOutcome{res: res, st: st}
+	return res, st
 }
 
 // RunEngine executes every catalogue entry in finding-ID order on the
@@ -258,34 +248,33 @@ func (c *Catalog) RunEngine(opts RunOptions) (Report, RunStats) {
 	} else {
 		reqs = c.subset(opts.Only)
 	}
-	outs, ps := engine.Map(reqs, opts.Workers,
-		func(i int, req CheckableEnforceableRequirement) engineOutcome {
-			return runRequirement(req, opts.Mode, opts.Checks, opts.Memo, opts.Span)
-		})
-	stats := RunStats{
-		Requirements: len(reqs),
-		Workers:      ps.Workers,
-		Wall:         ps.Wall,
-		Busy:         ps.Busy,
-	}
 	var rep Report
-	if len(outs) > 0 {
-		rep.Results = make([]Result, len(outs))
-		stats.PerRequirement = make([]ReqStats, len(outs))
+	stats := RunStats{Requirements: len(reqs)}
+	if len(reqs) > 0 {
+		rep.Results = make([]Result, len(reqs))
+		stats.PerRequirement = make([]ReqStats, len(reqs))
 	}
-	for i, o := range outs {
-		rep.Results[i] = o.res
-		stats.PerRequirement[i] = o.st
-		stats.Attempts += o.st.Attempts
-		stats.Retries += o.st.Retries
-		stats.Panics += o.st.Panics
-		stats.Timeouts += o.st.Timeouts
-		if o.res.After == CheckError {
+	// Each worker writes row i of the report and of the telemetry in
+	// place. The closure captures only what it reads: capturing opts, rep
+	// or stats would move them to the heap on every run.
+	results, rows := rep.Results, stats.PerRequirement
+	mode, pol, memo, span := opts.Mode, opts.Checks, opts.Memo, opts.Span
+	ps := engine.ForEach(len(reqs), opts.Workers, func(i int) {
+		results[i], rows[i] = runRequirement(reqs[i], mode, pol, memo, span)
+	})
+	stats.Workers, stats.Wall, stats.Busy = ps.Workers, ps.Wall, ps.Busy
+	for i := range rows {
+		r := &rows[i]
+		stats.Attempts += r.Attempts
+		stats.Retries += r.Retries
+		stats.Panics += r.Panics
+		stats.Timeouts += r.Timeouts
+		if results[i].After == CheckError {
 			stats.Errors++
 		}
-		if o.st.DedupHit {
+		if r.DedupHit {
 			stats.DedupHits++
-		} else if o.dedupMiss {
+		} else if r.DedupMiss {
 			stats.DedupMisses++
 		}
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"veridevops/internal/engine"
 )
@@ -200,6 +202,56 @@ func TestEngineIncompleteRetriedOnlyWhenRequested(t *testing.T) {
 	rep, st = cat.RunEngine(RunOptions{Mode: CheckOnly, Workers: 1, Checks: noBackoff(3)})
 	if rep.Results[0].After != CheckPass || st.Attempts != 2 || st.Retries != 1 {
 		t.Errorf("retry policy must recover INCOMPLETE: %+v %+v", rep.Results[0], st)
+	}
+}
+
+// TestRunEngineWritesEachOutcomeOnce is the allocation gate of the
+// catalogue runner: a run of n requirements writes each outcome once,
+// into its report row and its telemetry row, so it may allocate about
+// one Result and one ReqStats per requirement. Half a row more per
+// requirement covers the run's requirement slice and each live check's
+// closure, and a constant covers the pool. Any second copy of the
+// outcomes (n more rows) breaks the bound. The memo case primes a fresh
+// memo with one run, so the measured runs replay every verdict, as the
+// later hosts of a homogeneous fleet's sweep do.
+func TestRunEngineWritesEachOutcomeOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocations")
+	}
+	const (
+		n, runs = 64, 100
+		slack   = 2048
+	)
+	row := float64(unsafe.Sizeof(Result{}) + unsafe.Sizeof(ReqStats{}))
+	maxBytes := 1.5*n*row + slack
+	cat := NewCatalog()
+	for i := 0; i < n; i++ {
+		cat.MustRegister(&digestReq{Finding: Finding{ID: fmt.Sprintf("V-%03d", i)},
+			digest: "state", ok: true, verdict: CheckPass})
+	}
+	for _, workers := range []int{1, 2} {
+		for _, memo := range []bool{false, true} {
+			opts := RunOptions{Mode: CheckOnly, Workers: workers}
+			if memo {
+				opts.Memo = NewCheckMemo()
+			}
+			if rep, _ := cat.RunEngine(opts); len(rep.Results) != n {
+				t.Fatalf("report has %d rows, want %d", len(rep.Results), n)
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			for i := 0; i < runs; i++ {
+				cat.RunEngine(opts)
+			}
+			runtime.ReadMemStats(&ms)
+			perRun := float64(ms.TotalAlloc-before) / runs
+			t.Logf("workers %d, memo %v: %.0f bytes per run of %d requirements (bound %.0f)", workers, memo, perRun, n, maxBytes)
+			if perRun > maxBytes {
+				t.Errorf("workers %d, memo %v: RunEngine allocated %.0f bytes per run, want <= %.0f",
+					workers, memo, perRun, maxBytes)
+			}
+		}
 	}
 }
 

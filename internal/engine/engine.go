@@ -6,8 +6,9 @@
 //   - Attempt: run one operation with panic recovery, per-attempt timeouts,
 //     and retry with exponential backoff up to a configurable attempt
 //     count — a misbehaving check yields a verdict, never a crash.
-//   - Map: a bounded worker pool that preserves input order and reports
-//     wall/busy time and worker utilisation.
+//   - ForEach: a bounded worker pool over the indices [0, n) that reports
+//     wall/busy time and worker utilisation; callers write row i of their
+//     own result slices, so input order is kept without a copy.
 //   - FaultInjector: a seeded, deterministic source of injected panics,
 //     transient failures and slowdowns for robustness testing (the E7b
 //     experiment).

@@ -132,16 +132,20 @@ func TestBackoffExponentialAndCapped(t *testing.T) {
 	}
 }
 
+// The pool tests below drive ForEach as the order-preserving parallel map
+// the catalogue runner builds on it: item i writes row i of a slice the
+// caller owns.
+
+// squares fills out[i] = i*i through ForEach.
+func squares(n, workers int) ([]int, PoolStats) {
+	out := make([]int, n)
+	st := ForEach(n, workers, func(i int) { out[i] = i * i })
+	return out, st
+}
+
 func TestMapPreservesOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
 	for _, workers := range []int{1, 4, 200} {
-		out, st := Map(items, workers, func(i, v int) int { return v * v })
-		if len(out) != 100 {
-			t.Fatalf("len = %d", len(out))
-		}
+		out, st := squares(100, workers)
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d out[%d] = %d", workers, i, v)
@@ -154,19 +158,20 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, st := Map(nil, 8, func(i int, v struct{}) int { return 1 })
-	if out != nil || st.Workers != 0 {
-		t.Errorf("out=%v stats=%+v", out, st)
+	calls := 0
+	st := ForEach(0, 8, func(int) { calls++ })
+	if calls != 0 || st.Workers != 0 {
+		t.Errorf("calls=%d stats=%+v", calls, st)
 	}
 }
 
 func TestMapPanicIsolation(t *testing.T) {
-	items := []int{0, 1, 2, 3}
-	out, st := Map(items, 2, func(i, v int) int {
-		if v == 2 {
+	out := make([]int, 4)
+	st := ForEach(len(out), 2, func(i int) {
+		if i == 2 {
 			panic("poison")
 		}
-		return v + 10
+		out[i] = i + 10
 	})
 	if st.Panics != 1 {
 		t.Errorf("panics = %d", st.Panics)
@@ -177,12 +182,12 @@ func TestMapPanicIsolation(t *testing.T) {
 }
 
 func TestMapWorkersExceedItems(t *testing.T) {
-	out, st := Map([]int{1, 2, 3}, 64, func(i, v int) int { return v * 2 })
+	out, st := squares(3, 64)
 	if st.Workers != 3 {
 		t.Errorf("workers = %d, want clamp to 3 items", st.Workers)
 	}
 	for i, v := range out {
-		if v != (i+1)*2 {
+		if v != i*i {
 			t.Fatalf("out = %v", out)
 		}
 	}
@@ -190,11 +195,11 @@ func TestMapWorkersExceedItems(t *testing.T) {
 
 func TestMapNonPositiveWorkers(t *testing.T) {
 	for _, workers := range []int{0, -1, -100} {
-		out, st := Map([]int{5, 6}, workers, func(i, v int) int { return v })
+		out, st := squares(2, workers)
 		if st.Workers != 1 {
 			t.Errorf("workers=%d: Workers = %d, want 1", workers, st.Workers)
 		}
-		if len(out) != 2 || out[0] != 5 || out[1] != 6 {
+		if out[0] != 0 || out[1] != 1 {
 			t.Errorf("workers=%d: out = %v", workers, out)
 		}
 	}
@@ -202,26 +207,19 @@ func TestMapNonPositiveWorkers(t *testing.T) {
 
 func TestMapAllItemsPanic(t *testing.T) {
 	// A shard whose every item panics must still complete, with every
-	// result at the zero value and every panic counted.
-	items := make([]int, 16)
-	out, st := Map(items, 4, func(i, v int) int { panic("total loss") })
-	if st.Panics != 16 {
-		t.Errorf("panics = %d, want 16", st.Panics)
-	}
-	for i, v := range out {
-		if v != 0 {
-			t.Errorf("out[%d] = %d, want zero value", i, v)
-		}
+	// panic counted.
+	st := ForEach(16, 4, func(int) { panic("total loss") })
+	if st.Panics != 16 || st.Workers != 4 {
+		t.Errorf("stats = %+v, want 16 panics on 4 workers", st)
 	}
 }
 
 func TestMapBusyAndUtilization(t *testing.T) {
 	var ran atomic.Int32
-	_, st := Map(make([]int, 8), 4, func(i, v int) int {
+	st := ForEach(8, 4, func(int) {
 		ran.Add(1)
 		//lint:ignore clockuse pool busy-time is measured on the wall clock, so the worker must really block
 		time.Sleep(time.Millisecond)
-		return 0
 	})
 	if ran.Load() != 8 {
 		t.Fatalf("ran = %d", ran.Load())

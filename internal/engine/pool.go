@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// PoolStats is the telemetry of one Map call.
+// PoolStats is the telemetry of one ForEach or Pull call.
 type PoolStats struct {
 	// Workers is the number of workers actually used.
 	Workers int
@@ -33,67 +33,83 @@ func (s PoolStats) Utilization() float64 {
 	return u
 }
 
-// Map applies f to every item on a bounded worker pool and returns the
-// results in input order. Workers are clamped to [1, len(items)]; a single
-// worker runs inline with no goroutines, so sequential callers pay no
-// scheduling cost. A panic escaping f leaves that item's result at the
-// zero value and is counted in PoolStats.Panics — one misbehaving item
-// never takes down the pool (callers wanting a richer verdict should
-// recover inside f, e.g. via Attempt).
-func Map[T, R any](items []T, workers int, f func(int, T) R) ([]R, PoolStats) {
+// ForEach calls f(i) for every i in [0, n) on a bounded worker pool.
+// Callers write each outcome straight into row i of slices they own, so
+// the pool allocates no result slice and keeps input order for free.
+// Workers are clamped to [1, n]; a single worker runs inline with no
+// goroutines, so sequential callers pay no scheduling cost. A panic
+// escaping f leaves row i as f left it and is counted in
+// PoolStats.Panics — one misbehaving item never takes down the pool
+// (callers wanting a richer verdict should recover inside f, e.g. via
+// Attempt).
+func ForEach(n, workers int, f func(i int)) PoolStats {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(items) {
-		workers = len(items)
+	if workers > n {
+		workers = n
 	}
-	if len(items) == 0 {
-		return nil, PoolStats{Workers: 0}
+	if n <= 0 {
+		return PoolStats{Workers: 0}
 	}
-	results := make([]R, len(items))
-	var busy, panics atomic.Int64
 	start := time.Now()
-	runOne := func(i int) {
-		t0 := time.Now()
-		defer func() {
-			busy.Add(int64(time.Since(t0)))
-			if r := recover(); r != nil {
-				panics.Add(1)
-			}
-		}()
-		results[i] = f(i, items[i])
-	}
+	var busy time.Duration
+	var panics int
 	if workers == 1 {
-		for i := range items {
-			runOne(i)
+		for i := 0; i < n; i++ {
+			d, ok := runIndex(f, i)
+			busy += d
+			if !ok {
+				panics++
+			}
 		}
 	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range items {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+		busy, panics = forEachParallel(n, workers, f)
 	}
-	return results, PoolStats{
-		Workers: workers,
-		Wall:    time.Since(start),
-		Busy:    time.Duration(busy.Load()),
-		Panics:  int(panics.Load()),
-	}
+	return PoolStats{Workers: workers, Wall: time.Since(start), Busy: busy, Panics: panics}
 }
 
-// Pull is the pull-based counterpart of Map for callers whose work list
+// forEachParallel is ForEach's pool of `workers` goroutines, fed the
+// indices over a channel. The sequential path stays out of it, so its
+// counters and channel cost nothing when one worker runs inline.
+func forEachParallel(n, workers int, f func(i int)) (time.Duration, int) {
+	var busy, panics atomic.Int64
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				d, ok := runIndex(f, i)
+				busy.Add(int64(d))
+				if !ok {
+					panics.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return time.Duration(busy.Load()), int(panics.Load())
+}
+
+// runIndex calls f(i), recovering a panic that escapes it. It returns
+// the time f took and whether it returned without panicking.
+func runIndex(f func(i int), i int) (d time.Duration, ok bool) {
+	t0 := time.Now()
+	defer func() {
+		d = time.Since(t0)
+		ok = recover() == nil
+	}()
+	f(i)
+	return
+}
+
+// Pull is the pull-based counterpart of ForEach for callers whose work list
 // is dynamic: a pool of workers repeatedly asks next for a task until it
 // reports no more work. next is called with the worker index and must be
 // safe for concurrent use — it is the scheduler (a shared queue, a

@@ -1,7 +1,7 @@
 // Package fleet is the operations-scale layer of the VeriDevOps
 // reproduction: a coordinator that audits N hosts × M requirements across
 // a two-level worker pool — shard goroutines pulling hosts from a dynamic
-// scheduler, and engine.Map workers inside each host's catalogue run.
+// scheduler, and engine.ForEach workers inside each host's catalogue run.
 //
 // There is one evaluation path. A batch Sweep and a Streamer flush are
 // the same dispatch of per-host jobs through the same scheduler, per-host
@@ -88,7 +88,7 @@ type Options struct {
 	// Shards is the host-level parallelism: how many shard goroutines run
 	// catalogues concurrently. Clamped to [1, number of targets].
 	Shards int
-	// Workers is the engine.Map pool size inside each host's catalogue
+	// Workers is the engine.ForEach pool size inside each host's catalogue
 	// run; values <= 1 run a host's checks sequentially.
 	Workers int
 	// Checks is the per-check resilience policy (see core.RunOptions).
@@ -376,7 +376,7 @@ func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 // It is a dispatch in which every target asks for its whole catalogue:
 // shard goroutines pull hosts from the work-stealing scheduler (see the
 // package comment; ScheduleStatic restores pure affinity buckets), and
-// within a shard each host's catalogue runs on its own engine.Map pool
+// within a shard each host's catalogue runs on its own engine.ForEach pool
 // of opts.Workers. The report lists hosts in name order regardless of
 // shard interleaving; verdicts never depend on placement, only placement
 // telemetry does.

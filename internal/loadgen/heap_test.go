@@ -248,47 +248,57 @@ func totalAlloc() uint64 {
 	return ms.TotalAlloc
 }
 
-// TestReplayBytesPerEvent is the allocation-rate gate of the push path:
-// a primed 2,000-host push Replay under the default churn mix at 8,000
-// ev/s, flushed every 10ms, may allocate at most maxBytesPerEvent heap
-// bytes per applied event over 2s of virtual time. The bytes allocated
-// per event decide how often the collector runs, and so the detection
-// tail; per-host or per-flush bookkeeping rebuilt on every evaluation
-// pushes the figure past the bound. It is the push-path counterpart of
-// fleet's TestCachedSweepAllocsPerHost.
+// TestReplayBytesPerEvent is the allocation-rate gate of both
+// evaluation paths: a primed 2,000-host Replay under the default churn mix
+// at 8,000 ev/s may allocate at most maxBytesPerEvent heap bytes per
+// applied event. Push mode flushes every 10ms over 2s of virtual time;
+// sweep mode runs an incremental sweep every 250ms over 4s, re-auditing
+// every changed host in full through the catalogue runner. The bytes
+// allocated per event decide how often the collector runs, and so the
+// detection tail; per-host, per-flush or per-check bookkeeping rebuilt on
+// every evaluation pushes the figure past the bound. It is the replay
+// counterpart of fleet's TestCachedSweepAllocsPerHost.
 func TestReplayBytesPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocations")
 	}
-	const (
-		n                = 2000
-		maxBytesPerEvent = 1300
-	)
-	f, err := Synthesize(DefaultTopology(), n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DriverOptions{
-		Push:   true,
-		Window: 10 * time.Millisecond,
-		Rate:   8000,
-	}
-	r, err := NewReplay(f, NewChurn(f, DefaultMix(), 1), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := totalAlloc()
-	for now := opts.Window; now <= 2*time.Second; now += opts.Window {
-		r.Tick(now)
-	}
-	bytes := totalAlloc() - before
-	st := r.Stats()
-	if st.Events == 0 || st.Flushes == 0 {
-		t.Fatalf("replay applied %d events in %d flushes, want both > 0", st.Events, st.Flushes)
-	}
-	perEvent := float64(bytes) / float64(st.Events)
-	t.Logf("push replay of %d hosts: %d events, %d flushes, %.0f bytes per event", n, st.Events, st.Flushes, perEvent)
-	if perEvent > maxBytesPerEvent {
-		t.Fatalf("push replay allocated %.0f bytes per event, want <= %d", perEvent, maxBytesPerEvent)
+	const n = 2000
+	for _, tc := range []struct {
+		name             string
+		opts             DriverOptions
+		tick, duration   time.Duration
+		maxBytesPerEvent float64
+	}{
+		{"push", DriverOptions{Push: true, Window: 10 * time.Millisecond, Rate: 8000},
+			10 * time.Millisecond, 2 * time.Second, 1000},
+		{"sweep", DriverOptions{SweepEvery: 250 * time.Millisecond, Rate: 8000},
+			250 * time.Millisecond, 4 * time.Second, 1600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Synthesize(DefaultTopology(), n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewReplay(f, NewChurn(f, DefaultMix(), 1), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := totalAlloc()
+			for now := tc.tick; now <= tc.duration; now += tc.tick {
+				r.Tick(now)
+			}
+			bytes := totalAlloc() - before
+			st := r.Stats()
+			if st.Events == 0 || st.Flushes+st.Sweeps == 0 {
+				t.Fatalf("replay applied %d events in %d flushes and %d sweeps, want events and evaluations",
+					st.Events, st.Flushes, st.Sweeps)
+			}
+			perEvent := float64(bytes) / float64(st.Events)
+			t.Logf("%s replay of %d hosts: %d events, %d flushes, %d sweeps, %.0f bytes per event",
+				tc.name, n, st.Events, st.Flushes, st.Sweeps, perEvent)
+			if perEvent > tc.maxBytesPerEvent {
+				t.Fatalf("%s replay allocated %.0f bytes per event, want <= %.0f", tc.name, perEvent, tc.maxBytesPerEvent)
+			}
+		})
 	}
 }

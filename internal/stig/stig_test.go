@@ -306,6 +306,38 @@ func TestUbuntuCheckStateDigests(t *testing.T) {
 	}
 }
 
+// TestUbuntuCheckStateDigestText pins the exact digest text of both
+// Ubuntu patterns: equal text is what makes two hosts' checks share one
+// memo entry, so a change of format silently splits or merges dedup
+// groups. Config values are quoted as Go string literals.
+func TestUbuntuCheckStateDigestText(t *testing.T) {
+	h := host.NewLinux()
+	h.Install("nis", "0.legacy")
+	h.SetConfig("/etc/login.defs", "ENCRYPT_METHOD", "SHA512")
+	h.SetConfig("/etc/motd", "Banner", "say \"hi\"\tnow\x00ü")
+	for _, tc := range []struct {
+		name string
+		req  core.StateDigester
+		want string
+	}{
+		{"banned installed", &UbuntuPackagePattern{Host: h, PackageName: "nis"},
+			"pkg:nis=true;want=false"},
+		{"required absent", &UbuntuPackagePattern{Host: h, PackageName: "auditd", MustBeInstalled: true},
+			"pkg:auditd=false;want=true"},
+		{"config set", &UbuntuConfigPattern{Host: h, File: "/etc/login.defs", Key: "ENCRYPT_METHOD", Value: "SHA512"},
+			`cfg:/etc/login.defs:ENCRYPT_METHOD="SHA512",true;want="SHA512"`},
+		{"config unset", &UbuntuConfigPattern{Host: h, File: "/etc/ssh/sshd_config", Key: "PermitEmptyPasswords", Value: "no"},
+			`cfg:/etc/ssh/sshd_config:PermitEmptyPasswords="",false;want="no"`},
+		{"config quoted", &UbuntuConfigPattern{Host: h, File: "/etc/motd", Key: "Banner", Value: "a\\b\n"},
+			`cfg:/etc/motd:Banner="say \"hi\"\tnow\x00ü",true;want="a\\b\n"`},
+	} {
+		got, ok := tc.req.CheckStateDigest()
+		if !ok || got != tc.want {
+			t.Errorf("%s: digest = %q, %v; want %q, true", tc.name, got, ok, tc.want)
+		}
+	}
+}
+
 func TestUbuntuCheckCtxMatchesCheck(t *testing.T) {
 	h := host.NewUbuntu1804()
 	for _, r := range UbuntuCatalog(h).All() {

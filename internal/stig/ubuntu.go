@@ -8,6 +8,7 @@ package stig
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"veridevops/internal/core"
 	"veridevops/internal/host"
@@ -50,8 +51,8 @@ func (u *UbuntuPackagePattern) CheckStateDigest() (string, bool) {
 	if u.Host == nil {
 		return "", false
 	}
-	return fmt.Sprintf("pkg:%s=%t;want=%t",
-		u.PackageName, u.Host.Installed(u.PackageName), u.MustBeInstalled), true
+	return "pkg:" + u.PackageName + "=" + strconv.FormatBool(u.Host.Installed(u.PackageName)) +
+		";want=" + strconv.FormatBool(u.MustBeInstalled), true
 }
 
 // CheckStateKeys declares the single state slot the check reads — the
@@ -125,7 +126,8 @@ func (u *UbuntuConfigPattern) CheckStateDigest() (string, bool) {
 		return "", false
 	}
 	v, ok := u.Host.Config(u.File, u.Key)
-	return fmt.Sprintf("cfg:%s:%s=%q,%t;want=%q", u.File, u.Key, v, ok, u.Value), true
+	return "cfg:" + u.File + ":" + u.Key + "=" + strconv.Quote(v) + "," + strconv.FormatBool(ok) +
+		";want=" + strconv.Quote(u.Value), true
 }
 
 // CheckStateKeys declares the single configuration slot the check reads
